@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Literal
 
@@ -41,7 +40,6 @@ class Corpus:
 
     records: tuple[ArticleRecord, ...]
     sources: tuple[str, ...] = ()
-    loaded_at: str | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -88,25 +86,18 @@ def load_corpus(path: str | Path, format: Literal["jsonl", "csv"]) -> Corpus:
     else:
         raise CorpusError(f"unknown corpus format: {format!r}")
     _check_unique_ids(records, str(path))
-    return Corpus(
-        records=tuple(records),
-        sources=(str(path),),
-        loaded_at=datetime.now(timezone.utc).isoformat(),
-    )
+    return Corpus(records=tuple(records), sources=(str(path),))
 
 
 def concat_corpora(corpora: Iterable[Corpus]) -> Corpus:
     """Concatenate corpora loaded from several files into one."""
     records: list[ArticleRecord] = []
     sources: list[str] = []
-    loaded_at: str | None = None
     for corpus in corpora:
         records.extend(corpus.records)
         sources.extend(corpus.sources)
-        if corpus.loaded_at is not None:
-            loaded_at = max(loaded_at or corpus.loaded_at, corpus.loaded_at)
     _check_unique_ids(records, "combined inputs")
-    return Corpus(records=tuple(records), sources=tuple(sources), loaded_at=loaded_at)
+    return Corpus(records=tuple(records), sources=tuple(sources))
 
 
 def filter_eligible(
@@ -130,9 +121,7 @@ def filter_eligible(
             kept.append(
                 ArticleRecord(record.id, record.venue, record.year, deduped)
             )
-    filtered = Corpus(
-        records=tuple(kept), sources=corpus.sources, loaded_at=corpus.loaded_at
-    )
+    filtered = Corpus(records=tuple(kept), sources=corpus.sources)
     return filtered, FilterReport(excluded=tuple(excluded), retained=len(kept))
 
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .corpus import ArticleRecord, Corpus
 from .errors import LexiconError, NormalizationError
@@ -201,7 +201,14 @@ def merge_synonyms(
     multiset, not on input order.
 
     Candidate pairs share a first character or differ in length by at most
-    3, unless ``lexicon.exhaustive_pairing`` forces all pairs.
+    3, unless ``lexicon.exhaustive_pairing`` forces all pairs. Of those,
+    only pairs whose q-gram count bound on the score can reach the
+    threshold are scored: keys are visited by ascending length and looked
+    up in an inverted q-gram index of the shorter keys, and short pairs
+    sharing no q-gram are enumerated directly. ``q`` (1 to 3) is derived
+    from the threshold; see ``_candidate_pairs``. The bound never drops a
+    pair that scores at or above the threshold, so the result equals
+    scoring every pair.
     """
     counts = Counter(dict(keywords)) if isinstance(keywords, Mapping) else Counter(keywords)
     keys = sorted(counts)
@@ -225,26 +232,15 @@ def merge_synonyms(
             union(index[members[0]], index[members[1]])
 
     threshold = lexicon.synonym_threshold
-    lengths = [len(k) for k in keys]
-    signatures = [Counter(k) for k in keys]
-    for i in range(len(keys)):
-        ki, li, si = keys[i], lengths[i], signatures[i]
-        for j in range(i + 1, len(keys)):
-            kj, lj = keys[j], lengths[j]
-            if not lexicon.exhaustive_pairing:
-                if ki[0] != kj[0] and abs(li - lj) > 3:
-                    continue
-            if frozenset((ki, kj)) in lexicon.deny_pairs:
+    for i, j in _candidate_pairs(keys, threshold):
+        ki, kj = keys[i], keys[j]
+        if not lexicon.exhaustive_pairing:
+            if ki[0] != kj[0] and abs(len(ki) - len(kj)) > 3:
                 continue
-            total = li + lj
-            # cheap upper bounds on the score before running the full DP
-            if 200.0 * min(li, lj) / total < threshold:
-                continue
-            common = sum((si & signatures[j]).values())
-            if 200.0 * common / total < threshold:
-                continue
-            if similarity(ki, kj) >= threshold:
-                union(i, j)
+        if frozenset((ki, kj)) in lexicon.deny_pairs:
+            continue
+        if similarity(ki, kj) >= threshold:
+            union(i, j)
 
     groups: dict[int, list[str]] = {}
     for i, key in enumerate(keys):
@@ -258,6 +254,69 @@ def merge_synonyms(
                 lexicon.merge_map[member] = canonical
                 lexicon.record(member, canonical, RULE_MERGE)
     return lexicon
+
+
+def _candidate_pairs(keys: list[str], threshold: float) -> Iterator[tuple[int, int]]:
+    """Index pairs ``(i, j)``, ``i < j``, that may score at or above ``threshold``.
+
+    An exact q-gram count filter (Ukkonen 1992). If ``a`` and ``b`` have an
+    LCS of length ``L`` and indel distance ``D = |a| + |b| - 2L``, every
+    indel breaks at most ``q - 1`` of the ``L - q + 1`` q-grams of the LCS,
+    so their q-gram multisets overlap in ``C >= L - q + 1 - (q - 1) D``
+    grams. Solved for ``L``, this gives
+    ``L <= (C + (q - 1)(1 + |a| + |b|)) // (2q - 1)``, and a pair is
+    dropped only when that bound (capped by the shorter length) scores
+    below the threshold.
+
+    Keys are visited in ascending length. Each is looked up in an inverted
+    index of the keys visited before it, whose postings carry q-gram
+    multiplicities, so one lookup yields ``C`` for every earlier key that
+    shares a gram. Pairs sharing none can still pass when ``|a| + |b|`` is
+    small; they are enumerated from the short end of the length order.
+
+    ``q`` is the largest value up to 3 with ``200 (q - 1) / (2q - 1)``
+    below the threshold, so the zero-overlap bound falls below the
+    threshold as keys grow. At ``q = 1`` the bound is the character count
+    bound.
+    """
+    q = 1
+    while q < 3 and 200 * q / (2 * q + 1) < threshold:
+        q += 1
+    spread = 2 * q - 1
+    slack = q - 1
+    # a pair sharing no gram has bound (q - 1)(1 + total) // (2q - 1), which
+    # scores below the threshold past this total (plus one for rounding)
+    excess = threshold * spread - 200 * slack
+    max_zero_total = 200 * slack / excess + 1 if excess > 0 else float("inf")
+
+    lengths = [len(k) for k in keys]
+    order = sorted(range(len(keys)), key=lengths.__getitem__)
+    postings: dict[str, deque[tuple[int, int, int]]] = {}
+    for pos, j in enumerate(order):
+        kj, lj = keys[j], lengths[j]
+        grams = Counter(kj[x : x + q] for x in range(lj - q + 1))
+        overlap: dict[int, int] = {}
+        for gram, mj in grams.items():
+            posting = postings.get(gram, ())
+            # a key too short to reach the threshold even as a subsequence
+            # of kj stays too short for every longer key: drop it for good
+            while posting and 200.0 * posting[0][1] / (posting[0][1] + lj) < threshold:
+                posting.popleft()
+            for i, _, mi in posting:
+                overlap[i] = overlap.get(i, 0) + (mi if mi < mj else mj)
+        for r in range(pos):
+            i = order[r]
+            if lengths[i] + lj > max_zero_total:
+                break
+            overlap.setdefault(i, 0)
+        for i, common in overlap.items():
+            li = lengths[i]  # li <= lj: keys are visited by length
+            total = li + lj
+            bound = (common + slack * (1 + total)) // spread
+            if 200.0 * (bound if bound < li else li) / total >= threshold:
+                yield (i, j) if i < j else (j, i)
+        for gram, mj in grams.items():
+            postings.setdefault(gram, deque()).append((j, lj, mj))
 
 
 def normalize_corpus(
@@ -327,10 +386,7 @@ def normalize_corpus(
         new_records.append(
             ArticleRecord(record.id, record.venue, record.year, tuple(out))
         )
-    normalized = Corpus(
-        records=tuple(new_records), sources=corpus.sources, loaded_at=corpus.loaded_at
-    )
-    return normalized, lexicon
+    return Corpus(records=tuple(new_records), sources=corpus.sources), lexicon
 
 
 def load_lexicon(
@@ -432,21 +488,22 @@ def _balanced(text: str) -> bool:
 
 
 def _lcs_len(a: str, b: str) -> int:
-    # two-row dynamic program for the longest common subsequence length
-    if not a or not b:
-        return 0
+    # bit-parallel LCS (Allison and Dix 1986; Hyyrö 2004) over the shorter
+    # string: after each char of b, bit x of ``row`` is clear where the LCS
+    # of a[:x + 1] with b so far exceeds that of a[:x], so the clear bits
+    # count the LCS. Python ints span any length of a
     if len(a) > len(b):
         a, b = b, a
-    prev = [0] * (len(a) + 1)
-    for cb in b:
-        curr = [0]
-        append = curr.append
-        for i, ca in enumerate(a, 1):
-            if ca == cb:
-                append(prev[i - 1] + 1)
-            else:
-                x = prev[i]
-                y = curr[i - 1]
-                append(x if x >= y else y)
-        prev = curr
-    return prev[-1]
+    if not a:
+        return 0
+    masks: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        masks[ch] = masks.get(ch, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    row = full
+    for ch in b:
+        match = row & masks.get(ch, 0)
+        row = ((row + match) | (row - match)) & full
+    return len(a) - row.bit_count()

@@ -113,6 +113,9 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
     slices = config.slices or _default_slices(normalized)
     labels = [s.label for s in slices]
     safe = {s.label: _safe_name(s.label) for s in slices}
+    for label, name in safe.items():
+        if name in (".", ".."):
+            raise ConfigError(f"slice label {label!r} cannot name a slice directory")
     if len(set(safe.values())) != len(slices):
         raise ConfigError(f"slice labels collide after sanitizing: {sorted(safe)}")
 

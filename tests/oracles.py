@@ -47,6 +47,59 @@ def indel_similarity(a: str, b: str) -> float:
     return 100.0 * (1.0 - dist / total)
 
 
+def merge_all_pairs(
+    counts: dict[str, int],
+    threshold: float,
+    allow: Sequence[frozenset[str]] = (),
+    deny: Sequence[frozenset[str]] = (),
+    exhaustive: bool = False,
+) -> list[tuple[str, str, str]]:
+    """Synonym merge audit from scoring every pair of distinct forms.
+
+    Pairs share a first character or differ in length by at most 3 unless
+    ``exhaustive``; deny-listed pairs are skipped and allow-listed pairs
+    joined. Groups are the connected components; each collapses onto its
+    most frequent member (then shorter, then lexicographic). Returns the
+    ``(variant, canonical, "merge")`` entries ordered by each group's
+    smallest key, members in sorted order.
+    """
+    keys = sorted(counts)
+    links: dict[str, set[str]] = {k: set() for k in keys}
+    for pair in allow:
+        a, b = sorted(pair)
+        if a in links and b in links:
+            links[a].add(b)
+            links[b].add(a)
+    for a, b in combinations(keys, 2):
+        if not exhaustive and a[0] != b[0] and abs(len(a) - len(b)) > 3:
+            continue
+        if frozenset((a, b)) in deny:
+            continue
+        if _pair_similarity(a, b) >= threshold:
+            links[a].add(b)
+            links[b].add(a)
+    audit: list[tuple[str, str, str]] = []
+    seen: set[str] = set()
+    for key in keys:
+        if key in seen:
+            continue
+        group, stack = {key}, [key]
+        while stack:
+            for other in links[stack.pop()] - group:
+                group.add(other)
+                stack.append(other)
+        seen |= group
+        canonical = min(group, key=lambda k: (-counts[k], len(k), k))
+        audit.extend((m, canonical, "merge") for m in sorted(group) if m != canonical)
+    return audit
+
+
+@lru_cache(maxsize=None)
+def _pair_similarity(a: str, b: str) -> float:
+    # the reference merger rescans the same vocabularies at many thresholds
+    return indel_similarity(a, b)
+
+
 # --- shortest-path betweenness by exhaustive enumeration --------------------
 
 

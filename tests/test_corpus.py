@@ -38,7 +38,6 @@ def test_load_jsonl_roundtrip(tmp_path):
     assert corpus.records[0] == ArticleRecord("x1", "V", 2021, ("a", "b"))
     assert corpus.records[1].keywords == ()
     assert corpus.sources == (str(path),)
-    assert corpus.loaded_at is not None
     assert corpus.years() == [2020, 2021]
 
 

@@ -191,9 +191,24 @@ def test_similarity_frozen_values():
 
 def test_similarity_matches_recursive_oracle():
     rng = random.Random(99)
+    pairs = []
     for _ in range(300):
         a = "".join(rng.choice("abcde ") for _ in range(rng.randint(0, 14)))
         b = "".join(rng.choice("abcde ") for _ in range(rng.randint(0, 14)))
+        pairs.append((a, b))
+    # past 64 characters the bit-parallel LCS needs more than one machine
+    # word; non-ASCII letters key the match masks like any other
+    for _ in range(40):
+        alphabet = rng.choice(["abcde ", "aeé–中文 ", "ab", "xyzé"])
+        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 140)))
+        b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 140)))
+        pairs.append((a, b))
+    pairs += [
+        ("é" * 70, "e" * 70),
+        ("café – 中文" * 8, "cafe - 中文" * 8),
+        ("a" * 65, "a" * 64 + "b"),
+    ]
+    for a, b in pairs:
         assert similarity(a, b) == pytest.approx(
             oracles.indel_similarity(a, b), abs=1e-12
         )
@@ -311,6 +326,71 @@ def test_merge_accepts_bare_iterables():
     lex = NormalizationLexicon()
     merge_synonyms(["clickstream", "click stream", "clickstream"], lex)
     assert lex.merge_map == {"click stream": "clickstream"}
+
+
+# forms that share no 2-gram ("ab"/"acb", 80) or no 3-gram
+# ("abc"/"abxc", 85.7) yet score high enough to merge at some threshold,
+# plus one-character keys, which have no q-grams at all for q > 1
+_SHORT_FORMS = ["a", "b", "x", "ab", "ba", "abc", "cab", "acb", "abxc", "bca", "xy"]
+
+
+def _random_vocabulary(rng: random.Random) -> dict[str, int]:
+    words = set(_SHORT_FORMS)
+    while len(words) < 45:
+        base = "".join(rng.choice("abcdr ") for _ in range(rng.randint(1, 12)))
+        words.add(base)
+        for _ in range(rng.randint(0, 2)):  # a spelling variant of it
+            at = rng.randint(0, len(base))
+            kind = rng.choice(["insert", "delete", "swap"])
+            if kind == "insert":
+                variant = base[:at] + rng.choice("abcdr") + base[at:]
+            elif kind == "delete":
+                variant = base[:at] + base[at + 1 :]
+            else:
+                variant = base[:at] + base[at : at + 2][::-1] + base[at + 2 :]
+            if variant:
+                words.add(variant)
+    return {w: rng.randint(1, 5) for w in sorted(words)}
+
+
+@pytest.mark.parametrize("threshold", [0, 50, 66.7, 80, 85, 90, 90.01, 95, 100])
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_merge_matches_all_pairs_reference(threshold, exhaustive):
+    for seed in range(3):
+        rng = random.Random(seed)
+        counts = _random_vocabulary(rng)
+        keys = sorted(counts)
+        allow = [frozenset(rng.sample(keys, 2)) for _ in range(2)]
+        deny = [frozenset(rng.sample(keys, 2)) for _ in range(4)]
+        deny += [frozenset(("ab", "acb")), frozenset(("a", "b"))][:seed]
+        lex = NormalizationLexicon(
+            synonym_threshold=float(threshold),
+            exhaustive_pairing=exhaustive,
+            allow_pairs=set(allow) - set(deny),
+            deny_pairs=set(deny),
+        )
+        merge_synonyms(counts, lex)
+        expected = oracles.merge_all_pairs(
+            counts, float(threshold), sorted(lex.allow_pairs, key=sorted), deny, exhaustive
+        )
+        assert lex.audit == expected
+        assert list(lex.merge_map.items()) == [(m, c) for m, c, _ in expected]
+
+
+@pytest.mark.parametrize(
+    "threshold, q, a, b",
+    [(0, 1, "a", "xy"), (66.7, 2, "ab", "acb"), (80, 2, "ab", "acb"), (85, 3, "abc", "abxc")],
+)
+def test_merge_finds_pairs_sharing_no_qgram(threshold, q, a, b):
+    # q is the gram size the threshold selects; the q-gram index never
+    # pairs these, only the scan of short pairs sharing no gram does
+    grams_a = {a[x : x + q] for x in range(len(a) - q + 1)}
+    grams_b = {b[x : x + q] for x in range(len(b) - q + 1)}
+    assert not grams_a & grams_b
+    assert similarity(a, b) >= threshold
+    lex = NormalizationLexicon(synonym_threshold=float(threshold))
+    merge_synonyms({a: 2, b: 1}, lex)
+    assert lex.merge_map == {b: a}
 
 
 def test_merge_canonicals_stay_apart():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +346,25 @@ def test_empty_slice_fails_with_stage_error(tmp_path):
     )
     out = tmp_path / "out"
     with pytest.raises(StageError, match="selects no records"):
+        run_pipeline(load_config(cfg), out_dir=out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", [".", ".."])
+def test_dot_slice_labels_rejected(tmp_path, label):
+    # slices/. and slices/.. would be the slices directory and the bundle root
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "inputs": [str(DATA / "synthetic_corpus.jsonl")],
+                "slices": [{"label": label, "years": "all"}],
+            }
+        ),
+        "utf-8",
+    )
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=re.escape(repr(label))):
         run_pipeline(load_config(cfg), out_dir=out)
     assert not out.exists()
 

@@ -58,6 +58,19 @@ def test_betweenness_exact_tie_between_parallel_routes():
     assert bc["d"] == pytest.approx(0.5)
 
 
+def test_betweenness_tie_exact_only_in_rationals():
+    # both s-t routes have length 3/10 (1/10 + 1/5 and 1/4 + 1/20), but in
+    # floats 0.1 + 0.2 != 0.25 + 0.05, so float distances would pick one
+    assert 1 / 10 + 1 / 5 != 1 / 4 + 1 / 20
+    g = WeightedGraph.from_edges(
+        [("s", "a", 10), ("a", "t", 5), ("s", "b", 4), ("b", "t", 20)]
+    )
+    bc = weighted_betweenness(g)
+    exact = oracles.betweenness_exhaustive(g)
+    assert exact == {"s": 0.0, "a": 0.5, "t": 1.0, "b": 0.5}
+    assert bc == pytest.approx(exact, abs=1e-12)
+
+
 def test_betweenness_disconnected_components_scored_independently(path3):
     g = WeightedGraph.from_edges(
         [("a", "b", 1), ("b", "c", 1), ("x", "y", 1), ("y", "z", 1)],

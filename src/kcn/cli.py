@@ -17,14 +17,12 @@ from pathlib import Path
 from .config import load_config
 from .errors import KcnError, NormalizationError
 from .graph import build_kcn, to_dot, to_edge_csv, to_graphml
-from .normalize import (
-    fold_case_hyphens,
-    load_lexicon,
-    normalize_corpus,
-    similarity,
-)
+from .normalize import fold_case_hyphens, similarity
+from .pipeline import STAGES, _safe_name, prepare, run_pipeline
+
+# unused since export goes through prepare(); kept bound because perfbench/tracer.py wraps them
 from .corpus import concat_corpora, filter_eligible, load_corpus
-from .pipeline import STAGES, run_pipeline
+from .normalize import load_lexicon, normalize_corpus
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,30 +89,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    corpus = concat_corpora(
-        load_corpus(spec.path, spec.format) for spec in config.inputs
-    )
-    filtered, _ = filter_eligible(corpus, config.max_keywords)
-    lexicon = load_lexicon(
-        protected_path=config.protected_path,
-        abbrev_path=config.abbrev_path,
-        merges_path=config.merges_path,
-        synonym_threshold=config.synonym_threshold,
-        exhaustive_pairing=config.exhaustive_pairing,
-    )
-    normalized, _ = normalize_corpus(filtered, lexicon)
-    from .pipeline import _default_slices, _safe_name
-
-    slices = config.slices or _default_slices(normalized)
-    by_label = {s.label: s for s in slices}
+    prepared = prepare(load_config(args.config))
+    by_label = {s.label: s for s in prepared.slices}
     if args.slice_label not in by_label:
         raise KcnError(
             f"unknown slice {args.slice_label!r}; defined: {sorted(by_label)}"
         )
-    g = build_kcn(normalized, by_label[args.slice_label])
-    ext = {"graphml": "graphml", "dot": "dot", "csv": "csv"}[args.format]
-    out = args.out or Path(f"kcn_{_safe_name(args.slice_label)}.{ext}")
+    g = build_kcn(prepared.normalized, by_label[args.slice_label])
+    out = args.out or Path(f"kcn_{_safe_name(args.slice_label)}.{args.format}")
     text = {
         "graphml": to_graphml,
         "dot": to_dot,
@@ -169,16 +151,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             parts.append(f"betweenness rank {rank[0]} ({rank[1]})")
         print(f"  [{label}] " + ("; ".join(parts) if parts else "-"))
 
-    ego = bundle / f"ego_{_safe(canonical)}.graphml"
+    ego = bundle / f"ego_{_safe_name(canonical)}.graphml"
     if ego.is_file():
         print(f"ego network: {ego.name}")
     return 0
-
-
-def _safe(text: str) -> str:
-    from .pipeline import _safe_name
-
-    return _safe_name(text)
 
 
 def _audit_chain(bundle: Path, keyword: str) -> list[tuple[str, str, str]]:
@@ -216,8 +192,6 @@ def _bundle_vocabulary(bundle: Path, slices: list[str]) -> set[str]:
     if freq.is_file():
         vocab.update(row[0] for row in _csv_rows(freq))
     for label in slices:
-        from .pipeline import _safe_name
-
         safe = _safe_name(label)
         member = bundle / "slices" / safe / f"membership_{safe}.csv"
         if member.is_file():
@@ -241,8 +215,6 @@ def _frequency_of(bundle: Path, keyword: str) -> str | None:
 
 
 def _membership_of(bundle: Path, label: str, keyword: str):
-    from .pipeline import _safe_name
-
     safe = _safe_name(label)
     path = bundle / "slices" / safe / f"membership_{safe}.csv"
     if not path.is_file():
@@ -254,8 +226,6 @@ def _membership_of(bundle: Path, label: str, keyword: str):
 
 
 def _betweenness_of(bundle: Path, label: str, keyword: str):
-    from .pipeline import _safe_name
-
     safe = _safe_name(label)
     path = bundle / "slices" / safe / f"betweenness_{safe}.csv"
     if not path.is_file():

@@ -67,7 +67,6 @@ class WeightedGraph:
             raise GraphError("duplicate node labels")
         self._adj = adj
         self._freq: tuple[int, ...] = tuple(freq)
-        self.node_freq: dict[str, int] = dict(zip(self._labels, self._freq))
 
     @classmethod
     def from_edges(
@@ -203,7 +202,7 @@ def build_kcn(corpus: Corpus, slice_spec: SliceSpec) -> WeightedGraph:
 
     Every keyword of every in-slice record becomes a node (isolated ones
     included); each unordered keyword pair within a record adds 1 to its
-    edge weight. ``node_freq`` counts articles containing the keyword.
+    edge weight. ``freq(v)`` counts the articles containing keyword ``v``.
     """
     records = sorted(
         (r for r in corpus.records if slice_spec.contains(r.year)),

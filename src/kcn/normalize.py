@@ -211,6 +211,8 @@ def merge_synonyms(
     scoring every pair.
     """
     counts = Counter(dict(keywords)) if isinstance(keywords, Mapping) else Counter(keywords)
+    if "" in counts:
+        raise NormalizationError("cannot merge an empty keyword: ''")
     keys = sorted(counts)
     index = {k: i for i, k in enumerate(keys)}
     parent = list(range(len(keys)))

@@ -3,8 +3,8 @@
 A run ingests and filters the corpus, normalizes keywords, builds one
 co-occurrence graph per slice, and emits structural summaries, community
 clusterings, and centrality-based trend tables into an output directory.
-Slice analyses are independent and run on a thread pool capped by the
-``KCN_THREADS`` environment variable.
+``prepare`` is the one path from a config to normalized records and
+slices; ``kcn run`` and ``kcn export`` both take it.
 
 Bundle layout::
 
@@ -29,17 +29,16 @@ import csv
 import hashlib
 import io
 import json
-import os
 import re
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .communities import cluster_profiles, fast_greedy, name_clusters
 from .config import RunConfig
-from .corpus import Corpus, concat_corpora, filter_eligible, load_corpus
+from .corpus import Corpus, FilterReport, concat_corpora, filter_eligible, load_corpus
 from .errors import ConfigError, FitError, KcnError, StageError
 from .graph import (
     SliceSpec,
@@ -49,7 +48,7 @@ from .graph import (
     to_edge_csv,
     write_graphml,
 )
-from .normalize import default_lexicon_dir, load_lexicon, normalize_corpus
+from .normalize import NormalizationLexicon, default_lexicon_dir, load_lexicon, normalize_corpus
 from .structure import average_clustering, ccdf, fit_power_law, profile_nodes, summarize
 from .trends import detect_emerging, ego_network, frequency_table, top_k_table, weighted_betweenness
 
@@ -93,7 +92,31 @@ def run_pipeline(
         raise
 
 
-def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
+class Prepared(NamedTuple):
+    """Everything between a config and its slice graphs."""
+
+    corpus: Corpus  # as loaded, before filtering
+    report: FilterReport
+    normalized: Corpus
+    lexicon: NormalizationLexicon
+    slices: list[SliceSpec]
+
+
+def prepare(config: RunConfig) -> Prepared:
+    """Ingest, filter and normalize the inputs and resolve the slices.
+
+    Configured slice labels are checked before any input is read; the
+    default slices are each year of the normalized corpus plus ``all``.
+    Failures are tagged with their stage.
+    """
+    if config.slices is not None:
+        # each label names its own directory under slices/, inside the bundle
+        safe = {s.label: _safe_name(s.label) for s in config.slices}
+        for label, name in safe.items():
+            if name in (".", ".."):
+                raise ConfigError(f"slice label {label!r} cannot name a slice directory")
+        if len(set(safe.values())) != len(safe):
+            raise ConfigError(f"slice labels collide after sanitizing: {sorted(safe)}")
     with _stage("ingest"):
         corpus = concat_corpora(
             load_corpus(spec.path, spec.format) for spec in config.inputs
@@ -109,31 +132,23 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
             exhaustive_pairing=config.exhaustive_pairing,
         )
         normalized, lexicon = normalize_corpus(filtered, lexicon)
+    slices = list(config.slices or _default_slices(normalized))
+    return Prepared(corpus, report, normalized, lexicon, slices)
 
-    slices = config.slices or _default_slices(normalized)
+
+def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
+    corpus, report, normalized, lexicon, slices = prepare(config)
     labels = [s.label for s in slices]
-    safe = {s.label: _safe_name(s.label) for s in slices}
-    for label, name in safe.items():
-        if name in (".", ".."):
-            raise ConfigError(f"slice label {label!r} cannot name a slice directory")
-    if len(set(safe.values())) != len(slices):
-        raise ConfigError(f"slice labels collide after sanitizing: {sorted(safe)}")
 
     with _stage("build"):
         graphs = {s.label: build_kcn(normalized, s) for s in slices}
 
-    workers = _max_workers(len(slices))
-    results: list[dict] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _analyze_slice, config, stages, graphs[s.label], s,
-                out / "slices" / safe[s.label],
-            )
-            for s in slices
-        ]
-        for future in futures:
-            results.append(future.result())
+    results = [
+        _analyze_slice(
+            config, stages, graphs[s.label], s, out / "slices" / _safe_name(s.label)
+        )
+        for s in slices
+    ]
 
     if "macro" in stages:
         with _stage("macro"):
@@ -337,7 +352,7 @@ def _write_ego_files(
     out: Path,
     config: RunConfig,
     graphs: dict[str, WeightedGraph],
-    slices: tuple[SliceSpec, ...] | list[SliceSpec],
+    slices: list[SliceSpec],
     emerging: list,
 ) -> None:
     # ego views come from the first whole-corpus slice, when one exists
@@ -425,20 +440,6 @@ def _manifest(
 
 def _default_slices(corpus: Corpus) -> list[SliceSpec]:
     return [SliceSpec.year(y) for y in corpus.years()] + [SliceSpec.all()]
-
-
-def _max_workers(n_tasks: int) -> int:
-    env = os.environ.get("KCN_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"KCN_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ConfigError(f"KCN_THREADS must be at least 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
 
 
 @contextmanager

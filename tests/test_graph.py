@@ -96,7 +96,7 @@ def test_subgraph_keeps_original_relative_order():
     assert sub.m == 2
     assert sub.weight("b", "c") == 2 and sub.weight("c", "d") == 3
     assert sub.weight("a", "b") == 0 if "a" in sub else True
-    assert sub.node_freq["c"] == 7
+    assert sub.freq("c") == 7
 
 
 def test_components_sorted():
@@ -124,19 +124,20 @@ def test_build_kcn_weights_and_freq():
     assert g.labels() == ("ai", "ml", "edu", "solo")
     assert g.weight("ai", "ml") == 3
     assert g.weight("ml", "edu") == 1
-    assert g.node_freq == {"ai": 3, "ml": 3, "edu": 1, "solo": 1}
+    freq = {v: g.freq(v) for v in g.labels()}
+    assert freq == {"ai": 3, "ml": 3, "edu": 1, "solo": 1}
     assert g.degree("solo") == 0
 
     year_g = build_kcn(corpus, SliceSpec.year(2021))
     assert year_g.weight("ai", "ml") == 1
-    assert year_g.node_freq["solo"] == 1
+    assert year_g.freq("solo") == 1
 
 
 def test_build_kcn_ignores_duplicate_strings_within_record():
     corpus = _corpus([("a1", 2020, ["x", "y", "x"])])
     g = build_kcn(corpus, SliceSpec.all())
     assert g.weight("x", "y") == 1
-    assert g.node_freq["x"] == 1
+    assert g.freq("x") == 1
 
 
 def test_build_kcn_empty_slice_is_an_error():
@@ -153,7 +154,7 @@ def test_build_kcn_deterministic_across_runs():
     b = build_kcn(corpus, SliceSpec.all())
     assert a.labels() == b.labels()
     assert a.edges() == b.edges()
-    assert a.node_freq == b.node_freq
+    assert {v: a.freq(v) for v in a.labels()} == {v: b.freq(v) for v in b.labels()}
 
 
 # --- components -----------------------------------------------------------------

@@ -328,6 +328,13 @@ def test_merge_accepts_bare_iterables():
     assert lex.merge_map == {"click stream": "clickstream"}
 
 
+@pytest.mark.parametrize("threshold", [0, DEFAULT_SYNONYM_THRESHOLD])
+def test_merge_rejects_empty_keyword(threshold):
+    lex = NormalizationLexicon(synonym_threshold=threshold)
+    with pytest.raises(NormalizationError, match="''"):
+        merge_synonyms({"": 1, "ab": 1}, lex)
+
+
 # forms that share no 2-gram ("ab"/"acb", 80) or no 3-gram
 # ("abc"/"abxc", 85.7) yet score high enough to merge at some threshold,
 # plus one-character keys, which have no q-grams at all for q > 1

@@ -369,28 +369,20 @@ def test_dot_slice_labels_rejected(tmp_path, label):
     assert not out.exists()
 
 
-def test_thread_cap_does_not_change_results(tmp_path):
-    config = load_config(CONFIG)
-    out_serial = tmp_path / "serial"
-    os.environ["KCN_THREADS"] = "1"
-    try:
-        run_pipeline(config, out_dir=out_serial)
-    finally:
-        del os.environ["KCN_THREADS"]
-    out_default = tmp_path / "default"
-    run_pipeline(config, out_dir=out_default)
-    assert _tree(out_serial) == _tree(out_default)
-
-
-def test_bad_thread_cap_rejected(tmp_path):
-    config = load_config(CONFIG)
-    for bad in ("zero", "0", "-2"):
-        os.environ["KCN_THREADS"] = bad
-        try:
-            with pytest.raises(ConfigError, match="KCN_THREADS"):
-                run_pipeline(config, out_dir=tmp_path / "x", force=True)
-        finally:
-            del os.environ["KCN_THREADS"]
+def test_slice_labels_checked_before_ingest(tmp_path):
+    # the input does not exist, so reaching ingest would fail as [ingest]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "inputs": [str(tmp_path / "absent.jsonl")],
+                "slices": [{"label": "..", "years": "all"}],
+            }
+        ),
+        "utf-8",
+    )
+    with pytest.raises(ConfigError, match=re.escape("'..'")):
+        run_pipeline(load_config(cfg), out_dir=tmp_path / "out")
 
 
 # --- command line ------------------------------------------------------------------------
@@ -467,6 +459,17 @@ def test_cli_export_formats(tmp_path):
         assert out.is_file() and out.stat().st_size > 0
     text = (tmp_path / "g.csv").read_text()
     assert text.splitlines()[0] == "source,target,weight"
+
+
+@pytest.mark.parametrize("label", ["all", "2020"])
+def test_cli_export_csv_matches_run_edges(tmp_path, bundle, label):
+    out = tmp_path / f"{label}.csv"
+    res = _run_cli(
+        "export", "--config", str(CONFIG), "--slice", label,
+        "--format", "csv", "--out", str(out),
+    )
+    assert res.returncode == 0, res.stderr
+    assert out.read_bytes() == (bundle / "slices" / label / "edges.csv").read_bytes()
 
 
 def test_cli_export_unknown_slice(tmp_path):

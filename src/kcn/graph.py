@@ -122,6 +122,10 @@ class WeightedGraph:
     def labels(self) -> tuple[str, ...]:
         return self._labels
 
+    def adjacency(self) -> list[dict[int, int]]:
+        """Per node index, neighbor index -> int weight. Shared: do not mutate."""
+        return self._adj
+
     def __contains__(self, v: str) -> bool:
         return v in self._index
 
@@ -159,7 +163,8 @@ class WeightedGraph:
 
     @property
     def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges())
+        # every edge weight is counted once from each endpoint
+        return sum(sum(nbrs.values()) for nbrs in self._adj) // 2
 
     # -- derived graphs ---------------------------------------------------
 

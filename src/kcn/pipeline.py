@@ -77,6 +77,7 @@ def run_pipeline(
     target = Path(out_dir) if out_dir is not None else config.output_dir
     if target is None:
         raise ConfigError("no output directory: set output_dir or pass --out")
+    _check_slice_labels(config)  # before an old bundle is removed
     if target.exists() and any(target.iterdir()):
         if not force:
             raise ConfigError(
@@ -109,14 +110,7 @@ def prepare(config: RunConfig) -> Prepared:
     default slices are each year of the normalized corpus plus ``all``.
     Failures are tagged with their stage.
     """
-    if config.slices is not None:
-        # each label names its own directory under slices/, inside the bundle
-        safe = {s.label: _safe_name(s.label) for s in config.slices}
-        for label, name in safe.items():
-            if name in (".", ".."):
-                raise ConfigError(f"slice label {label!r} cannot name a slice directory")
-        if len(set(safe.values())) != len(safe):
-            raise ConfigError(f"slice labels collide after sanitizing: {sorted(safe)}")
+    _check_slice_labels(config)
     with _stage("ingest"):
         corpus = concat_corpora(
             load_corpus(spec.path, spec.format) for spec in config.inputs
@@ -436,6 +430,17 @@ def _manifest(
         },
         "keywords": {"distinct_canonical": len(distinct)},
     }
+
+
+def _check_slice_labels(config: RunConfig) -> None:
+    """Reject configured slice labels that cannot each name a slice directory."""
+    # each label names its own directory under slices/, inside the bundle
+    safe = {s.label: _safe_name(s.label) for s in config.slices or ()}
+    for label, name in safe.items():
+        if name in (".", ".."):
+            raise ConfigError(f"slice label {label!r} cannot name a slice directory")
+    if len(set(safe.values())) != len(safe):
+        raise ConfigError(f"slice labels collide after sanitizing: {sorted(safe)}")
 
 
 def _default_slices(corpus: Corpus) -> list[SliceSpec]:

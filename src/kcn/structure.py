@@ -81,10 +81,9 @@ def summarize(g: WeightedGraph) -> StructuralSummary:
     if g.n == 0:
         raise GraphError("cannot summarize an empty graph")
     n, m = g.n, g.m
-    labels = g.labels()
     d = 2.0 * m / (n * (n - 1)) if n >= 2 else 0.0
     z = 2.0 * m / n
-    s = sum(g.strength(v) for v in labels) / n
+    s = 2 * g.total_weight / n  # the strength sum, as an exact int
     c = average_clustering(g, weighted=True)
     lc = max(len(comp) for comp in g.components())
     return StructuralSummary(n=n, m=m, d=d, c=c, z=z, s=s, lc=lc, r=assortativity(g))
@@ -97,17 +96,13 @@ def assortativity(g: WeightedGraph) -> float | None:
     exact; None is returned (with a warning) when either marginal is
     constant, including the no-edge case.
     """
-    degs = [g.degree(v) for v in g.labels()]
-    index = {v: i for i, v in enumerate(g.labels())}
-    count = 0
-    sx = sxx = sxy = 0
-    for u, v, _ in g.edges():
-        du, dv = degs[index[u]], degs[index[v]]
-        # both orientations: (du, dv) and (dv, du)
-        count += 2
-        sx += du + dv
-        sxx += du * du + dv * dv
-        sxy += 2 * du * dv
+    adj = g.adjacency()
+    degs = [len(nbrs) for nbrs in adj]
+    # a node of degree d is the first endpoint of d edge orientations
+    count = sum(degs)
+    sx = sum(d * d for d in degs)
+    sxx = sum(d * d * d for d in degs)
+    sxy = sum(degs[i] * degs[j] for i, nbrs in enumerate(adj) for j in nbrs)
     if count == 0:
         warnings.warn("assortativity undefined: graph has no edges")
         return None
@@ -128,32 +123,37 @@ def weighted_clustering(g: WeightedGraph, v: str) -> float:
     unit-weight graphs this equals the unweighted local clustering
     coefficient; the value always lies in [0, 1].
     """
-    i = g.index_of(v)
-    nbrs = g._adj[i]
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    s = sum(nbrs.values())
-    total = 0
-    items = sorted(nbrs)
-    for a_pos in range(len(items)):
-        j = items[a_pos]
-        adj_j = g._adj[j]
-        w_vj = nbrs[j]
-        for b_pos in range(a_pos + 1, len(items)):
-            h = items[b_pos]
-            if h in adj_j:
-                total += w_vj + nbrs[h]
-    return total / (s * (k - 1))
+    return _local_clustering(g.adjacency(), g.index_of(v))[0]
 
 
 def average_clustering(g: WeightedGraph, weighted: bool = True) -> float:
     """Mean local clustering over all nodes (isolated nodes count as 0)."""
     if g.n == 0:
         raise GraphError("cannot average clustering of an empty graph")
-    if weighted:
-        return sum(weighted_clustering(g, v) for v in g.labels()) / g.n
-    return sum(_unweighted_clustering(g, v) for v in g.labels()) / g.n
+    adj = g.adjacency()
+    pick = 0 if weighted else 1
+    return sum(_local_clustering(adj, i)[pick] for i in range(g.n)) / g.n
+
+
+def _local_clustering(adj: list[dict[int, int]], i: int) -> tuple[float, float]:
+    """Weighted (Barrat) and unweighted local clustering of node index ``i``.
+
+    ``c = |N(i) & N(j)|`` counts the closed ordered pairs (j, h) through
+    neighbor j: summed over j, ``c`` is twice the triangle count at i and
+    ``w_ij * c`` is the Barrat numerator.
+    """
+    nbrs = adj[i]
+    k = len(nbrs)
+    if k < 2:
+        return 0.0, 0.0
+    keys = nbrs.keys()
+    closed = total = 0
+    for j, w in nbrs.items():
+        c = len(keys & adj[j].keys())
+        closed += c
+        total += w * c
+    links = closed // 2
+    return total / (sum(nbrs.values()) * (k - 1)), 2.0 * links / (k * (k - 1))
 
 
 def weighted_annd(g: WeightedGraph, v: str) -> float:
@@ -161,12 +161,12 @@ def weighted_annd(g: WeightedGraph, v: str) -> float:
 
     Neighbor degrees are unweighted. Undefined for isolated nodes.
     """
-    i = g.index_of(v)
-    nbrs = g._adj[i]
+    adj = g.adjacency()
+    nbrs = adj[g.index_of(v)]
     if not nbrs:
         raise GraphError(f"neighbor degree undefined for isolated node {v!r}")
     s = sum(nbrs.values())
-    return sum(w * len(g._adj[j]) for j, w in nbrs.items()) / s
+    return sum(w * len(adj[j]) for j, w in nbrs.items()) / s
 
 
 def weighted_annd_ratio(g: WeightedGraph, v: str) -> float:
@@ -183,9 +183,10 @@ def profile_nodes(
     clustering and neighbor-degree ratio over all profiled nodes of each
     distinct degree, ascending.
     """
+    adj = g.adjacency()
     profiles: list[NodeProfile] = []
-    for v in g.labels():
-        k = g.degree(v)
+    for i, v in enumerate(g.labels()):
+        k = len(adj[i])
         if k < 1:
             continue
         knn = weighted_annd(g, v)
@@ -193,7 +194,7 @@ def profile_nodes(
             NodeProfile(
                 node=v,
                 degree=k,
-                clustering_w=weighted_clustering(g, v),
+                clustering_w=_local_clustering(adj, i)[0],
                 knn_w=knn,
                 knn_ratio=knn / k,
             )
@@ -331,17 +332,3 @@ def _fit_discrete(xs: np.ndarray, min_tail: int) -> PowerLawFit:
         )
     return best
 
-
-def _unweighted_clustering(g: WeightedGraph, v: str) -> float:
-    i = g.index_of(v)
-    nbrs = sorted(g._adj[i])
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    links = 0
-    for a_pos in range(k):
-        adj_a = g._adj[nbrs[a_pos]]
-        for b_pos in range(a_pos + 1, k):
-            if nbrs[b_pos] in adj_a:
-                links += 1
-    return 2.0 * links / (k * (k - 1))

@@ -60,7 +60,7 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     n = g.n
     if n == 0:
         raise GraphError("betweenness of an empty graph is undefined")
-    adj = g._adj
+    adj = g.adjacency()
     weights = [w for nbrs in adj for w in nbrs.values()]
     if all(isinstance(w, int) for w in weights):
         scale = math.lcm(*weights) if weights else 1

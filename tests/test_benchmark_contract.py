@@ -42,3 +42,23 @@ def test_every_wrapped_name_resolves():
 def test_slice_span_and_setup_probe_targets_exist():
     assert callable(importlib.import_module("kcn.pipeline")._analyze_slice)
     assert callable(importlib.import_module("kcn.cli").load_config)
+
+
+def test_summarize_calls_average_clustering_through_its_module(monkeypatch):
+    # the tracer's kcn.structure.average_clustering span is the only one
+    # inside summarize, and the benchmark's self-test requires it
+    structure = importlib.import_module("kcn.structure")
+    graph = importlib.import_module("kcn.graph")
+    calls = []
+    original = structure.average_clustering
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "average_clustering", counting)
+    g = graph.WeightedGraph.from_edges(
+        [("a", "b", 2), ("b", "c", 1), ("a", "c", 3), ("c", "d", 1)]
+    )
+    assert structure.summarize(g).c == original(g, weighted=True)
+    assert len(calls) == 1

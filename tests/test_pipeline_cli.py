@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -383,6 +384,24 @@ def test_slice_labels_checked_before_ingest(tmp_path):
     )
     with pytest.raises(ConfigError, match=re.escape("'..'")):
         run_pipeline(load_config(cfg), out_dir=tmp_path / "out")
+
+
+def test_bad_slice_label_keeps_old_bundle_under_force(tmp_path, bundle):
+    old = tmp_path / "old"
+    shutil.copytree(bundle, old)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "inputs": [str(DATA / "synthetic_corpus.jsonl")],
+                "slices": [{"label": "..", "years": "all"}],
+            }
+        ),
+        "utf-8",
+    )
+    with pytest.raises(ConfigError, match=re.escape("'..'")):
+        run_pipeline(load_config(cfg), out_dir=old, force=True)
+    assert _tree(old) == _tree(bundle)
 
 
 # --- command line ------------------------------------------------------------------------

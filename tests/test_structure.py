@@ -91,13 +91,18 @@ def test_clustering_open_pair_partial():
 
 
 def test_clustering_matches_ordered_pair_oracle():
+    # int / int and float(Fraction) both round the same rational correctly
     rng = random.Random(41)
+    degrees = set()
     for _ in range(60):
         g = oracles.random_graph(rng)
+        degrees.update(g.degree(v) for v in g.labels())
         for v in g.labels():
-            assert weighted_clustering(g, v) == pytest.approx(
-                oracles.clustering_barrat(g, v), abs=1e-12
-            )
+            assert weighted_clustering(g, v) == oracles.clustering_barrat(g, v)
+        assert average_clustering(g, weighted=False) == sum(
+            oracles.clustering_unweighted(g, v) for v in g.labels()
+        ) / g.n
+    assert {0, 1} <= degrees  # isolated and degree-1 nodes were covered
 
 
 def test_clustering_unit_weights_equal_unweighted():
@@ -105,11 +110,9 @@ def test_clustering_unit_weights_equal_unweighted():
     for _ in range(40):
         g = oracles.random_graph(rng, max_weight=1)
         for v in g.labels():
-            assert weighted_clustering(g, v) == pytest.approx(
-                oracles.clustering_unweighted(g, v), abs=1e-12
-            )
-        assert average_clustering(g, weighted=True) == pytest.approx(
-            average_clustering(g, weighted=False), abs=1e-12
+            assert weighted_clustering(g, v) == oracles.clustering_unweighted(g, v)
+        assert average_clustering(g, weighted=True) == average_clustering(
+            g, weighted=False
         )
 
 

@@ -361,9 +361,11 @@ def _write_ego_files(
         view = ego_network(
             g, entry.keyword, config.top_k, degree_scope=config.ego_degree_scope
         )
-        name = _safe_name(f"ego_{entry.keyword}")
-        if name in used:
-            name = f"{name}_{len(used)}"
+        base = name = _safe_name(f"ego_{entry.keyword}")
+        suffix = len(used)
+        while name in used:
+            name = f"{base}_{suffix}"
+            suffix += 1
         used.add(name)
         write_graphml(
             view.graph,

@@ -10,12 +10,21 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import sys
+import threading
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .corpus import Corpus
 from .errors import GraphError
 from .graph import WeightedGraph
+
+
+# per node, its (neighbour, distance) pairs; distances are exact scaled
+# ints when every weight is an int, floats otherwise
+Steps = list[tuple[tuple[int, float], ...]]
 
 
 @dataclass(frozen=True)
@@ -56,60 +65,235 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     is counted once. When all weights are integers, distances are scaled
     to exact integers (shortest paths are invariant under uniform scaling),
     so tie detection never depends on floating-point rounding.
+
+    The sources are split into contiguous chunks, one per CPU this process
+    may run on (see ``_workers``). Every chunk but the last runs in a
+    forked child and the last in this process; with one CPU, without
+    ``os.fork`` or while another thread runs, every source runs here.
+    Each node's score gets the same float additions in the same source
+    order as a serial loop, so the result is bit-identical for any number
+    of workers.
     """
     n = g.n
     if n == 0:
         raise GraphError("betweenness of an empty graph is undefined")
     adj = g.adjacency()
-    weights = [w for nbrs in adj for w in nbrs.values()]
+    weights = [w for row in adj for w in row.values()]
     if all(isinstance(w, int) for w in weights):
         scale = math.lcm(*weights) if weights else 1
-        dist_of = [
-            {j: scale // w for j, w in nbrs.items()} for nbrs in adj
-        ]
+        nbrs = [tuple((j, scale // w) for j, w in row.items()) for row in adj]
         zero = 0
     else:
-        dist_of = [{j: 1.0 / w for j, w in nbrs.items()} for nbrs in adj]
+        nbrs = [tuple((j, 1.0 / w) for j, w in row.items()) for row in adj]
         zero = 0.0
 
-    bc = [0.0] * n
-    for source in range(n):
-        dist: list = [None] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[source] = zero
-        sigma[source] = 1
-        done = [False] * n
-        order: list[int] = []
-        heap = [(zero, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            order.append(u)
-            du = dist[u]
-            for v, step in dist_of[u].items():
-                nd = du + step
-                dv = dist[v]
-                if dv is None or nd < dv:
-                    dist[v] = nd
-                    sigma[v] = sigma[u]
-                    preds[v] = [u]
-                    heapq.heappush(heap, (nd, v))
-                elif nd == dv:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        delta = [0.0] * n
-        for u in reversed(order):
-            coeff = (1.0 + delta[u]) / sigma[u]
-            for p in preds[u]:
-                delta[p] += sigma[p] * coeff
-            if u != source:
-                bc[u] += delta[u]
+    workers = min(_workers(), n)
+    if workers == 1:
+        bc = _prefix_sum(nbrs, zero, range(n))
+    else:
+        bc = _forked_sum(nbrs, zero, workers)
     labels = g.labels()
     # each unordered pair was visited from both endpoints
     return {labels[i]: bc[i] / 2.0 for i in range(n)}
+
+
+def _workers() -> int:
+    """Processes betweenness may use: one per CPU available to this process.
+
+    1 where ``os.fork`` is missing or another Python thread is running,
+    since a forked child inherits only the forking thread and any lock
+    another thread holds stays locked. Native threads Python does not
+    start, such as numpy's BLAS pool, are not counted; OpenBLAS shuts its
+    pool down around a fork.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _source_delta(
+    nbrs: Steps, source: int, zero: float
+) -> tuple[list[int], list[float]]:
+    """Dijkstra from ``source``, then Brandes dependency accumulation.
+
+    Returns the reached nodes in settle order, ``source`` first, and the
+    dependency of ``source`` on every node. Only the nodes after the first
+    take a score from it.
+    """
+    # looked up per call, so a stand-in for the heapq module is honoured
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    n = len(nbrs)
+    dist: list = [None] * n
+    sigma = [0] * n
+    preds: dict[int, list[int]] = {}
+    dist[source] = zero
+    sigma[source] = 1
+    done = [False] * n
+    order: list[int] = []
+    heap = [(zero, source)]
+    while heap:
+        _, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        order.append(u)
+        du = dist[u]
+        su = sigma[u]
+        for v, step in nbrs[u]:
+            # a settled neighbour is no farther than u and steps are
+            # positive, so it can be neither improved nor tied
+            if done[v]:
+                continue
+            nd = du + step
+            dv = dist[v]
+            if dv is None or nd < dv:
+                dist[v] = nd
+                sigma[v] = su
+                preds[v] = [u]
+                heappush(heap, (nd, v))
+            elif nd == dv:
+                sigma[v] += su
+                preds[v].append(u)
+    delta = [0.0] * n
+    # the source, first in the order, has no predecessors
+    for i in range(len(order) - 1, 0, -1):
+        u = order[i]
+        coeff = (1.0 + delta[u]) / sigma[u]
+        for p in preds[u]:
+            delta[p] += sigma[p] * coeff
+    return order, delta
+
+
+def _prefix_sum(nbrs: Steps, zero: float, sources: range) -> list[float]:
+    """Scores from ``sources`` alone, added in source order from zero."""
+    bc = [0.0] * len(nbrs)
+    for source in sources:
+        order, delta = _source_delta(nbrs, source, zero)
+        for i in range(1, len(order)):
+            u = order[i]
+            bc[u] += delta[u]
+    return bc
+
+
+def _sparse_deltas(nbrs: Steps, zero: float, sources: range) -> tuple[array, array]:
+    """Every nonzero dependency of ``sources``, as (node, value) columns.
+
+    The pairs are in source order. Adding them with ``+=`` onto the scores
+    of all earlier sources repeats the serial additions exactly: within
+    one source each node occurs once, and a skipped zero adds nothing,
+    since a score is never ``-0.0``.
+    """
+    nodes = array("i")
+    values = array("d")
+    for source in sources:
+        order, delta = _source_delta(nbrs, source, zero)
+        for i in range(1, len(order)):
+            u = order[i]
+            d = delta[u]
+            if d:
+                nodes.append(u)
+                values.append(d)
+    return nodes, values
+
+
+def _forked_sum(nbrs: Steps, zero: float, workers: int) -> list[float]:
+    """Scores of all sources, split into ``workers`` contiguous chunks.
+
+    A float sum depends on its order, so no chunk but the first may be
+    summed on its own. The child running chunk 0 sends back its sum, which
+    is the serial prefix, as ``n`` doubles. Every later chunk yields its
+    nonzero dependencies, which are added onto the prefix in source order.
+    A failed child exits non-zero and makes this raise ``GraphError``.
+    Every child is reaped, also when this process raises itself.
+    """
+    n = len(nbrs)
+    bounds = [n * k // workers for k in range(workers + 1)]
+    chunks = [range(bounds[k], bounds[k + 1]) for k in range(workers)]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    finished = False
+    try:
+        for k, sources in enumerate(chunks[:-1]):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                inherited = [read_fd, *(fd for _, fd in children)]
+                _child(nbrs, zero, sources, k == 0, write_fd, inherited)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        own = _sparse_deltas(nbrs, zero, chunks[-1])
+        payloads = []
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+        finished = True
+    finally:
+        if not finished:
+            import signal  # only here: importing it costs about 1 ms
+
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        for _, fd in children:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for sources, status in zip(chunks, statuses):
+        if status != 0:
+            raise GraphError(
+                f"betweenness worker for sources {sources.start}-{sources.stop - 1} "
+                f"failed with exit code {os.waitstatus_to_exitcode(status)}"
+            )
+
+    prefix = array("d")
+    prefix.frombytes(payloads[0])
+    bc = prefix.tolist()
+    for nodes, values in [*map(_unpack_pairs, payloads[1:]), own]:
+        for u, d in zip(nodes, values):
+            bc[u] += d
+    return bc
+
+
+def _child(
+    nbrs: Steps,
+    zero: float,
+    sources: range,
+    prefix: bool,
+    write_fd: int,
+    inherited: list[int],
+) -> NoReturn:
+    """Body of a forked worker: write its chunk's result, then exit.
+
+    ``inherited`` holds the parent's read ends of the pipes, closed here.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(write_fd, "wb") as fh:
+            if prefix:
+                fh.write(array("d", _prefix_sum(nbrs, zero, sources)).tobytes())
+            else:
+                nodes, values = _sparse_deltas(nbrs, zero, sources)
+                fh.write(nodes.tobytes() + values.tobytes())
+        status = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        # never return into the parent's code or run its exit hooks
+        os._exit(status)
+
+
+def _unpack_pairs(payload: bytes) -> tuple[array, array]:
+    nodes = array("i")
+    values = array("d")
+    split = len(payload) // (nodes.itemsize + values.itemsize) * nodes.itemsize
+    nodes.frombytes(payload[:split])
+    values.frombytes(payload[split:])
+    return nodes, values
 
 
 def top_k_table(

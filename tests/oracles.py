@@ -10,6 +10,7 @@ the only shared type is WeightedGraph, used purely as a container.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import statistics
@@ -152,6 +153,59 @@ def betweenness_exhaustive(g: WeightedGraph) -> dict[str, float]:
 
 def _path_len(path: tuple[int, ...], adj: list[dict[int, Fraction]]) -> Fraction:
     return sum((adj[a][b] for a, b in zip(path, path[1:])), Fraction(0))
+
+
+def betweenness_brandes_serial(g: WeightedGraph) -> list[tuple[str, float]]:
+    """Weighted betweenness by the plain Brandes loop, one source at a time.
+
+    Distances ``1/w`` are scaled by the lcm of the weights to exact ints.
+    Each node's score takes one float addition per source, in source
+    order, so this fixes the bits a faster implementation must match. The
+    settle order depends only on (distance, node index), never on how a
+    node's neighbours are listed.
+    """
+    labels = g.labels()
+    n = g.n
+    adj: list[dict[int, int]] = [dict() for _ in range(n)]
+    for u, v, w in g.edges():
+        adj[g.index_of(u)][g.index_of(v)] = w
+        adj[g.index_of(v)][g.index_of(u)] = w
+    weights = [w for _, _, w in g.edges()]
+    scale = math.lcm(*weights) if weights else 1
+    bc = [0.0] * n
+    for source in range(n):
+        dist: list[int | None] = [None] * n
+        sigma = [0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[source] = 0
+        sigma[source] = 1
+        done = [False] * n
+        order: list[int] = []
+        heap = [(0, source)]
+        while heap:
+            _, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            order.append(u)
+            for v, w in adj[u].items():
+                nd = dist[u] + scale // w
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    sigma[v] = sigma[u]
+                    preds[v] = [u]
+                    heapq.heappush(heap, (nd, v))
+                elif nd == dist[v]:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
+        delta = [0.0] * n
+        for u in reversed(order):
+            coeff = (1.0 + delta[u]) / sigma[u]
+            for p in preds[u]:
+                delta[p] += sigma[p] * coeff
+            if u != source:
+                bc[u] += delta[u]
+    return [(labels[i], bc[i] / 2.0) for i in range(n)]
 
 
 # --- modularity -------------------------------------------------------------

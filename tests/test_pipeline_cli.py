@@ -13,7 +13,9 @@ import pytest
 
 from kcn.config import load_config
 from kcn.errors import ConfigError, StageError
-from kcn.pipeline import run_pipeline
+from kcn.graph import SliceSpec, WeightedGraph
+from kcn.pipeline import _write_ego_files, run_pipeline
+from kcn.trends import EmergingKeyword
 
 from conftest import DATA
 
@@ -226,6 +228,21 @@ def test_ego_networks_written_for_emerging_keywords(bundle):
     for entry in emerging:
         safe = entry["keyword"].replace(" ", "_")
         assert (bundle / f"ego_{safe}.graphml").is_file()
+
+
+def test_ego_file_suffix_never_overwrites_another_ego(tmp_path):
+    # "a b" and "a/b" both sanitize to ego_a_b; the suffix given to the
+    # second must skip ego_a_b_2, which "a b 2" already holds
+    keywords = ["a b", "a b 2", "a/b"]
+    g = WeightedGraph.from_edges([(kw, "hub", i + 1) for i, kw in enumerate(keywords)])
+    emerging = [EmergingKeyword(kw, "2021", 1.0) for kw in keywords]
+    _write_ego_files(tmp_path, load_config(CONFIG), {"all": g}, [SliceSpec.all()], emerging)
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert files == ["ego_a_b.graphml", "ego_a_b_2.graphml", "ego_a_b_3.graphml"]
+    for name, ego in zip(files, keywords):
+        text = (tmp_path / name).read_text("utf-8")
+        labels = set(re.findall(r'<data key="d0">([^<]*)</data>', text))
+        assert labels == {ego, "hub"}, name
 
 
 def test_membership_covers_largest_component(bundle):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
+import threading
+from itertools import combinations
 
 import pytest
 
+from kcn import trends
 from kcn.corpus import ArticleRecord, Corpus
 from kcn.errors import GraphError
 from kcn.graph import WeightedGraph
@@ -103,6 +107,113 @@ def test_betweenness_unit_weights_match_hop_counts():
         exact = oracles.betweenness_exhaustive(g)
         for v in g.labels():
             assert ours[v] == pytest.approx(exact[v], abs=1e-9)
+
+
+def test_betweenness_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    # networkx sums float distances and misses ties that only hold in
+    # exact terms; with power-of-two weights every 1/w and every path
+    # length here is exact in floats, so both see the same ties
+    rng = random.Random(75)
+    for _ in range(6):
+        n = rng.randint(30, 80)
+        labels = [f"k{i}" for i in range(n)]
+        edges = [
+            (labels[i], labels[j], rng.choice((1, 2, 4, 8, 16)))
+            for i, j in combinations(range(n), 2)
+            if rng.random() < 4 / n
+        ]
+        used = {v for e in edges for v in e[:2]}
+        g = WeightedGraph.from_edges(edges, isolated=[v for v in labels if v not in used])
+        ref_graph = nx.Graph()
+        ref_graph.add_nodes_from(labels)
+        ref_graph.add_weighted_edges_from(
+            ((u, v, 1 / w) for u, v, w in edges), weight="dist"
+        )
+        ref = nx.betweenness_centrality(ref_graph, weight="dist", normalized=False)
+        assert weighted_betweenness(g) == pytest.approx(ref, abs=1e-9)
+
+
+# --- betweenness across worker processes ---------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+WORKER_COUNTS = [1, pytest.param(2, marks=needs_fork), pytest.param(3, marks=needs_fork)]
+
+
+def _tie_graph() -> WeightedGraph:
+    # the rational tie of test_betweenness_tie_exact_only_in_rationals
+    return WeightedGraph.from_edges(
+        [("s", "a", 10), ("a", "t", 5), ("s", "b", 4), ("b", "t", 20)]
+    )
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_betweenness_bits_match_serial_loop_for_every_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    # few distinct weights make many tied paths, hence fractional
+    # dependencies whose float sum changes if its order does
+    rng = random.Random(74)
+    graphs = [oracles.random_graph(rng, n_max=50, p=0.15, max_weight=3) for _ in range(12)]
+    assert sum(len(g.components()) > 1 for g in graphs) >= 3
+    graphs += [
+        WeightedGraph.from_edges([], isolated=["solo"]),
+        WeightedGraph.from_edges([("a", "b", 3)]),
+        _tie_graph(),
+    ]
+    for g in graphs:
+        got = [(v, repr(x)) for v, x in weighted_betweenness(g).items()]
+        want = [(v, repr(x)) for v, x in oracles.betweenness_brandes_serial(g)]
+        assert got == want, g.edges()
+
+
+def _failing_at(source_of, exc):
+    real = trends._source_delta
+
+    def source_delta(nbrs, source, zero):
+        if source == source_of(len(nbrs)):
+            raise exc
+        return real(nbrs, source, zero)
+
+    return source_delta
+
+
+@needs_fork
+def test_betweenness_child_failure_raises_and_leaves_no_child(monkeypatch, cycle4):
+    # source 0 belongs to the first chunk, which always runs in a child
+    monkeypatch.setattr(trends, "_source_delta", _failing_at(lambda n: 0, RuntimeError("boom")))
+    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    with pytest.raises(GraphError, match="sources 0-1 failed with exit code 1"):
+        weighted_betweenness(cycle4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_betweenness_interrupt_in_parent_reaps_every_child(monkeypatch, cycle4):
+    # the last source runs in this process, while two children still work
+    monkeypatch.setattr(trends, "_source_delta", _failing_at(lambda n: n - 1, KeyboardInterrupt))
+    monkeypatch.setattr(trends, "_workers", lambda: 3)
+    with pytest.raises(KeyboardInterrupt):
+        weighted_betweenness(cycle4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_is_one_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert trends._workers() == 1
+
+
+def test_workers_is_one_while_another_thread_runs():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert trends._workers() == 1
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
 
 
 # --- top-k tables ------------------------------------------------------------------

@@ -66,13 +66,14 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     to exact integers (shortest paths are invariant under uniform scaling),
     so tie detection never depends on floating-point rounding.
 
-    The sources are split into contiguous chunks, one per CPU this process
-    may run on (see ``_workers``). Every chunk but the last runs in a
-    forked child and the last in this process; with one CPU, without
-    ``os.fork`` or while another thread runs, every source runs here.
-    Each node's score gets the same float additions in the same source
-    order as a serial loop, so the result is bit-identical for any number
-    of workers.
+    With two CPUs or more (see ``_workers``), a forked child runs the
+    first sources and this process the rest (see ``_split``); otherwise,
+    or if the child cannot be started, every source runs here. Each
+    node's score gets the same float additions in the same source order
+    as a serial loop, so the result is bit-identical either way. Until
+    the child is done, this process keeps its own sources' nonzero
+    dependencies, about 12 bytes each and at most ``_PAIR_BUDGET`` of
+    them.
     """
     n = g.n
     if n == 0:
@@ -87,30 +88,46 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
         nbrs = [tuple((j, 1.0 / w) for j, w in row.items()) for row in adj]
         zero = 0.0
 
-    workers = min(_workers(), n)
-    if workers == 1:
-        bc = _prefix_sum(nbrs, zero, range(n))
+    split = _split(n)
+    if _workers() > 1 and 0 < split < n:
+        bc = _forked_sum(nbrs, zero, split)
     else:
-        bc = _forked_sum(nbrs, zero, workers)
+        bc = _prefix_sum(nbrs, zero, range(n))
     labels = g.labels()
     # each unordered pair was visited from both endpoints
     return {labels[i]: bc[i] / 2.0 for i in range(n)}
 
 
-def _workers() -> int:
-    """Processes betweenness may use: one per CPU available to this process.
+# most (node, dependency) pairs the parent may hold while its child runs
+_PAIR_BUDGET = 1 << 21
 
-    1 where ``os.fork`` is missing or another Python thread is running,
-    since a forked child inherits only the forking thread and any lock
-    another thread holds stays locked. Native threads Python does not
-    start, such as numpy's BLAS pool, are not counted; OpenBLAS shuts its
-    pool down around a fork.
+
+def _workers() -> int:
+    """Processes betweenness may use: 2 with two CPUs or more, else 1.
+
+    Only one child plus this process has been measured; more would fork
+    per slice and keep more sparse dependencies here. 1 where ``os.fork``
+    is missing or another Python thread is running, since a forked child
+    inherits only the forking thread and any lock another thread holds
+    stays locked. Native threads Python does not start, such as numpy's
+    BLAS pool, are not counted; OpenBLAS shuts its pool down around a fork.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _split(n: int) -> int:
+    """First source of the parent's share of ``n`` sources.
+
+    Half way, or later where the parent's worst case of ``n`` pairs per
+    source would pass ``_PAIR_BUDGET``; ``n`` when not even one fits.
+    """
+    return max(n // 2, n - _PAIR_BUDGET // n)
 
 
 def _source_delta(
@@ -199,83 +216,70 @@ def _sparse_deltas(nbrs: Steps, zero: float, sources: range) -> tuple[array, arr
     return nodes, values
 
 
-def _forked_sum(nbrs: Steps, zero: float, workers: int) -> list[float]:
-    """Scores of all sources, split into ``workers`` contiguous chunks.
+def _forked_sum(nbrs: Steps, zero: float, split: int) -> list[float]:
+    """Scores of all sources: ``[0, split)`` in a child, the rest here.
 
-    A float sum depends on its order, so no chunk but the first may be
-    summed on its own. The child running chunk 0 sends back its sum, which
-    is the serial prefix, as ``n`` doubles. Every later chunk yields its
-    nonzero dependencies, which are added onto the prefix in source order.
-    A failed child exits non-zero and makes this raise ``GraphError``.
-    Every child is reaped, also when this process raises itself.
+    A float sum depends on its order, so this process may not sum its
+    sources on their own. The child sends back its sum, which is the
+    serial prefix, as ``n`` doubles; this process's nonzero dependencies
+    are then added onto it in source order. If no pipe or child can be
+    made, every source runs here. A failed child exits non-zero and makes
+    this raise ``GraphError``. The child is reaped, also when this process
+    raises itself.
     """
     n = len(nbrs)
-    bounds = [n * k // workers for k in range(workers + 1)]
-    chunks = [range(bounds[k], bounds[k + 1]) for k in range(workers)]
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return _prefix_sum(nbrs, zero, range(n))
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return _prefix_sum(nbrs, zero, range(n))
+    if pid == 0:
+        _child(nbrs, zero, range(split), write_fd, read_fd)
+    os.close(write_fd)
     finished = False
     try:
-        for k, sources in enumerate(chunks[:-1]):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                inherited = [read_fd, *(fd for _, fd in children)]
-                _child(nbrs, zero, sources, k == 0, write_fd, inherited)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        own = _sparse_deltas(nbrs, zero, chunks[-1])
-        payloads = []
-        for _, fd in children:
-            with open(fd, "rb", closefd=False) as fh:
-                payloads.append(fh.read())
+        nodes, values = _sparse_deltas(nbrs, zero, range(split, n))
+        with open(read_fd, "rb", closefd=False) as fh:
+            payload = fh.read()
         finished = True
     finally:
         if not finished:
             import signal  # only here: importing it costs about 1 ms
 
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-        for _, fd in children:
-            os.close(fd)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for sources, status in zip(chunks, statuses):
-        if status != 0:
-            raise GraphError(
-                f"betweenness worker for sources {sources.start}-{sources.stop - 1} "
-                f"failed with exit code {os.waitstatus_to_exitcode(status)}"
-            )
+            os.kill(pid, signal.SIGKILL)
+        os.close(read_fd)
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        raise GraphError(
+            f"betweenness worker for sources 0-{split - 1} "
+            f"failed with exit code {os.waitstatus_to_exitcode(status)}"
+        )
 
     prefix = array("d")
-    prefix.frombytes(payloads[0])
+    prefix.frombytes(payload)
     bc = prefix.tolist()
-    for nodes, values in [*map(_unpack_pairs, payloads[1:]), own]:
-        for u, d in zip(nodes, values):
-            bc[u] += d
+    for u, d in zip(nodes, values):
+        bc[u] += d
     return bc
 
 
 def _child(
-    nbrs: Steps,
-    zero: float,
-    sources: range,
-    prefix: bool,
-    write_fd: int,
-    inherited: list[int],
+    nbrs: Steps, zero: float, sources: range, write_fd: int, read_fd: int
 ) -> NoReturn:
-    """Body of a forked worker: write its chunk's result, then exit.
+    """Body of the forked worker: write its prefix sum, then exit.
 
-    ``inherited`` holds the parent's read ends of the pipes, closed here.
+    ``read_fd``, the parent's end of the pipe, is closed here.
     """
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
+        os.close(read_fd)
         with open(write_fd, "wb") as fh:
-            if prefix:
-                fh.write(array("d", _prefix_sum(nbrs, zero, sources)).tobytes())
-            else:
-                nodes, values = _sparse_deltas(nbrs, zero, sources)
-                fh.write(nodes.tobytes() + values.tobytes())
+            fh.write(array("d", _prefix_sum(nbrs, zero, sources)).tobytes())
         status = 0
     except Exception:
         import traceback
@@ -285,15 +289,6 @@ def _child(
     finally:
         # never return into the parent's code or run its exit hooks
         os._exit(status)
-
-
-def _unpack_pairs(payload: bytes) -> tuple[array, array]:
-    nodes = array("i")
-    values = array("d")
-    split = len(payload) // (nodes.itemsize + values.itemsize) * nodes.itemsize
-    nodes.frombytes(payload[:split])
-    values.frombytes(payload[split:])
-    return nodes, values
 
 
 def top_k_table(

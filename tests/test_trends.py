@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 import random
 import threading
@@ -137,7 +138,26 @@ def test_betweenness_matches_networkx():
 # --- betweenness across worker processes ---------------------------------------
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-WORKER_COUNTS = [1, pytest.param(2, marks=needs_fork), pytest.param(3, marks=needs_fork)]
+WORKER_COUNTS = [1, pytest.param(2, marks=needs_fork)]
+
+
+def _graphs_with_ties() -> list[WeightedGraph]:
+    # few distinct weights make many tied paths, hence fractional
+    # dependencies whose float sum changes if its order does
+    rng = random.Random(74)
+    graphs = [oracles.random_graph(rng, n_max=50, p=0.15, max_weight=3) for _ in range(12)]
+    assert sum(len(g.components()) > 1 for g in graphs) >= 3
+    return graphs + [
+        WeightedGraph.from_edges([], isolated=["solo"]),
+        WeightedGraph.from_edges([("a", "b", 3)]),
+        _tie_graph(),
+    ]
+
+
+def _assert_bits_match_serial_loop(g: WeightedGraph) -> None:
+    got = [(v, repr(x)) for v, x in weighted_betweenness(g).items()]
+    want = [(v, repr(x)) for v, x in oracles.betweenness_brandes_serial(g)]
+    assert got == want, g.edges()
 
 
 def _tie_graph() -> WeightedGraph:
@@ -150,20 +170,81 @@ def _tie_graph() -> WeightedGraph:
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_betweenness_bits_match_serial_loop_for_every_worker_count(monkeypatch, workers):
     monkeypatch.setattr(trends, "_workers", lambda: workers)
-    # few distinct weights make many tied paths, hence fractional
-    # dependencies whose float sum changes if its order does
-    rng = random.Random(74)
-    graphs = [oracles.random_graph(rng, n_max=50, p=0.15, max_weight=3) for _ in range(12)]
-    assert sum(len(g.components()) > 1 for g in graphs) >= 3
-    graphs += [
-        WeightedGraph.from_edges([], isolated=["solo"]),
-        WeightedGraph.from_edges([("a", "b", 3)]),
-        _tie_graph(),
-    ]
+    for g in _graphs_with_ties():
+        _assert_bits_match_serial_loop(g)
+
+
+@needs_fork
+@pytest.mark.parametrize("fails", ["pipe", "fork"])
+def test_betweenness_runs_serially_when_no_child_can_start(monkeypatch, fails):
+    made: list[int] = []
+    real_pipe = os.pipe
+
+    def pipe():
+        if fails == "pipe":
+            raise OSError(errno.EMFILE, "Too many open files")
+        fds = real_pipe()
+        made.extend(fds)
+        return fds
+
+    def fork():
+        if fails == "fork":
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        raise AssertionError("forked after a failed pipe")
+
+    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    graphs = _graphs_with_ties()
     for g in graphs:
-        got = [(v, repr(x)) for v, x in weighted_betweenness(g).items()]
-        want = [(v, repr(x)) for v, x in oracles.betweenness_brandes_serial(g)]
-        assert got == want, g.edges()
+        _assert_bits_match_serial_loop(g)
+    # a 1-node graph has no second source to hand over, so makes no pipe
+    assert len(made) == (0 if fails == "pipe" else 2 * sum(g.n > 1 for g in graphs))
+    for fd in made:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_split_keeps_the_parents_pairs_within_budget(monkeypatch):
+    monkeypatch.setattr(trends, "_PAIR_BUDGET", 1 << 21)
+    assert [trends._split(n) for n in (1, 2, 3, 412)] == [0, 1, 1, 206]
+    assert trends._split(5000) == 5000 - (1 << 21) // 5000
+    monkeypatch.setattr(trends, "_PAIR_BUDGET", 100)
+    assert [trends._split(n) for n in (10, 11, 50, 100, 101)] == [5, 5, 48, 99, 101]
+    for n in range(1, 300):
+        split = trends._split(n)
+        assert n // 2 <= split <= n
+        assert (n - split) * n <= trends._PAIR_BUDGET
+
+
+@needs_fork
+def test_betweenness_over_budget_shrinks_or_skips_the_parents_share(monkeypatch):
+    g = oracles.random_graph(random.Random(76), n_max=40, p=0.3, max_weight=3)
+    assert g.n > 20
+    shares: list[range] = []
+    pairs: list[int] = []
+    real_sparse = trends._sparse_deltas
+
+    def sparse_deltas(nbrs, zero, sources):
+        shares.append(sources)
+        nodes, values = real_sparse(nbrs, zero, sources)
+        pairs.append(len(nodes))
+        return nodes, values
+
+    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(trends, "_sparse_deltas", sparse_deltas)
+    monkeypatch.setattr(trends, "_PAIR_BUDGET", 3 * g.n)
+    _assert_bits_match_serial_loop(g)
+    assert shares == [range(g.n - 3, g.n)] and pairs[0] <= 3 * g.n
+
+    # not one source fits: no child is forked
+    def fork():
+        raise AssertionError("forked over budget")
+
+    monkeypatch.setattr(trends, "_PAIR_BUDGET", g.n - 1)
+    monkeypatch.setattr(os, "fork", fork)
+    _assert_bits_match_serial_loop(g)
+    assert len(shares) == 1
 
 
 def _failing_at(source_of, exc):
@@ -190,13 +271,24 @@ def test_betweenness_child_failure_raises_and_leaves_no_child(monkeypatch, cycle
 
 @needs_fork
 def test_betweenness_interrupt_in_parent_reaps_every_child(monkeypatch, cycle4):
-    # the last source runs in this process, while two children still work
+    # the last source runs in this process, while the child still works
     monkeypatch.setattr(trends, "_source_delta", _failing_at(lambda n: n - 1, KeyboardInterrupt))
-    monkeypatch.setattr(trends, "_workers", lambda: 3)
+    monkeypatch.setattr(trends, "_workers", lambda: 2)
     with pytest.raises(KeyboardInterrupt):
         weighted_betweenness(cycle4)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 2), (64, 2)])
+def test_workers_is_capped_at_two(monkeypatch, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert trends._workers() == workers
+    # without sched_getaffinity, as on macOS, cpu_count decides
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert trends._workers() == workers
 
 
 def test_workers_is_one_without_fork(monkeypatch):

@@ -18,7 +18,7 @@ from .config import load_config
 from .errors import KcnError, NormalizationError
 from .graph import build_kcn, to_dot, to_edge_csv, to_graphml
 from .normalize import fold_case_hyphens, similarity
-from .pipeline import STAGES, _safe_name, prepare, run_pipeline
+from .pipeline import STAGES, _safe_name, ego_file_names, prepare, run_pipeline, slice_file
 
 # unused since export goes through prepare(); kept bound because perfbench/tracer.py wraps them
 from .corpus import concat_corpora, filter_eligible, load_corpus
@@ -136,24 +136,26 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             print(f"  {rule}: {raw} -> {out}")
     print(f"canonical: {canonical}")
 
-    count = _frequency_of(bundle, canonical)
-    if count is not None:
-        print(f"articles: {count}")
+    row = _row_of(bundle / "frequency.csv", canonical)
+    if row is not None:
+        print(f"articles: {row[1]}")
 
     for label in slices:
         parts = []
-        membership = _membership_of(bundle, label, canonical)
-        if membership is not None:
-            cid, cname = membership
-            parts.append(f"cluster {cid} ({cname})")
-        rank = _betweenness_of(bundle, label, canonical)
-        if rank is not None:
-            parts.append(f"betweenness rank {rank[0]} ({rank[1]})")
+        row = _row_of(slice_file(bundle, label, "membership", "csv"), canonical)
+        if row is not None:
+            parts.append(f"cluster {row[1]} ({row[2]})")
+        row = _row_of(slice_file(bundle, label, "betweenness", "csv"), canonical)
+        if row is not None:
+            parts.append(f"betweenness rank {row[2]} ({row[1]})")
         print(f"  [{label}] " + ("; ".join(parts) if parts else "-"))
 
-    ego = bundle / f"ego_{_safe_name(canonical)}.graphml"
-    if ego.is_file():
-        print(f"ego network: {ego.name}")
+    emerging = bundle / "emerging.json"
+    if emerging.is_file():
+        keywords = [e["keyword"] for e in json.loads(emerging.read_text("utf-8"))]
+        name = dict(zip(keywords, ego_file_names(keywords))).get(canonical)
+        if name is not None and (bundle / name).is_file():
+            print(f"ego network: {name}")
     return 0
 
 
@@ -192,11 +194,10 @@ def _bundle_vocabulary(bundle: Path, slices: list[str]) -> set[str]:
     if freq.is_file():
         vocab.update(row[0] for row in _csv_rows(freq))
     for label in slices:
-        safe = _safe_name(label)
-        member = bundle / "slices" / safe / f"membership_{safe}.csv"
+        member = slice_file(bundle, label, "membership", "csv")
         if member.is_file():
             vocab.update(row[0] for row in _csv_rows(member))
-        edges = bundle / "slices" / safe / "edges.csv"
+        edges = slice_file(bundle, label, "edges", "csv")
         if edges.is_file():
             for row in _csv_rows(edges):
                 vocab.add(row[0])
@@ -204,35 +205,12 @@ def _bundle_vocabulary(bundle: Path, slices: list[str]) -> set[str]:
     return vocab
 
 
-def _frequency_of(bundle: Path, keyword: str) -> str | None:
-    path = bundle / "frequency.csv"
-    if not path.is_file():
-        return None
-    for row in _csv_rows(path):
-        if row[0] == keyword:
-            return row[1]
-    return None
-
-
-def _membership_of(bundle: Path, label: str, keyword: str):
-    safe = _safe_name(label)
-    path = bundle / "slices" / safe / f"membership_{safe}.csv"
-    if not path.is_file():
-        return None
-    for row in _csv_rows(path):
-        if row[0] == keyword:
-            return row[1], row[2]
-    return None
-
-
-def _betweenness_of(bundle: Path, label: str, keyword: str):
-    safe = _safe_name(label)
-    path = bundle / "slices" / safe / f"betweenness_{safe}.csv"
-    if not path.is_file():
-        return None
-    for row in _csv_rows(path):
-        if row[0] == keyword:
-            return row[2], row[1]
+def _row_of(path: Path, keyword: str) -> list[str] | None:
+    """The row of the CSV file at ``path`` whose first cell is ``keyword``."""
+    if path.is_file():
+        for row in _csv_rows(path):
+            if row[0] == keyword:
+                return row
     return None
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .corpus import Corpus
 from .errors import GraphError
-from .graph import SliceSpec, WeightedGraph, build_kcn, largest_component
+from .graph import WeightedGraph
 
 
 @dataclass(frozen=True)
@@ -242,19 +241,3 @@ def cluster_profiles(
         )
     return profiles
 
-
-def temporal_clusters(
-    corpus: Corpus, years: Sequence[int], profile_k: int = 10
-) -> dict[str, tuple[Partition, list[ClusterProfile]]]:
-    """Cluster the largest component of each single-year slice.
-
-    Returns ``{year label: (named partition, profiles)}`` in the given
-    year order. An empty year raises the slice error unchanged.
-    """
-    out: dict[str, tuple[Partition, list[ClusterProfile]]] = {}
-    for year in years:
-        spec = SliceSpec.year(year)
-        core = largest_component(build_kcn(corpus, spec))
-        partition = name_clusters(core, fast_greedy(core))
-        out[spec.label] = (partition, cluster_profiles(core, partition, profile_k))
-    return out

@@ -78,7 +78,8 @@ class WeightedGraph:
         """Build a graph from ``(u, v, weight)`` triples plus isolated nodes.
 
         Node order follows first appearance in the given sequences. Weights
-        must be positive; self-loops and repeated edges are rejected.
+        must be positive ints (``bool`` is not one); self-loops and repeated
+        edges are rejected.
         """
         labels: list[str] = []
         index: dict[str, int] = {}
@@ -93,6 +94,8 @@ class WeightedGraph:
         for u, v, w in edges:
             if u == v:
                 raise GraphError(f"self-loop on {u!r}")
+            if type(w) is not int:
+                raise GraphError(f"edge weight must be an int: {u!r}-{v!r} has {w!r}")
             if w <= 0:
                 raise GraphError(f"edge weight must be positive: {u!r}-{v!r}")
             iu, iv = node(u), node(v)

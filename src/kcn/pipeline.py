@@ -15,9 +15,11 @@ Bundle layout::
     summary.tsv / summary.json  one structural-metrics row per slice
     frequency.csv               keywords by article count
     emerging.json               keywords newly entering top betweenness
-    ego_<keyword>.graphml       neighborhood of each emerging keyword
+    ego_<keyword>.graphml       neighborhood of each emerging keyword, named
+                                by ``ego_file_names``
     slices/<label>/             per-slice edge list, distribution files,
-                                cluster files, and betweenness table
+                                cluster files, and betweenness table, named
+                                by ``slice_file``
 
 Every output byte is a pure function of the input files and the config;
 reruns produce identical bundles.
@@ -55,6 +57,9 @@ from .trends import detect_emerging, ego_network, frequency_table, top_k_table, 
 STAGES = ("macro", "meso", "micro")
 
 _SAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
+
+# per-slice files whose name repeats the slice label
+_LABELED_KINDS = frozenset({"clusters", "membership", "dendrogram", "betweenness"})
 
 
 def run_pipeline(
@@ -138,10 +143,7 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
         graphs = {s.label: build_kcn(normalized, s) for s in slices}
 
     results = [
-        _analyze_slice(
-            config, stages, graphs[s.label], s, out / "slices" / _safe_name(s.label)
-        )
-        for s in slices
+        _analyze_slice(config, stages, graphs[s.label], s, out) for s in slices
     ]
 
     if "macro" in stages:
@@ -193,10 +195,11 @@ def _analyze_slice(
     stages: set[str],
     g: WeightedGraph,
     spec: SliceSpec,
-    slice_dir: Path,
+    out: Path,
 ) -> dict:
-    slice_dir.mkdir(parents=True, exist_ok=True)
-    (slice_dir / "edges.csv").write_text(to_edge_csv(g), "utf-8")
+    edges = slice_file(out, spec.label, "edges", "csv")
+    edges.parent.mkdir(parents=True, exist_ok=True)
+    edges.write_text(to_edge_csv(g), "utf-8")
     result: dict = {"spec": spec, "label": spec.label}
 
     if "macro" in stages:
@@ -218,7 +221,7 @@ def _analyze_slice(
             result["fit"] = fit
             result["fit_error"] = fit_error
             _write_tsv(
-                slice_dir / "ccdf.tsv",
+                slice_file(out, spec.label, "ccdf", "tsv"),
                 ["value", "ccdf"],
                 [(_fmt(x), _fmt(p)) for x, p in ccdf(values)],
             )
@@ -226,7 +229,7 @@ def _analyze_slice(
             mean_c = {b.degree: b.mean_clustering_w for b in bins}
             mean_r = {b.degree: b.mean_knn_ratio for b in bins}
             _write_tsv(
-                slice_dir / "clustering_vs_degree.tsv",
+                slice_file(out, spec.label, "clustering_vs_degree", "tsv"),
                 ["degree", "clustering_w", "degree_mean"],
                 sorted(
                     (p.degree, _fmt(p.clustering_w), _fmt(mean_c[p.degree]))
@@ -234,7 +237,7 @@ def _analyze_slice(
                 ),
             )
             _write_tsv(
-                slice_dir / "knn_ratio_vs_degree.tsv",
+                slice_file(out, spec.label, "knn_ratio_vs_degree", "tsv"),
                 ["degree", "knn_ratio", "degree_mean"],
                 sorted(
                     (p.degree, _fmt(p.knn_ratio), _fmt(mean_r[p.degree]))
@@ -249,7 +252,7 @@ def _analyze_slice(
             profiles = cluster_profiles(core, partition, config.profile_k)
             unclustered = sorted(set(g.labels()) - set(core.labels()))
             _write_json(
-                slice_dir / f"clusters_{_safe_name(spec.label)}.json",
+                slice_file(out, spec.label, "clusters", "json"),
                 {
                     "q": partition.modularity,
                     "clusters": [
@@ -268,7 +271,7 @@ def _analyze_slice(
                 },
             )
             _write_csv(
-                slice_dir / f"membership_{_safe_name(spec.label)}.csv",
+                slice_file(out, spec.label, "membership", "csv"),
                 ["keyword", "cluster", "cluster_name"],
                 sorted(
                     (kw, cid, partition.cluster_names[cid])
@@ -276,7 +279,7 @@ def _analyze_slice(
                 ),
             )
             _write_csv(
-                slice_dir / f"dendrogram_{_safe_name(spec.label)}.csv",
+                slice_file(out, spec.label, "dendrogram", "csv"),
                 ["step", "cluster_a", "cluster_b", "delta_q", "q_after"],
                 [
                     (i + 1, s.a, s.b, _fmt(s.delta_q), _fmt(s.q_after))
@@ -291,7 +294,7 @@ def _analyze_slice(
             )
             result["table"] = table
             _write_csv(
-                slice_dir / f"betweenness_{_safe_name(spec.label)}.csv",
+                slice_file(out, spec.label, "betweenness", "csv"),
                 ["keyword", "value", "rank"],
                 [
                     (kw, _fmt(value), rank)
@@ -349,29 +352,52 @@ def _write_ego_files(
     slices: list[SliceSpec],
     emerging: list,
 ) -> None:
-    # ego views come from the first whole-corpus slice, when one exists
+    # ego views come from the first whole-corpus slice, when one exists;
+    # it keeps every record, so every emerging keyword is one of its nodes
     overall = next((s.label for s in slices if s.years is None), None)
     if overall is None:
         return
     g = graphs[overall]
-    used: set[str] = set()
-    for entry in emerging:
-        if entry.keyword not in g:
-            continue
+    names = ego_file_names([entry.keyword for entry in emerging])
+    for entry, name in zip(emerging, names):
         view = ego_network(
             g, entry.keyword, config.top_k, degree_scope=config.ego_degree_scope
         )
-        base = name = _safe_name(f"ego_{entry.keyword}")
+        write_graphml(
+            view.graph, out / name, labeled={view.ego, *view.labeled_alters}
+        )
+
+
+def ego_file_names(keywords: list[str]) -> list[str]:
+    """File name of each keyword's ego network, given in ``emerging.json`` order.
+
+    The name is ``ego_<keyword>`` made filename-safe, plus ``.graphml``.
+    When an earlier keyword holds it already, a ``_<n>`` suffix is added,
+    with ``n`` the first free number from the count of earlier keywords.
+    """
+    used: set[str] = set()
+    names = []
+    for keyword in keywords:
+        base = name = _safe_name(f"ego_{keyword}")
         suffix = len(used)
         while name in used:
             name = f"{base}_{suffix}"
             suffix += 1
         used.add(name)
-        write_graphml(
-            view.graph,
-            out / f"{name}.graphml",
-            labeled={view.ego, *view.labeled_alters},
-        )
+        names.append(f"{name}.graphml")
+    return names
+
+
+def slice_file(bundle: Path, label: str, kind: str, ext: str) -> Path:
+    """Path of one of a slice's files in ``bundle``.
+
+    ``slices/<safe>/<kind>_<safe>.<ext>`` for the cluster and betweenness
+    files, ``slices/<safe>/<kind>.<ext>`` for the rest, where ``<safe>``
+    is the label made filename-safe.
+    """
+    safe = _safe_name(label)
+    name = f"{kind}_{safe}" if kind in _LABELED_KINDS else kind
+    return bundle / "slices" / safe / f"{name}.{ext}"
 
 
 def _manifest(

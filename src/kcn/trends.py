@@ -22,9 +22,9 @@ from .errors import GraphError
 from .graph import WeightedGraph
 
 
-# per node, its (neighbour, distance) pairs; distances are exact scaled
-# ints when every weight is an int, floats otherwise
-Steps = list[tuple[tuple[int, float], ...]]
+# per node, its (neighbour, distance) pairs; a distance is the lcm of all
+# weights divided by the edge's weight, an exact int
+Steps = list[tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,9 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     Shortest paths minimize the summed edge distance ``1/weight``; all
     shortest-path multiplicities count (Brandes accumulation). Endpoint
     pairs in different components contribute nothing. Each unordered pair
-    is counted once. When all weights are integers, distances are scaled
-    to exact integers (shortest paths are invariant under uniform scaling),
-    so tie detection never depends on floating-point rounding.
+    is counted once. Weights are ints, so distances are scaled to exact
+    integers (shortest paths are invariant under uniform scaling), and
+    tie detection never depends on floating-point rounding.
 
     With two CPUs or more (see ``_workers``), a forked child runs the
     first sources and this process the rest (see ``_split``); otherwise,
@@ -79,20 +79,14 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     if n == 0:
         raise GraphError("betweenness of an empty graph is undefined")
     adj = g.adjacency()
-    weights = [w for row in adj for w in row.values()]
-    if all(isinstance(w, int) for w in weights):
-        scale = math.lcm(*weights) if weights else 1
-        nbrs = [tuple((j, scale // w) for j, w in row.items()) for row in adj]
-        zero = 0
-    else:
-        nbrs = [tuple((j, 1.0 / w) for j, w in row.items()) for row in adj]
-        zero = 0.0
+    scale = math.lcm(*(w for row in adj for w in row.values()))
+    nbrs = [tuple((j, scale // w) for j, w in row.items()) for row in adj]
 
     split = _split(n)
     if _workers() > 1 and 0 < split < n:
-        bc = _forked_sum(nbrs, zero, split)
+        bc = _forked_sum(nbrs, split)
     else:
-        bc = _prefix_sum(nbrs, zero, range(n))
+        bc = _prefix_sum(nbrs, range(n))
     labels = g.labels()
     # each unordered pair was visited from both endpoints
     return {labels[i]: bc[i] / 2.0 for i in range(n)}
@@ -130,9 +124,7 @@ def _split(n: int) -> int:
     return max(n // 2, n - _PAIR_BUDGET // n)
 
 
-def _source_delta(
-    nbrs: Steps, source: int, zero: float
-) -> tuple[list[int], list[float]]:
+def _source_delta(nbrs: Steps, source: int) -> tuple[list[int], list[float]]:
     """Dijkstra from ``source``, then Brandes dependency accumulation.
 
     Returns the reached nodes in settle order, ``source`` first, and the
@@ -146,11 +138,11 @@ def _source_delta(
     dist: list = [None] * n
     sigma = [0] * n
     preds: dict[int, list[int]] = {}
-    dist[source] = zero
+    dist[source] = 0
     sigma[source] = 1
     done = [False] * n
     order: list[int] = []
-    heap = [(zero, source)]
+    heap = [(0, source)]
     while heap:
         _, u = heappop(heap)
         if done[u]:
@@ -184,18 +176,18 @@ def _source_delta(
     return order, delta
 
 
-def _prefix_sum(nbrs: Steps, zero: float, sources: range) -> list[float]:
+def _prefix_sum(nbrs: Steps, sources: range) -> list[float]:
     """Scores from ``sources`` alone, added in source order from zero."""
     bc = [0.0] * len(nbrs)
     for source in sources:
-        order, delta = _source_delta(nbrs, source, zero)
+        order, delta = _source_delta(nbrs, source)
         for i in range(1, len(order)):
             u = order[i]
             bc[u] += delta[u]
     return bc
 
 
-def _sparse_deltas(nbrs: Steps, zero: float, sources: range) -> tuple[array, array]:
+def _sparse_deltas(nbrs: Steps, sources: range) -> tuple[array, array]:
     """Every nonzero dependency of ``sources``, as (node, value) columns.
 
     The pairs are in source order. Adding them with ``+=`` onto the scores
@@ -206,7 +198,7 @@ def _sparse_deltas(nbrs: Steps, zero: float, sources: range) -> tuple[array, arr
     nodes = array("i")
     values = array("d")
     for source in sources:
-        order, delta = _source_delta(nbrs, source, zero)
+        order, delta = _source_delta(nbrs, source)
         for i in range(1, len(order)):
             u = order[i]
             d = delta[u]
@@ -216,7 +208,7 @@ def _sparse_deltas(nbrs: Steps, zero: float, sources: range) -> tuple[array, arr
     return nodes, values
 
 
-def _forked_sum(nbrs: Steps, zero: float, split: int) -> list[float]:
+def _forked_sum(nbrs: Steps, split: int) -> list[float]:
     """Scores of all sources: ``[0, split)`` in a child, the rest here.
 
     A float sum depends on its order, so this process may not sum its
@@ -231,19 +223,19 @@ def _forked_sum(nbrs: Steps, zero: float, split: int) -> list[float]:
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
-        return _prefix_sum(nbrs, zero, range(n))
+        return _prefix_sum(nbrs, range(n))
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return _prefix_sum(nbrs, zero, range(n))
+        return _prefix_sum(nbrs, range(n))
     if pid == 0:
-        _child(nbrs, zero, range(split), write_fd, read_fd)
+        _child(nbrs, range(split), write_fd, read_fd)
     os.close(write_fd)
     finished = False
     try:
-        nodes, values = _sparse_deltas(nbrs, zero, range(split, n))
+        nodes, values = _sparse_deltas(nbrs, range(split, n))
         with open(read_fd, "rb", closefd=False) as fh:
             payload = fh.read()
         finished = True
@@ -268,9 +260,7 @@ def _forked_sum(nbrs: Steps, zero: float, split: int) -> list[float]:
     return bc
 
 
-def _child(
-    nbrs: Steps, zero: float, sources: range, write_fd: int, read_fd: int
-) -> NoReturn:
+def _child(nbrs: Steps, sources: range, write_fd: int, read_fd: int) -> NoReturn:
     """Body of the forked worker: write its prefix sum, then exit.
 
     ``read_fd``, the parent's end of the pipe, is closed here.
@@ -279,7 +269,7 @@ def _child(
     try:
         os.close(read_fd)
         with open(write_fd, "wb") as fh:
-            fh.write(array("d", _prefix_sum(nbrs, zero, sources)).tobytes())
+            fh.write(array("d", _prefix_sum(nbrs, sources)).tobytes())
         status = 0
     except Exception:
         import traceback

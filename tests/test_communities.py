@@ -10,9 +10,7 @@ from kcn.communities import (
     in_group_degree,
     modularity,
     name_clusters,
-    temporal_clusters,
 )
-from kcn.corpus import ArticleRecord, Corpus
 from kcn.errors import GraphError
 from kcn.graph import WeightedGraph
 
@@ -256,34 +254,3 @@ def test_cluster_profiles_random_consistency():
             assert values == sorted(values, reverse=True)
             for v, val in p.top:
                 assert val == ingroup[v]
-
-
-# --- per-year clustering ------------------------------------------------------------
-
-
-def test_temporal_clusters_on_a_tiny_corpus():
-    records = tuple(
-        ArticleRecord(f"r{i}", "v", year, kws)
-        for i, (year, kws) in enumerate(
-            [
-                (2020, ("a", "b", "c")),
-                (2020, ("a", "b")),
-                (2020, ("x", "y")),
-                (2021, ("a", "c")),
-                (2021, ("a", "b", "c")),
-            ]
-        )
-    )
-    out = temporal_clusters(Corpus(records), [2020, 2021], profile_k=3)
-    assert list(out) == ["2020", "2021"]
-    part_2020, profiles_2020 = out["2020"]
-    # the x-y pair is outside the 2020 largest component
-    assert set(part_2020.assignment) == {"a", "b", "c"}
-    assert part_2020.cluster_names  # names filled in
-    assert profiles_2020[0].name in {"a", "b", "c"}
-
-
-def test_temporal_clusters_empty_year_raises():
-    records = (ArticleRecord("r1", "v", 2020, ("a", "b")),)
-    with pytest.raises(GraphError, match="selects no records"):
-        temporal_clusters(Corpus(records), [2020, 2024])

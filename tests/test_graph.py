@@ -75,6 +75,13 @@ def test_from_edges_rejections():
         WeightedGraph.from_edges([("a", "b", 1), ("b", "a", 2)])
 
 
+@pytest.mark.parametrize("weight", [0.5, 2.0, True])
+def test_from_edges_rejects_weights_that_are_not_ints(weight):
+    # totals, CNM's Fractions and Brandes' exact distances all need ints
+    with pytest.raises(GraphError, match="must be an int"):
+        WeightedGraph.from_edges([("a", "b", 1), ("b", "c", weight)])
+
+
 def test_index_of_unknown_node():
     g = WeightedGraph.from_edges([("a", "b", 1)])
     with pytest.raises(GraphError, match="unknown node"):

@@ -478,6 +478,26 @@ def test_cli_inspect_unknown_keyword_suggests(bundle):
     assert "neural network" in res.stderr
 
 
+@pytest.mark.parametrize(
+    ("keyword", "ego"),
+    [("a/b", "ego_a_b_3.graphml"), ("a b 2", "ego_a_b_2.graphml"), ("a_b", None)],
+)
+def test_cli_inspect_names_the_ego_file_written_for_the_keyword(tmp_path, keyword, ego):
+    # "a/b" sanitizes like "a b" but comes third, so its file has a suffix;
+    # "a_b" is not emerging, though ego_a_b.graphml matches its name
+    keywords = ["a b", "a b 2", "a/b"]
+    g = WeightedGraph.from_edges([(kw, "hub", i + 1) for i, kw in enumerate(keywords)])
+    emerging = [EmergingKeyword(kw, "2021", 1.0) for kw in keywords]
+    _write_ego_files(tmp_path, load_config(CONFIG), {"all": g}, [SliceSpec.all()], emerging)
+    entries = [{"keyword": kw, "first_year": "2021", "value": 1.0} for kw in keywords]
+    (tmp_path / "emerging.json").write_text(json.dumps(entries), "utf-8")
+    (tmp_path / "manifest.json").write_text("{}", "utf-8")
+    res = _run_cli("inspect", keyword, "--bundle", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    lines = [line for line in res.stdout.splitlines() if line.startswith("ego network:")]
+    assert lines == ([] if ego is None else [f"ego network: {ego}"])
+
+
 def test_cli_inspect_needs_finished_bundle(tmp_path):
     res = _run_cli("inspect", "anything", "--bundle", str(tmp_path))
     assert res.returncode == 1

@@ -225,9 +225,9 @@ def test_betweenness_over_budget_shrinks_or_skips_the_parents_share(monkeypatch)
     pairs: list[int] = []
     real_sparse = trends._sparse_deltas
 
-    def sparse_deltas(nbrs, zero, sources):
+    def sparse_deltas(nbrs, sources):
         shares.append(sources)
-        nodes, values = real_sparse(nbrs, zero, sources)
+        nodes, values = real_sparse(nbrs, sources)
         pairs.append(len(nodes))
         return nodes, values
 
@@ -250,10 +250,10 @@ def test_betweenness_over_budget_shrinks_or_skips_the_parents_share(monkeypatch)
 def _failing_at(source_of, exc):
     real = trends._source_delta
 
-    def source_delta(nbrs, source, zero):
+    def source_delta(nbrs, source):
         if source == source_of(len(nbrs)):
             raise exc
-        return real(nbrs, source, zero)
+        return real(nbrs, source)
 
     return source_delta
 

@@ -58,6 +58,10 @@ STAGES = ("macro", "meso", "micro")
 
 _SAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
+# longest ego file name in bytes, collision suffix and ".graphml" included;
+# file systems commonly refuse names over 255 bytes
+_EGO_NAME_BYTES = 200
+
 # per-slice files whose name repeats the slice label
 _LABELED_KINDS = frozenset({"clusters", "membership", "dendrogram", "betweenness"})
 
@@ -374,14 +378,19 @@ def ego_file_names(keywords: list[str]) -> list[str]:
     The name is ``ego_<keyword>`` made filename-safe, plus ``.graphml``.
     When an earlier keyword holds it already, a ``_<n>`` suffix is added,
     with ``n`` the first free number from the count of earlier keywords.
+    A name is cut to ``_EGO_NAME_BYTES`` bytes, suffix and extension
+    included, by dropping the end of the keyword part.
     """
+    room = _EGO_NAME_BYTES - len(".graphml")
     used: set[str] = set()
     names = []
     for keyword in keywords:
-        base = name = _safe_name(f"ego_{keyword}")
+        base = _safe_name(f"ego_{keyword}")
+        name = _clip(base, room)
         suffix = len(used)
         while name in used:
-            name = f"{base}_{suffix}"
+            tail = f"_{suffix}"
+            name = _clip(base, room - len(tail)) + tail
             suffix += 1
         used.add(name)
         names.append(f"{name}.graphml")
@@ -487,6 +496,11 @@ def _stage(name: str):
 
 def _safe_name(text: str) -> str:
     return _SAFE_RE.sub("_", text)
+
+
+def _clip(text: str, size: int) -> str:
+    """The longest prefix of ``text`` that is at most ``size`` UTF-8 bytes."""
+    return text.encode()[:size].decode(errors="ignore")
 
 
 def _given_path(entry: object) -> str:

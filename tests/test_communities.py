@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kcn import communities
 from kcn.communities import (
     cluster_profiles,
     fast_greedy,
@@ -190,6 +191,66 @@ def test_fast_greedy_deterministic(two_triangles):
     b = fast_greedy(two_triangles)
     assert a.assignment == b.assignment
     assert a.merge_trace == b.merge_trace
+
+
+def _always(size, live):
+    return True
+
+
+def _never(size, live):
+    return False
+
+
+@pytest.mark.parametrize("stale", [communities._heap_is_stale, _always, _never])
+def test_fast_greedy_stale_and_live_entries_tied_on_gain(monkeypatch, stale):
+    # three disjoint unit triangles: after (0, 1) merges, the stale entries
+    # of (0, 2) and (1, 2) tie bit for bit with the live (3, 4) and (6, 7)
+    monkeypatch.setattr(communities, "_heap_is_stale", stale)
+    g = WeightedGraph.from_edges(
+        [(f"{t}{x}", f"{t}{y}", 1) for t in "abc" for x, y in ("01", "02", "12")]
+    )
+    assert g.labels() == ("a0", "a1", "a2", "b0", "b1", "b2", "c0", "c1", "c2")
+    trace = fast_greedy(g).merge_trace
+    assert [(s.a, s.b) for s in trace] == [(0, 1), (0, 2), (3, 4), (3, 5), (6, 7), (6, 8)]
+    g0 = 2.0 * (1 / 18 - (2 / 18) * (2 / 18))
+    assert [s.delta_q for s in trace] == [g0, g0 + g0] * 3
+
+
+def test_fast_greedy_trace_matches_rebuild_after_every_merge(monkeypatch):
+    lives: list[int] = []  # the live-pair count at each rebuild
+    pairs: list[int] = []  # the pairs left in dq at each heap build
+    pair_heap, default = communities._pair_heap, communities._heap_is_stale
+
+    def counted_pair_heap(dq):
+        pairs.append(sum(x < k for x, row in dq.items() for k in row))
+        return pair_heap(dq)
+
+    def recorded(rule):
+        def stale(size, live):
+            due = rule(size, live)
+            if due:
+                lives.append(live)
+            return due
+
+        return stale
+
+    monkeypatch.setattr(communities, "_pair_heap", counted_pair_heap)
+    rng = random.Random(65)
+    rebuilt = 0
+    for _ in range(60):
+        g = oracles.random_graph(rng, n_max=90, p=rng.uniform(0.05, 0.6), max_weight=10)
+        runs = []
+        for rule in (default, _always):
+            monkeypatch.setattr(communities, "_heap_is_stale", recorded(rule))
+            del lives[:], pairs[:]
+            runs.append((fast_greedy(g), len(lives)))
+            # the first build, then one per rebuild, each with live == pairs
+            assert pairs[1:] == lives
+        (lazy, lazy_rebuilds), (eager, eager_rebuilds) = runs
+        assert eager_rebuilds == len(eager.merge_trace)  # one after every merge
+        assert repr(lazy) == repr(eager)
+        rebuilt += lazy_rebuilds
+    assert rebuilt > 0  # the default rule compacts on the larger graphs
 
 
 # --- naming and profiles ----------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from kcn.config import load_config
 from kcn.errors import ConfigError, StageError
 from kcn.graph import SliceSpec, WeightedGraph
-from kcn.pipeline import _write_ego_files, run_pipeline
+from kcn.pipeline import _clip, _write_ego_files, ego_file_names, run_pipeline
 from kcn.trends import EmergingKeyword
 
 from conftest import DATA
@@ -32,6 +32,11 @@ def _run_cli(*args: str, env: dict | None = None):
         text=True,
         env=full_env,
     )
+
+
+def _csv_rows(path: Path, **kwargs) -> list[dict[str, str]]:
+    with path.open() as f:
+        return list(csv.DictReader(f, **kwargs))
 
 
 def _tree(root: Path) -> dict[str, bytes]:
@@ -183,9 +188,7 @@ def test_manifest_contents(bundle):
 
 
 def test_summary_tsv_and_json_agree(bundle):
-    tsv_rows = list(
-        csv.DictReader((bundle / "summary.tsv").open(), delimiter="\t")
-    )
+    tsv_rows = _csv_rows(bundle / "summary.tsv", delimiter="\t")
     js = {row["slice"]: row for row in json.loads(
         (bundle / "summary.json").read_text()
     )}
@@ -245,8 +248,67 @@ def test_ego_file_suffix_never_overwrites_another_ego(tmp_path):
         assert labels == {ego, "hub"}, name
 
 
+def test_ego_file_names_that_fit_are_unchanged_and_long_ones_are_cut():
+    fits = "k" * (200 - len("ego_.graphml"))
+    assert ego_file_names([fits, "a b", "a/b"]) == [
+        f"ego_{fits}.graphml", "ego_a_b.graphml", "ego_a_b_2.graphml"
+    ]
+    assert ego_file_names([fits + "k"]) == [f"ego_{fits}.graphml"]
+
+
+def test_long_keywords_sharing_a_prefix_get_distinct_ego_files(tmp_path):
+    prefix = "learning analytics " * 15
+    keywords = [prefix + "dashboards", prefix + "ethics", prefix + "x"]
+    names = ego_file_names(keywords)
+    assert len(set(names)) == 3
+    assert all(len(name.encode()) <= 200 for name in names)
+    g = WeightedGraph.from_edges([(kw, "hub", i + 1) for i, kw in enumerate(keywords)])
+    emerging = [EmergingKeyword(kw, "2021", 1.0) for kw in keywords]
+    _write_ego_files(tmp_path, load_config(CONFIG), {"all": g}, [SliceSpec.all()], emerging)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name, ego in zip(names, keywords):
+        text = (tmp_path / name).read_text("utf-8")
+        labels = set(re.findall(r'<data key="d0">([^<]*)</data>', text))
+        assert labels == {ego, "hub"}, name
+
+
+def test_long_multibyte_keyword_gets_a_capped_ego_file(tmp_path):
+    keyword = "学习分析 ai " * 60
+    [name] = ego_file_names([keyword])
+    assert len(name.encode()) <= 200 and name.endswith(".graphml")
+    # a cut never splits a character
+    assert _clip("学习" * 100, 200) == "学习" * 33
+    assert _clip("é" * 10, 5) == "éé"
+    g = WeightedGraph.from_edges([(keyword, "hub", 1)])
+    emerging = [EmergingKeyword(keyword, "2021", 1.0)]
+    _write_ego_files(tmp_path, load_config(CONFIG), {"all": g}, [SliceSpec.all()], emerging)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_run_with_a_300_character_keyword_writes_and_inspects_its_ego_file(tmp_path):
+    keyword = "x" * 300
+    records = [
+        {"id": "r1", "venue": "v", "year": 2020, "keywords": ["alpha", "beta", "gamma"]},
+        {"id": "r2", "venue": "v", "year": 2020, "keywords": ["beta", "gamma", "delta"]},
+        {"id": "r3", "venue": "v", "year": 2021, "keywords": [keyword, "alpha", "beta"]},
+        {"id": "r4", "venue": "v", "year": 2021, "keywords": [keyword, "gamma", "delta"]},
+    ]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"inputs": [str(corpus)]}), "utf-8")
+    out = tmp_path / "out"
+    res = _run_cli("run", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    egos = [p.name for p in out.glob("ego_*.graphml")]
+    assert egos == [f"ego_{'x' * (200 - len('ego_.graphml'))}.graphml"]
+    res = _run_cli("inspect", keyword, "--bundle", str(out))
+    assert res.returncode == 0, res.stderr
+    assert f"ego network: {egos[0]}" in res.stdout.splitlines()
+
+
 def test_membership_covers_largest_component(bundle):
-    rows = list(csv.DictReader((bundle / "slices/all/membership_all.csv").open()))
+    rows = _csv_rows(bundle / "slices/all/membership_all.csv")
     clusters = json.loads((bundle / "slices/all/clusters_all.json").read_text())
     assert sum(c["size"] for c in clusters["clusters"]) == len(rows)
     names = {c["id"]: c["name"] for c in clusters["clusters"]}
@@ -259,7 +321,7 @@ def test_membership_covers_largest_component(bundle):
 
 
 def test_dendrogram_q_is_cumulative(bundle):
-    rows = list(csv.DictReader((bundle / "slices/all/dendrogram_all.csv").open()))
+    rows = _csv_rows(bundle / "slices/all/dendrogram_all.csv")
     q = None
     for row in rows:
         q_after = float(row["q_after"])
@@ -271,7 +333,7 @@ def test_dendrogram_q_is_cumulative(bundle):
 
 
 def test_betweenness_csv_ranked(bundle):
-    rows = list(csv.DictReader((bundle / "slices/all/betweenness_all.csv").open()))
+    rows = _csv_rows(bundle / "slices/all/betweenness_all.csv")
     assert 0 < len(rows) <= 20
     values = [float(r["value"]) for r in rows]
     assert values == sorted(values, reverse=True)
@@ -279,7 +341,7 @@ def test_betweenness_csv_ranked(bundle):
 
 
 def test_frequency_csv_counts(bundle):
-    rows = list(csv.DictReader((bundle / "frequency.csv").open()))
+    rows = _csv_rows(bundle / "frequency.csv")
     assert rows[0]["keyword"] == "machine learning"
     counts = [int(r["count"]) for r in rows]
     assert counts == sorted(counts, reverse=True)

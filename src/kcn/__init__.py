@@ -46,8 +46,6 @@ from .graph import (
     to_dot,
     to_edge_csv,
     to_graphml,
-    write_dot,
-    write_edge_csv,
     write_graphml,
 )
 from .structure import (
@@ -151,7 +149,5 @@ __all__ = [
     "weighted_annd_ratio",
     "weighted_betweenness",
     "weighted_clustering",
-    "write_dot",
-    "write_edge_csv",
     "write_graphml",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -128,6 +129,27 @@ class WeightedGraph:
     def adjacency(self) -> list[dict[int, int]]:
         """Per node index, neighbor index -> int weight. Shared: do not mutate."""
         return self._adj
+
+    @cached_property
+    def closed_pairs(self) -> list[tuple[int, int]]:
+        """Per node index, ``(sum_j c_ij, sum_j w_ij * c_ij)`` as exact ints.
+
+        ``c_ij = |N(i) & N(j)|`` counts the closed ordered pairs (j, h)
+        through neighbor j: summed over j, ``c`` is twice the triangle count
+        at i and ``w_ij * c`` is the Barrat numerator. Built on first use,
+        one walk over every triangle. Shared: do not mutate.
+        """
+        adj = self._adj
+        table = []
+        for nbrs in adj:
+            keys = nbrs.keys()
+            closed = total = 0
+            for j, w in nbrs.items():
+                c = len(keys & adj[j].keys())
+                closed += c
+                total += w * c
+            table.append((closed, total))
+        return table
 
     def __contains__(self, v: str) -> bool:
         return v in self._index
@@ -325,11 +347,3 @@ def write_graphml(
     g: WeightedGraph, path: str | Path, labeled: Iterable[str] | None = None
 ) -> None:
     Path(path).write_text(to_graphml(g, labeled), "utf-8")
-
-
-def write_dot(g: WeightedGraph, path: str | Path) -> None:
-    Path(path).write_text(to_dot(g), "utf-8")
-
-
-def write_edge_csv(g: WeightedGraph, path: str | Path) -> None:
-    Path(path).write_text(to_edge_csv(g), "utf-8")

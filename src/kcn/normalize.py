@@ -349,31 +349,24 @@ def normalize_corpus(
         if folded[raw] != raw:
             lexicon.record(raw, folded[raw], RULE_FOLD)
 
-    # complete all abbreviation registrations before any lookup
-    expanded: dict[str, str] = {}
-    for form in dict.fromkeys(folded.values()):
-        expanded[form] = expand_parenthetical(form, lexicon)
-        if expanded[form] != form:
-            lexicon.record(form, expanded[form], RULE_PAREN)
-
-    unabbreviated: dict[str, str] = {}
-    for form in dict.fromkeys(expanded.values()):
-        unabbreviated[form] = apply_abbrev_map(form, lexicon)
-        if unabbreviated[form] != form:
-            lexicon.record(form, unabbreviated[form], RULE_ABBREV)
-
-    singular: dict[str, str] = {}
-    for form in dict.fromkeys(unabbreviated.values()):
-        singular[form] = singularize(form, lexicon.protected_tokens)
-        if singular[form] != form:
-            lexicon.record(form, singular[form], RULE_SINGULAR)
-
-    def premerge(raw: str) -> str:
-        return singular[unabbreviated[expanded[folded[raw]]]]
+    # each stage rewrites every distinct form before the next one starts,
+    # so all abbreviation registrations complete before any lookup
+    premerge = folded
+    for rule, rewrite in (
+        (RULE_PAREN, lambda form: expand_parenthetical(form, lexicon)),
+        (RULE_ABBREV, lambda form: apply_abbrev_map(form, lexicon)),
+        (RULE_SINGULAR, lambda form: singularize(form, lexicon.protected_tokens)),
+    ):
+        step: dict[str, str] = {}
+        for form in dict.fromkeys(premerge.values()):
+            step[form] = rewrite(form)
+            if step[form] != form:
+                lexicon.record(form, step[form], rule)
+        premerge = {raw: step[form] for raw, form in premerge.items()}
 
     counts: Counter[str] = Counter()
     for record in corpus.records:
-        counts.update({premerge(raw) for raw in record.keywords})
+        counts.update({premerge[raw] for raw in record.keywords})
     merge_synonyms(counts, lexicon)
 
     new_records = []
@@ -381,7 +374,7 @@ def normalize_corpus(
         out: list[str] = []
         seen: set[str] = set()
         for raw in record.keywords:
-            canonical = lexicon.canonical(premerge(raw))
+            canonical = lexicon.canonical(premerge[raw])
             if canonical not in seen:
                 seen.add(canonical)
                 out.append(canonical)

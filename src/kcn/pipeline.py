@@ -56,10 +56,11 @@ from .trends import detect_emerging, ego_network, frequency_table, top_k_table, 
 
 STAGES = ("macro", "meso", "micro")
 
-_SAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
+# safe names keep letters and digits of any script; \w is [A-Za-z0-9_] on ASCII
+_SAFE_RE = re.compile(r"[^\w.-]+")
 
-# longest ego file name in bytes, collision suffix and ".graphml" included;
-# file systems commonly refuse names over 255 bytes
+# longest ego file name (suffix and ".graphml" included) and safe slice label,
+# in bytes; file systems commonly refuse names over 255 bytes
 _EGO_NAME_BYTES = 200
 
 # per-slice files whose name repeats the slice label
@@ -476,6 +477,10 @@ def _check_slice_labels(config: RunConfig) -> None:
     for label, name in safe.items():
         if name in (".", ".."):
             raise ConfigError(f"slice label {label!r} cannot name a slice directory")
+        if len(name.encode()) > _EGO_NAME_BYTES:
+            raise ConfigError(
+                f"slice label {label!r} is over {_EGO_NAME_BYTES} bytes as a file name"
+            )
     if len(set(safe.values())) != len(safe):
         raise ConfigError(f"slice labels collide after sanitizing: {sorted(safe)}")
 

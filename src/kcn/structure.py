@@ -123,35 +123,24 @@ def weighted_clustering(g: WeightedGraph, v: str) -> float:
     unit-weight graphs this equals the unweighted local clustering
     coefficient; the value always lies in [0, 1].
     """
-    return _local_clustering(g.adjacency(), g.index_of(v))[0]
+    return _local_clustering(g, g.index_of(v))[0]
 
 
 def average_clustering(g: WeightedGraph, weighted: bool = True) -> float:
     """Mean local clustering over all nodes (isolated nodes count as 0)."""
     if g.n == 0:
         raise GraphError("cannot average clustering of an empty graph")
-    adj = g.adjacency()
     pick = 0 if weighted else 1
-    return sum(_local_clustering(adj, i)[pick] for i in range(g.n)) / g.n
+    return sum(_local_clustering(g, i)[pick] for i in range(g.n)) / g.n
 
 
-def _local_clustering(adj: list[dict[int, int]], i: int) -> tuple[float, float]:
-    """Weighted (Barrat) and unweighted local clustering of node index ``i``.
-
-    ``c = |N(i) & N(j)|`` counts the closed ordered pairs (j, h) through
-    neighbor j: summed over j, ``c`` is twice the triangle count at i and
-    ``w_ij * c`` is the Barrat numerator.
-    """
-    nbrs = adj[i]
+def _local_clustering(g: WeightedGraph, i: int) -> tuple[float, float]:
+    """Weighted (Barrat) and unweighted local clustering from ``g.closed_pairs``."""
+    nbrs = g.adjacency()[i]
     k = len(nbrs)
     if k < 2:
         return 0.0, 0.0
-    keys = nbrs.keys()
-    closed = total = 0
-    for j, w in nbrs.items():
-        c = len(keys & adj[j].keys())
-        closed += c
-        total += w * c
+    closed, total = g.closed_pairs[i]
     links = closed // 2
     return total / (sum(nbrs.values()) * (k - 1)), 2.0 * links / (k * (k - 1))
 
@@ -194,7 +183,7 @@ def profile_nodes(
             NodeProfile(
                 node=v,
                 degree=k,
-                clustering_w=_local_clustering(adj, i)[0],
+                clustering_w=_local_clustering(g, i)[0],
                 knn_w=knn,
                 knn_ratio=knn / k,
             )

@@ -256,6 +256,12 @@ def test_ego_file_names_that_fit_are_unchanged_and_long_ones_are_cut():
     assert ego_file_names([fits + "k"]) == [f"ego_{fits}.graphml"]
 
 
+def test_ego_file_names_keep_letters_of_every_script():
+    assert ego_file_names(["学习分析", "教育", "学习/分析"]) == [
+        "ego_学习分析.graphml", "ego_教育.graphml", "ego_学习_分析.graphml"
+    ]
+
+
 def test_long_keywords_sharing_a_prefix_get_distinct_ego_files(tmp_path):
     prefix = "learning analytics " * 15
     keywords = [prefix + "dashboards", prefix + "ethics", prefix + "x"]
@@ -479,6 +485,46 @@ def test_bad_slice_label_keeps_old_bundle_under_force(tmp_path, bundle):
         "utf-8",
     )
     with pytest.raises(ConfigError, match=re.escape("'..'")):
+        run_pipeline(load_config(cfg), out_dir=old, force=True)
+    assert _tree(old) == _tree(bundle)
+
+
+def test_cjk_slice_labels_name_their_own_directories(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "inputs": [str(DATA / "synthetic_corpus.jsonl")],
+                "slices": [
+                    {"label": "学习", "years": [2020, 2022]},
+                    {"label": "教育", "years": "all"},
+                ],
+            }
+        ),
+        "utf-8",
+    )
+    out = tmp_path / "out"
+    run_pipeline(load_config(cfg), out_dir=out, only={"macro", "meso"})
+    assert sorted(p.name for p in (out / "slices").iterdir()) == ["学习", "教育"]
+    assert (out / "slices" / "学习" / "clusters_学习.json").is_file()
+    assert (out / "slices" / "教育" / "edges.csv").is_file()
+
+
+def test_slice_label_over_200_bytes_keeps_old_bundle_under_force(tmp_path, bundle):
+    old = tmp_path / "old"
+    shutil.copytree(bundle, old)
+    label = "x" * 300
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "inputs": [str(DATA / "synthetic_corpus.jsonl")],
+                "slices": [{"label": label, "years": "all"}],
+            }
+        ),
+        "utf-8",
+    )
+    with pytest.raises(ConfigError, match=re.escape(repr(label))):
         run_pipeline(load_config(cfg), out_dir=old, force=True)
     assert _tree(old) == _tree(bundle)
 

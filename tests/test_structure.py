@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 import warnings
@@ -7,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from kcn.config import load_config
 from kcn.errors import FitError, GraphError
 from kcn.graph import WeightedGraph
+from kcn.pipeline import run_pipeline
 from kcn.structure import (
     assortativity,
     average_clustering,
@@ -22,6 +25,7 @@ from kcn.structure import (
 )
 
 import oracles
+from conftest import DATA
 
 # --- summary ---------------------------------------------------------------
 
@@ -103,6 +107,63 @@ def test_clustering_matches_ordered_pair_oracle():
             oracles.clustering_unweighted(g, v) for v in g.labels()
         ) / g.n
     assert {0, 1} <= degrees  # isolated and degree-1 nodes were covered
+
+
+def _fresh(g: WeightedGraph) -> WeightedGraph:
+    """The same graph, node order included, with no closed-pair table yet."""
+    return WeightedGraph(
+        g.labels(), [dict(nbrs) for nbrs in g.adjacency()], map(g.freq, g.labels())
+    )
+
+
+def test_clustering_is_the_same_in_every_call_order():
+    # whichever call builds the closed-pair table, every later call reads
+    # the same counts: each value matches the call on a graph of its own
+    calls = {
+        "profile": profile_nodes,
+        "node": lambda g: weighted_clustering(g, g.labels()[-1]),
+        "summarize": summarize,
+        "weighted": lambda g: average_clustering(g, weighted=True),
+        "unweighted": lambda g: average_clustering(g, weighted=False),
+    }
+    names = list(calls)
+    rng = random.Random(41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # undefined assortativity
+        for _ in range(60):
+            g = oracles.random_graph(rng)
+            alone = {name: repr(call(_fresh(g))) for name, call in calls.items()}
+            barrat = [oracles.clustering_barrat(g, v) for v in g.labels()]
+            unweighted = [oracles.clustering_unweighted(g, v) for v in g.labels()]
+            for first in range(len(names)):
+                shared = _fresh(g)
+                order = names[first:] + names[:first]
+                assert {name: repr(calls[name](shared)) for name in order} == alone
+                profiles, _ = profile_nodes(shared)
+                for p in profiles:
+                    assert p.clustering_w == barrat[g.index_of(p.node)]
+                assert weighted_clustering(shared, g.labels()[-1]) == barrat[-1]
+                mean = sum(barrat) / g.n
+                assert summarize(shared).c == average_clustering(shared) == mean
+                assert average_clustering(shared, weighted=False) == sum(unweighted) / g.n
+
+
+def test_macro_stage_walks_each_slice_graph_once(tmp_path, monkeypatch):
+    built = []
+    walk = WeightedGraph.closed_pairs.func
+
+    def counting(g):
+        built.append(g)
+        return walk(g)
+
+    table = functools.cached_property(counting)
+    table.__set_name__(WeightedGraph, "closed_pairs")
+    monkeypatch.setattr(WeightedGraph, "closed_pairs", table)
+    result = run_pipeline(
+        load_config(DATA / "config.json"), out_dir=tmp_path / "out", only={"macro"}
+    )
+    assert len(built) == len(result["slices"]) == 6
+    assert len({id(g) for g in built}) == len(built)
 
 
 def test_clustering_unit_weights_equal_unweighted():

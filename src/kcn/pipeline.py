@@ -106,7 +106,6 @@ def run_pipeline(
 class Prepared(NamedTuple):
     """Everything between a config and its slice graphs."""
 
-    corpus: Corpus  # as loaded, before filtering
     report: FilterReport
     normalized: Corpus
     lexicon: NormalizationLexicon
@@ -137,19 +136,25 @@ def prepare(config: RunConfig) -> Prepared:
         )
         normalized, lexicon = normalize_corpus(filtered, lexicon)
     slices = list(config.slices or _default_slices(normalized))
-    return Prepared(corpus, report, normalized, lexicon, slices)
+    return Prepared(report, normalized, lexicon, slices)
 
 
 def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
-    corpus, report, normalized, lexicon, slices = prepare(config)
+    report, normalized, lexicon, slices = prepare(config)
     labels = [s.label for s in slices]
+    vocabulary = {kw for r in normalized.records for kw in r.keywords}
 
-    with _stage("build"):
-        graphs = {s.label: build_kcn(normalized, s) for s in slices}
-
-    results = [
-        _analyze_slice(config, stages, graphs[s.label], s, out) for s in slices
-    ]
+    # each slice is analysed as soon as it is built and its graph dropped;
+    # ego views come from the first whole-corpus graph, which keeps every
+    # record, so every emerging keyword is one of its nodes
+    overall = None
+    results = []
+    for spec in slices:
+        with _stage("build"):
+            g = build_kcn(normalized, spec)
+        results.append(_analyze_slice(config, stages, g, spec, out))
+        if overall is None and spec.years is None:
+            overall = g
 
     if "macro" in stages:
         with _stage("macro"):
@@ -159,7 +164,6 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
     if "micro" in stages:
         with _stage("micro"):
             # full table, so lookups work for every canonical keyword
-            vocabulary = {kw for r in normalized.records for kw in r.keywords}
             _write_csv(
                 out / "frequency.csv",
                 ["keyword", "count"],
@@ -179,12 +183,13 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
                     for e in emerging
                 ],
             )
-            _write_ego_files(out, config, graphs, slices, emerging)
+            if overall is not None:
+                _write_ego_files(out, config, overall, emerging)
 
     with _stage("report"):
         _write_json(out / "filter_report.json", report.to_json())
         lexicon.write_audit_jsonl(out / "audit.jsonl")
-        manifest = _manifest(config, labels, corpus, normalized, report)
+        manifest = _manifest(config, labels, report, len(vocabulary))
         _write_json(out / "manifest.json", manifest)  # commit marker, last
 
     return {
@@ -351,18 +356,8 @@ def _write_summary_files(out: Path, results: list[dict]) -> None:
 
 
 def _write_ego_files(
-    out: Path,
-    config: RunConfig,
-    graphs: dict[str, WeightedGraph],
-    slices: list[SliceSpec],
-    emerging: list,
+    out: Path, config: RunConfig, g: WeightedGraph, emerging: list
 ) -> None:
-    # ego views come from the first whole-corpus slice, when one exists;
-    # it keeps every record, so every emerging keyword is one of its nodes
-    overall = next((s.label for s in slices if s.years is None), None)
-    if overall is None:
-        return
-    g = graphs[overall]
     names = ego_file_names([entry.keyword for entry in emerging])
     for entry, name in zip(emerging, names):
         view = ego_network(
@@ -411,11 +406,7 @@ def slice_file(bundle: Path, label: str, kind: str, ext: str) -> Path:
 
 
 def _manifest(
-    config: RunConfig,
-    labels: list[str],
-    loaded: Corpus,
-    normalized: Corpus,
-    report,
+    config: RunConfig, labels: list[str], report: FilterReport, distinct: int
 ) -> dict:
     # echo the effective settings, not just the keys the user wrote
     echo = {
@@ -453,7 +444,6 @@ def _manifest(
                 else str(config.raw.get("lexicon", {}).get(key, path.name))
             )
             lexicon[key] = {"source": source, "sha256": _sha256(path)}
-    distinct = {kw for rec in normalized.records for kw in rec.keywords}
     return {
         "bundle_format": 1,
         "tool": {"name": "kcn", "version": __version__},
@@ -462,11 +452,11 @@ def _manifest(
         "lexicon": lexicon,
         "slices": labels,
         "records": {
-            "loaded": len(loaded),
+            "loaded": report.retained + len(report.excluded),
             "retained": report.retained,
             "excluded": len(report.excluded),
         },
-        "keywords": {"distinct_canonical": len(distinct)},
+        "keywords": {"distinct_canonical": distinct},
     }
 
 

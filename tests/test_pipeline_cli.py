@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from kcn import pipeline
 from kcn.config import load_config
 from kcn.errors import ConfigError, StageError
-from kcn.graph import SliceSpec, WeightedGraph
+from kcn.graph import WeightedGraph
 from kcn.pipeline import _clip, _write_ego_files, ego_file_names, run_pipeline
 from kcn.trends import EmergingKeyword
 
@@ -239,7 +242,7 @@ def test_ego_file_suffix_never_overwrites_another_ego(tmp_path):
     keywords = ["a b", "a b 2", "a/b"]
     g = WeightedGraph.from_edges([(kw, "hub", i + 1) for i, kw in enumerate(keywords)])
     emerging = [EmergingKeyword(kw, "2021", 1.0) for kw in keywords]
-    _write_ego_files(tmp_path, load_config(CONFIG), {"all": g}, [SliceSpec.all()], emerging)
+    _write_ego_files(tmp_path, load_config(CONFIG), g, emerging)
     files = sorted(p.name for p in tmp_path.iterdir())
     assert files == ["ego_a_b.graphml", "ego_a_b_2.graphml", "ego_a_b_3.graphml"]
     for name, ego in zip(files, keywords):
@@ -270,7 +273,7 @@ def test_long_keywords_sharing_a_prefix_get_distinct_ego_files(tmp_path):
     assert all(len(name.encode()) <= 200 for name in names)
     g = WeightedGraph.from_edges([(kw, "hub", i + 1) for i, kw in enumerate(keywords)])
     emerging = [EmergingKeyword(kw, "2021", 1.0) for kw in keywords]
-    _write_ego_files(tmp_path, load_config(CONFIG), {"all": g}, [SliceSpec.all()], emerging)
+    _write_ego_files(tmp_path, load_config(CONFIG), g, emerging)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
     for name, ego in zip(names, keywords):
         text = (tmp_path / name).read_text("utf-8")
@@ -287,7 +290,7 @@ def test_long_multibyte_keyword_gets_a_capped_ego_file(tmp_path):
     assert _clip("é" * 10, 5) == "éé"
     g = WeightedGraph.from_edges([(keyword, "hub", 1)])
     emerging = [EmergingKeyword(keyword, "2021", 1.0)]
-    _write_ego_files(tmp_path, load_config(CONFIG), {"all": g}, [SliceSpec.all()], emerging)
+    _write_ego_files(tmp_path, load_config(CONFIG), g, emerging)
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
@@ -375,6 +378,31 @@ def test_only_subset_is_byte_identical_with_full_run(tmp_path, bundle):
     assert "emerging.json" not in subset
     for name, blob in subset.items():
         assert full[name] == blob, f"{name} differs from the full run"
+
+
+def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(tmp_path, monkeypatch):
+    built = []  # (slice, weak reference to its graph), in build order
+    build = pipeline.build_kcn
+    analyze = pipeline._analyze_slice
+
+    def tracking_build(corpus, spec):
+        g = build(corpus, spec)
+        built.append((spec, weakref.ref(g)))
+        return g
+
+    alive = []  # earlier year-slice graphs still alive, per analysed slice
+
+    def checking_analyze(config, stages, g, spec, out):
+        gc.collect()
+        earlier = [(s, ref) for s, ref in built if ref() is not g]
+        alive.append([s.label for s, ref in earlier if s.years is not None and ref()])
+        return analyze(config, stages, g, spec, out)
+
+    monkeypatch.setattr(pipeline, "build_kcn", tracking_build)
+    monkeypatch.setattr(pipeline, "_analyze_slice", checking_analyze)
+    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
+    assert len(alive) == len(built) > 2
+    assert alive == [[]] * len(built)
 
 
 def test_output_dir_protection(tmp_path):
@@ -596,7 +624,7 @@ def test_cli_inspect_names_the_ego_file_written_for_the_keyword(tmp_path, keywor
     keywords = ["a b", "a b 2", "a/b"]
     g = WeightedGraph.from_edges([(kw, "hub", i + 1) for i, kw in enumerate(keywords)])
     emerging = [EmergingKeyword(kw, "2021", 1.0) for kw in keywords]
-    _write_ego_files(tmp_path, load_config(CONFIG), {"all": g}, [SliceSpec.all()], emerging)
+    _write_ego_files(tmp_path, load_config(CONFIG), g, emerging)
     entries = [{"keyword": kw, "first_year": "2021", "value": 1.0} for kw in keywords]
     (tmp_path / "emerging.json").write_text(json.dumps(entries), "utf-8")
     (tmp_path / "manifest.json").write_text("{}", "utf-8")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import GraphError
@@ -59,8 +58,9 @@ def modularity(g: WeightedGraph, assignment: Mapping[str, int]) -> float:
     """Weighted Newman modularity of a full node-to-cluster assignment.
 
     ``Q = (1/2W) * sum_ij (w_ij - s_i s_j / 2W) * [c_i == c_j]`` with ``W``
-    the total edge weight and ``s`` node strength. Computed with exact
-    rational arithmetic, so equal inputs give bit-equal results. A graph
+    the total edge weight and ``s`` node strength. The numerator and the
+    denominator ``4W^2`` are exact ints, and int true division rounds their
+    quotient correctly, so equal inputs give bit-equal results. A graph
     with no edges scores 0. Every node must be assigned.
     """
     labels = g.labels()
@@ -82,7 +82,7 @@ def modularity(g: WeightedGraph, assignment: Mapping[str, int]) -> float:
     numerator = 0
     for cid, s_c in strength_sum.items():
         numerator += 4 * w_total * intra.get(cid, 0) - s_c * s_c
-    return float(Fraction(numerator, 4 * w_total * w_total))
+    return numerator / (4 * w_total * w_total)
 
 
 def fast_greedy(g: WeightedGraph) -> Partition:

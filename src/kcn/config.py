@@ -13,7 +13,8 @@ Recognized keys::
                 or bare years                     (optional; default is one
                 slice per corpus year plus "all")
     thresholds  {"max_keywords": 10, "synonym_threshold": 90,
-                 "top_k": 20, "profile_k": 10}    (optional)
+                 "top_k": 20, "profile_k": 10}    (optional; counts are
+                 integers >= 1, synonym_threshold a number in 0..100)
     output_dir  path (optional; the CLI --out flag overrides it)
     seed        integer echoed into the manifest  (optional, default 0)
     flags       {"exhaustive_pairing": false, "power_law_on": "strength",
@@ -111,20 +112,47 @@ def load_config(path: str | Path) -> RunConfig:
         abbrev_path=abbrev,
         merges_path=merges,
         slices=slices,
-        max_keywords=int(thresholds.get("max_keywords", 10)),
-        synonym_threshold=float(
-            thresholds.get("synonym_threshold", DEFAULT_SYNONYM_THRESHOLD)
-        ),
-        top_k=int(thresholds.get("top_k", 20)),
-        profile_k=int(thresholds.get("profile_k", 10)),
+        max_keywords=_count(thresholds, "max_keywords", 10, path),
+        synonym_threshold=_threshold(thresholds, path),
+        top_k=_count(thresholds, "top_k", 20, path),
+        profile_k=_count(thresholds, "profile_k", 10, path),
         output_dir=_resolve(base, output_dir) if output_dir else None,
-        seed=int(raw.get("seed", 0)),
+        seed=_seed(raw, path),
         exhaustive_pairing=bool(flags.get("exhaustive_pairing", False)),
         power_law_on=power_law_on,
         discrete_power_law=bool(flags.get("discrete_power_law", False)),
         ego_degree_scope=ego_scope,
         raw=raw,
     )
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _count(thresholds: dict, key: str, default: int, where: Path) -> int:
+    value = thresholds.get(key, default)
+    if not _is_int(value) or value < 1:
+        raise ConfigError(
+            f"{where}: {key} must be an integer of at least 1, got {value!r}"
+        )
+    return value
+
+
+def _threshold(thresholds: dict, where: Path) -> float:
+    value = thresholds.get("synonym_threshold", DEFAULT_SYNONYM_THRESHOLD)
+    if not (_is_int(value) or isinstance(value, float)) or not 0 <= value <= 100:
+        raise ConfigError(
+            f"{where}: synonym_threshold must be a number from 0 to 100, got {value!r}"
+        )
+    return float(value)
+
+
+def _seed(raw: dict, where: Path) -> int:
+    value = raw.get("seed", 0)
+    if not _is_int(value):
+        raise ConfigError(f"{where}: seed must be an integer, got {value!r}")
+    return value
 
 
 def _resolve(base: Path, value: str) -> Path:

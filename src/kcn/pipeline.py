@@ -31,6 +31,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 from contextlib import contextmanager
@@ -76,9 +77,11 @@ def run_pipeline(
     """Execute a full run and write the bundle to ``out_dir``.
 
     ``only`` restricts which analysis stages emit files (ingest,
-    normalization, and graph building always execute). Any failure removes
-    the partially written bundle and re-raises tagged with its stage.
-    Returns a small summary of what was written.
+    normalization, and graph building always execute). The bundle is built
+    in a sibling directory of ``out_dir`` and moved into place only once it
+    is complete, so a failed run leaves an existing bundle as it was; the
+    failure is re-raised tagged with its stage. Returns a small summary of
+    what was written.
     """
     stages = set(STAGES) if only is None else set(only)
     unknown = stages - set(STAGES)
@@ -87,20 +90,43 @@ def run_pipeline(
     target = Path(out_dir) if out_dir is not None else config.output_dir
     if target is None:
         raise ConfigError("no output directory: set output_dir or pass --out")
-    _check_slice_labels(config)  # before an old bundle is removed
-    if target.exists() and any(target.iterdir()):
-        if not force:
-            raise ConfigError(
-                f"output directory {target} is not empty (use --force to replace)"
-            )
-        shutil.rmtree(target)
-    target.mkdir(parents=True, exist_ok=True)
-
+    if target.exists() and any(target.iterdir()) and not force:
+        raise ConfigError(
+            f"output directory {target} is not empty (use --force to replace)"
+        )
+    # a hidden sibling, so the final move is a rename within one directory;
+    # a link to the output directory is followed, so the link itself stays
+    final = target.resolve()
+    staging = final.with_name(f".{final.name}.{os.urandom(6).hex()}")
+    staging.parent.mkdir(parents=True, exist_ok=True)
+    staging.mkdir()
     try:
-        return _run(config, target, stages)
-    except Exception:
-        shutil.rmtree(target, ignore_errors=True)  # never leave partial bundles
+        summary = _run(config, staging, stages)
+        _commit(staging, final)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)  # never leave partial bundles
         raise
+    return {"output_dir": str(target), **summary}
+
+
+def _commit(staging: Path, target: Path) -> None:
+    """Move the finished bundle in ``staging`` to ``target``.
+
+    An existing ``target`` is renamed aside first and removed only once the
+    new bundle is in place.
+    """
+    aside = None
+    if target.exists():
+        aside = staging.with_name(staging.name + ".old")
+        os.replace(target, aside)
+    try:
+        os.replace(staging, target)
+    except OSError:
+        if aside is not None:
+            os.replace(aside, target)
+        raise
+    if aside is not None:
+        shutil.rmtree(aside)
 
 
 class Prepared(NamedTuple):
@@ -193,7 +219,6 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
         _write_json(out / "manifest.json", manifest)  # commit marker, last
 
     return {
-        "output_dir": str(out),
         "slices": labels,
         "records": len(normalized),
         "emerging": [e.keyword for e in emerging],

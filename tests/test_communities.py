@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -52,6 +53,25 @@ def test_modularity_matches_bruteforce_on_random_graphs():
         assert modularity(g, assignment) == pytest.approx(
             oracles.modularity_bruteforce(g, assignment), abs=1e-15
         )
+
+
+def test_modularity_is_correctly_rounded_past_float_precision():
+    # 4W^2 is past 2^53, where dividing the rounded floats of the numerator
+    # and the denominator gives a different last bit
+    g = WeightedGraph.from_edges(
+        [("a", "b", 484452587), ("b", "c", 726401695),
+         ("c", "d", 334551094), ("a", "c", 541903390)]
+    )
+    assignment = {"a": 0, "b": 0, "c": 1, "d": 1}
+    w = g.total_weight
+    s0 = g.strength("a") + g.strength("b")
+    s1 = g.strength("c") + g.strength("d")
+    numerator = 4 * w * (484452587 + 334551094) - s0 * s0 - s1 * s1
+    denominator = 4 * w * w
+    assert denominator > 2**53
+    assert float(numerator) / float(denominator) != float(Fraction(numerator, denominator))
+    assert modularity(g, assignment) == float(Fraction(numerator, denominator))
+    assert modularity(g, assignment) == oracles.modularity_bruteforce(g, assignment)
 
 
 def test_modularity_weights_matter():

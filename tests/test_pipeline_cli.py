@@ -6,8 +6,10 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -94,6 +96,33 @@ def test_load_config_rejections(tmp_path):
     with pytest.raises(ConfigError, match="invalid JSON"):
         p = tmp_path / "broken.json"
         p.write_text("{", "utf-8")
+        load_config(p)
+
+
+@pytest.mark.parametrize(
+    ("section", "key", "value"),
+    [
+        ("thresholds", "top_k", "many"),
+        ("thresholds", "top_k", 0),
+        ("thresholds", "top_k", 2.0),
+        ("thresholds", "max_keywords", True),
+        ("thresholds", "max_keywords", None),
+        ("thresholds", "profile_k", -1),
+        ("thresholds", "synonym_threshold", "x"),
+        ("thresholds", "synonym_threshold", True),
+        ("thresholds", "synonym_threshold", 100.5),
+        ("thresholds", "synonym_threshold", -1),
+        (None, "seed", "0"),
+        (None, "seed", 1.5),
+        (None, "seed", False),
+    ],
+)
+def test_load_config_rejects_bad_thresholds_and_seed(tmp_path, section, key, value):
+    raw = json.loads(CONFIG.read_text("utf-8"))
+    (raw[section] if section else raw)[key] = value
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(raw), "utf-8")
+    with pytest.raises(ConfigError, match=key):
         load_config(p)
 
 
@@ -394,8 +423,10 @@ def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(tmp_path, 
 
     def checking_analyze(config, stages, g, spec, out):
         gc.collect()
-        earlier = [(s, ref) for s, ref in built if ref() is not g]
-        alive.append([s.label for s, ref in earlier if s.years is not None and ref()])
+        alive.append([
+            s.label for s, ref in built
+            if s.years is not None and ref() is not None and ref() is not g
+        ])
         return analyze(config, stages, g, spec, out)
 
     monkeypatch.setattr(pipeline, "build_kcn", tracking_build)
@@ -433,6 +464,72 @@ def test_failure_removes_partial_bundle(tmp_path):
     with pytest.raises(StageError, match=r"\[normalize\]"):
         run_pipeline(load_config(cfg), out_dir=out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_run_through_a_link_keeps_the_link(tmp_path, bundle, force):
+    real = tmp_path / "real"
+    if force:
+        shutil.copytree(bundle, real)
+        (real / "stale.txt").write_text("from before the rerun", "utf-8")
+    else:
+        real.mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(real, target_is_directory=True)
+    run_pipeline(load_config(CONFIG), out_dir=link, force=force)
+    assert link.is_symlink()
+    assert _tree(real) == _tree(bundle)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+
+def test_late_failure_under_force_keeps_old_bundle(tmp_path, bundle, monkeypatch):
+    old = tmp_path / "old"
+    shutil.copytree(bundle, old)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {"inputs": [str(DATA / "synthetic_corpus.jsonl")], "slices": [2020, 1999]}
+        ),
+        "utf-8",
+    )
+    written = []
+    analyze = pipeline._analyze_slice
+
+    def recording_analyze(config, stages, g, spec, out):
+        result = analyze(config, stages, g, spec, out)
+        written.append(spec.label)
+        return result
+
+    monkeypatch.setattr(pipeline, "_analyze_slice", recording_analyze)
+    with pytest.raises(StageError, match=r"\[build\]"):
+        run_pipeline(load_config(cfg), out_dir=old, force=True)
+    assert written == ["2020"]  # the run failed after writing one slice
+    assert _tree(old) == _tree(bundle)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "old"]
+
+
+def test_sigkilled_run_under_force_keeps_old_bundle(tmp_path, bundle):
+    old = tmp_path / "old"
+    shutil.copytree(bundle, old)
+    (old / "marker.txt").write_text("from before the rerun", "utf-8")
+    before = _tree(old)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kcn", "run", "--config", str(CONFIG),
+         "--out", str(old), "--force"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not any(p.name.startswith(".old.") for p in tmp_path.iterdir()):
+            assert proc.poll() is None, "the run ended before its sibling appeared"
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    assert _tree(old) == before
 
 
 def test_no_output_dir_anywhere_is_an_error():

@@ -224,17 +224,8 @@ def in_group_degree(g: WeightedGraph, partition: Partition) -> dict[str, int]:
 
 
 def name_clusters(g: WeightedGraph, partition: Partition) -> Partition:
-    """Name every cluster after its highest in-cluster weighted degree node.
-
-    Ties go to the more frequent node (article count), then to the
-    lexicographically smaller label.
-    """
-    ingroup = in_group_degree(g, partition)
-    names: dict[int, str] = {}
-    for cid, members in partition.clusters().items():
-        names[cid] = min(
-            members, key=lambda v: (-ingroup[v], -g.freq(v), v)
-        )
+    """Name every cluster after the top member of its ``cluster_profiles``."""
+    names = {p.cluster_id: p.name for p in cluster_profiles(g, partition, 1)}
     return replace(partition, cluster_names=names)
 
 
@@ -243,12 +234,12 @@ def cluster_profiles(
 ) -> list[ClusterProfile]:
     """Top-``k`` members of every cluster by in-cluster weighted degree.
 
-    Member ranking uses the same tie-breaks as cluster naming (frequency,
-    then label), so the top-1 member is exactly the cluster name. Profiles
-    are ordered by descending cluster size, ties by smallest member label.
+    Ties go to the more frequent member (article count), then to the
+    lexicographically smaller label. Each cluster is named after its top
+    member. Profiles are ordered by descending cluster size, ties by
+    smallest member label.
     """
     ingroup = in_group_degree(g, partition)
-    named = partition.cluster_names or name_clusters(g, partition).cluster_names
     profiles = []
     clusters = sorted(
         partition.clusters().items(), key=lambda kv: (-len(kv[1]), min(kv[1]))
@@ -258,10 +249,9 @@ def cluster_profiles(
         profiles.append(
             ClusterProfile(
                 cluster_id=cid,
-                name=named[cid],
+                name=ranked[0],
                 size=len(members),
                 top=tuple((v, ingroup[v]) for v in ranked[:k]),
             )
         )
     return profiles
-

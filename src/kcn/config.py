@@ -11,7 +11,8 @@ Recognized keys::
                  "merges": path|null}            (optional)
     slices      list of {"label": ..., "years": [first, last]|"all"}
                 or bare years                     (optional; default is one
-                slice per corpus year plus "all")
+                slice per corpus year plus "all"; labels are strings or
+                integers, years are integers)
     thresholds  {"max_keywords": 10, "synonym_threshold": 90,
                  "top_k": 20, "profile_k": 10}    (optional; counts are
                  integers >= 1, synonym_threshold a number in 0..100)
@@ -19,6 +20,7 @@ Recognized keys::
     seed        integer echoed into the manifest  (optional, default 0)
     flags       {"exhaustive_pairing": false, "power_law_on": "strength",
                  "discrete_power_law": false, "ego_degree_scope": "ego"}
+                (optional; the two booleans are JSON true or false)
 """
 
 from __future__ import annotations
@@ -118,9 +120,9 @@ def load_config(path: str | Path) -> RunConfig:
         profile_k=_count(thresholds, "profile_k", 10, path),
         output_dir=_resolve(base, output_dir) if output_dir else None,
         seed=_seed(raw, path),
-        exhaustive_pairing=bool(flags.get("exhaustive_pairing", False)),
+        exhaustive_pairing=_flag(flags, "exhaustive_pairing", path),
         power_law_on=power_law_on,
-        discrete_power_law=bool(flags.get("discrete_power_law", False)),
+        discrete_power_law=_flag(flags, "discrete_power_law", path),
         ego_degree_scope=ego_scope,
         raw=raw,
     )
@@ -146,6 +148,13 @@ def _threshold(thresholds: dict, where: Path) -> float:
             f"{where}: synonym_threshold must be a number from 0 to 100, got {value!r}"
         )
     return float(value)
+
+
+def _flag(flags: dict, key: str, where: Path) -> bool:
+    value = flags.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
+    return value
 
 
 def _seed(raw: dict, where: Path) -> int:
@@ -216,25 +225,29 @@ def _parse_slices(value: object, where: Path) -> tuple[SliceSpec, ...] | None:
         raise ConfigError(f"{where}: slices must be a non-empty list")
     specs: list[SliceSpec] = []
     for entry in value:
-        if isinstance(entry, int):
+        if _is_int(entry):
             specs.append(SliceSpec.year(entry))
             continue
+        shown = json.dumps(entry)
         if not isinstance(entry, dict) or "label" not in entry:
-            raise ConfigError(f"{where}: each slice needs a label")
+            raise ConfigError(
+                f"{where}: slice {shown} is neither an integer year nor "
+                "an object with a label"
+            )
+        label = entry["label"]
+        if not (isinstance(label, str) or _is_int(label)):
+            raise ConfigError(
+                f"{where}: slice {shown}: label must be a string or an integer"
+            )
         years = entry.get("years", "all")
         if years == "all":
-            specs.append(SliceSpec(label=str(entry["label"]), years=None))
-        elif (
-            isinstance(years, list)
-            and len(years) == 2
-            and all(isinstance(y, int) for y in years)
-        ):
-            specs.append(
-                SliceSpec(label=str(entry["label"]), years=(years[0], years[1]))
-            )
+            specs.append(SliceSpec(label=str(label), years=None))
+        elif isinstance(years, list) and len(years) == 2 and all(map(_is_int, years)):
+            specs.append(SliceSpec(label=str(label), years=(years[0], years[1])))
         else:
             raise ConfigError(
-                f"{where}: slice years must be [first, last] or \"all\""
+                f"{where}: slice {shown}: years must be two integers "
+                '[first, last] or "all"'
             )
     labels = [s.label for s in specs]
     if len(set(labels)) != len(labels):

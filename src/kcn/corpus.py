@@ -36,10 +36,9 @@ class ArticleRecord:
 
 @dataclass(frozen=True)
 class Corpus:
-    """An immutable collection of article records plus load provenance."""
+    """An immutable collection of article records."""
 
     records: tuple[ArticleRecord, ...]
-    sources: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -86,18 +85,16 @@ def load_corpus(path: str | Path, format: Literal["jsonl", "csv"]) -> Corpus:
     else:
         raise CorpusError(f"unknown corpus format: {format!r}")
     _check_unique_ids(records, str(path))
-    return Corpus(records=tuple(records), sources=(str(path),))
+    return Corpus(records=tuple(records))
 
 
 def concat_corpora(corpora: Iterable[Corpus]) -> Corpus:
     """Concatenate corpora loaded from several files into one."""
     records: list[ArticleRecord] = []
-    sources: list[str] = []
     for corpus in corpora:
         records.extend(corpus.records)
-        sources.extend(corpus.sources)
     _check_unique_ids(records, "combined inputs")
-    return Corpus(records=tuple(records), sources=tuple(sources))
+    return Corpus(records=tuple(records))
 
 
 def filter_eligible(
@@ -121,7 +118,7 @@ def filter_eligible(
             kept.append(
                 ArticleRecord(record.id, record.venue, record.year, deduped)
             )
-    filtered = Corpus(records=tuple(kept), sources=corpus.sources)
+    filtered = Corpus(records=tuple(kept))
     return filtered, FilterReport(excluded=tuple(excluded), retained=len(kept))
 
 

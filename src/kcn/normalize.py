@@ -381,7 +381,7 @@ def normalize_corpus(
         new_records.append(
             ArticleRecord(record.id, record.venue, record.year, tuple(out))
         )
-    return Corpus(records=tuple(new_records), sources=corpus.sources), lexicon
+    return Corpus(records=tuple(new_records)), lexicon
 
 
 def load_lexicon(

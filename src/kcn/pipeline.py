@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .communities import cluster_profiles, fast_greedy, name_clusters
+from .communities import cluster_profiles, fast_greedy
 from .config import RunConfig
 from .corpus import Corpus, FilterReport, concat_corpora, filter_eligible, load_corpus
 from .errors import ConfigError, FitError, KcnError, StageError
@@ -54,6 +54,9 @@ from .graph import (
 from .normalize import NormalizationLexicon, default_lexicon_dir, load_lexicon, normalize_corpus
 from .structure import average_clustering, ccdf, fit_power_law, profile_nodes, summarize
 from .trends import detect_emerging, ego_network, frequency_table, top_k_table, weighted_betweenness
+
+# unused since cluster_profiles names the clusters; kept bound because perfbench/tracer.py wraps it
+from .communities import name_clusters
 
 STAGES = ("macro", "meso", "micro")
 
@@ -90,6 +93,8 @@ def run_pipeline(
     target = Path(out_dir) if out_dir is not None else config.output_dir
     if target is None:
         raise ConfigError("no output directory: set output_dir or pass --out")
+    if target.exists() and not target.is_dir():
+        raise ConfigError(f"output path {target} is not a directory")
     if target.exists() and any(target.iterdir()) and not force:
         raise ConfigError(
             f"output directory {target} is not empty (use --force to replace)"
@@ -283,8 +288,9 @@ def _analyze_slice(
     if "meso" in stages:
         with _stage("meso"):
             core = largest_component(g)
-            partition = name_clusters(core, fast_greedy(core))
+            partition = fast_greedy(core)
             profiles = cluster_profiles(core, partition, config.profile_k)
+            names = {p.cluster_id: p.name for p in profiles}
             unclustered = sorted(set(g.labels()) - set(core.labels()))
             _write_json(
                 slice_file(out, spec.label, "clusters", "json"),
@@ -309,7 +315,7 @@ def _analyze_slice(
                 slice_file(out, spec.label, "membership", "csv"),
                 ["keyword", "cluster", "cluster_name"],
                 sorted(
-                    (kw, cid, partition.cluster_names[cid])
+                    (kw, cid, names[cid])
                     for kw, cid in partition.assignment.items()
                 ),
             )

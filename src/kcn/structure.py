@@ -238,8 +238,11 @@ def fit_power_law(
         raise FitError(f"need at least {min_tail} values, got {xs.size}")
     if xs.size and xs[0] <= 0:
         raise FitError("power-law fitting requires strictly positive values")
+    points, fit_tail = xs, _continuous_tail
     if discrete:
-        return _fit_discrete(xs, min_tail)
+        points, fit_tail = xs.astype(int), _discrete_tail
+        if np.any(points != xs):
+            raise FitError("discrete fitting requires positive integer values")
     n = xs.size
     logs = np.log(xs)
     suffix = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
@@ -251,21 +254,9 @@ def fit_power_law(
             break  # later candidates only get shorter tails
         if xs[-1] == xs[i]:
             continue  # constant tail; log-spread is zero despite rounding
-        log_spread = suffix[i] - n_tail * logs[i]
-        if log_spread <= 0.0:
-            continue
-        alpha = 1.0 + n_tail / log_spread
-        tail = xs[i:]
-        model_cdf = 1.0 - (tail / xs[i]) ** (1.0 - alpha)
-        steps = np.arange(n_tail + 1) / n_tail
-        ks = float(
-            np.max(np.maximum(np.abs(steps[1:] - model_cdf),
-                              np.abs(steps[:-1] - model_cdf)))
-        )
-        if best is None or ks < best.ks_stat:
-            best = PowerLawFit(
-                alpha=float(alpha), xmin=float(xs[i]), ks_stat=ks, n_tail=int(n_tail)
-            )
+        fit = fit_tail(points[i:], n_tail, suffix[i], logs[i])
+        if fit is not None and (best is None or fit.ks_stat < best.ks_stat):
+            best = fit
     if best is None:
         raise FitError(
             "insufficient tail: no cutoff leaves enough distinct values to fit"
@@ -273,51 +264,51 @@ def fit_power_law(
     return best
 
 
-def _fit_discrete(xs: np.ndarray, min_tail: int) -> PowerLawFit:
+def _continuous_tail(
+    tail: np.ndarray, n_tail: int, log_sum: float, log_xmin: float
+) -> PowerLawFit | None:
+    """The continuous fit above ``tail[0]``; None without log-spread."""
+    log_spread = log_sum - n_tail * log_xmin
+    if log_spread <= 0.0:
+        return None
+    alpha = 1.0 + n_tail / log_spread
+    model_cdf = 1.0 - (tail / tail[0]) ** (1.0 - alpha)
+    steps = np.arange(n_tail + 1) / n_tail
+    ks = float(
+        np.max(np.maximum(np.abs(steps[1:] - model_cdf),
+                          np.abs(steps[:-1] - model_cdf)))
+    )
+    return PowerLawFit(
+        alpha=float(alpha), xmin=float(tail[0]), ks_stat=ks, n_tail=int(n_tail)
+    )
+
+
+def _discrete_tail(
+    tail: np.ndarray, n_tail: int, log_sum: float, log_xmin: float
+) -> PowerLawFit:
+    """The zeta-normalized fit above the integer ``tail[0]``.
+
+    ``log_xmin`` goes unused; the signature is ``_continuous_tail``'s.
+    """
     from scipy.optimize import minimize_scalar
     from scipy.special import zeta
 
-    ints = xs.astype(int)
-    if np.any(ints != xs) or ints[0] < 1:
-        raise FitError("discrete fitting requires positive integer values")
-    n = ints.size
-    logs = np.log(ints.astype(float))
-    suffix = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
-    candidates = np.unique(ints, return_index=True)[1]
-    best: PowerLawFit | None = None
-    for i in candidates:
-        n_tail = n - i
-        if n_tail < min_tail:
-            break
-        xmin = int(ints[i])
-        if ints[-1] == xmin:
-            continue  # zero spread
-        log_sum = suffix[i]
+    xmin = int(tail[0])
 
-        def nll(alpha: float) -> float:
-            return n_tail * math.log(zeta(alpha, xmin)) + alpha * log_sum
+    def nll(alpha: float) -> float:
+        return n_tail * math.log(zeta(alpha, xmin)) + alpha * log_sum
 
-        res = minimize_scalar(nll, bounds=(1.0001, 20.0), method="bounded")
-        alpha = float(res.x)
-        tail = ints[i:]
-        distinct = np.unique(tail)
-        z0 = zeta(alpha, xmin)
-        model_ccdf = np.array([zeta(alpha, x) for x in distinct]) / z0
-        emp_ge = np.array([(tail >= x).sum() for x in distinct]) / n_tail
-        emp_gt = np.array([(tail > x).sum() for x in distinct]) / n_tail
-        # compare CCDFs just above and below each step
-        ks = float(
-            np.max(np.maximum(np.abs(emp_ge - model_ccdf),
-                              np.abs(emp_gt - np.array(
-                                  [zeta(alpha, x + 1) for x in distinct]) / z0)))
-        )
-        if best is None or ks < best.ks_stat:
-            best = PowerLawFit(
-                alpha=alpha, xmin=float(xmin), ks_stat=ks, n_tail=int(n_tail)
-            )
-    if best is None:
-        raise FitError(
-            "insufficient tail: no cutoff leaves enough distinct values to fit"
-        )
-    return best
-
+    res = minimize_scalar(nll, bounds=(1.0001, 20.0), method="bounded")
+    alpha = float(res.x)
+    distinct = np.unique(tail)
+    z0 = zeta(alpha, xmin)
+    model_ccdf = np.array([zeta(alpha, x) for x in distinct]) / z0
+    emp_ge = np.array([(tail >= x).sum() for x in distinct]) / n_tail
+    emp_gt = np.array([(tail > x).sum() for x in distinct]) / n_tail
+    # compare CCDFs just above and below each step
+    ks = float(
+        np.max(np.maximum(np.abs(emp_ge - model_ccdf),
+                          np.abs(emp_gt - np.array(
+                              [zeta(alpha, x + 1) for x in distinct]) / z0)))
+    )
+    return PowerLawFit(alpha=alpha, xmin=float(xmin), ks_stat=ks, n_tail=int(n_tail))

@@ -50,8 +50,6 @@ class EgoView:
     """A keyword's neighborhood: the induced subgraph on ego plus alters."""
 
     ego: str
-    alters: tuple[str, ...]
-    edges: tuple[tuple[str, str, int], ...]
     labeled_alters: tuple[str, ...]
     graph: WeightedGraph
 
@@ -347,8 +345,6 @@ def ego_network(
     )
     return EgoView(
         ego=ego,
-        alters=tuple(alters),
-        edges=tuple(sub.edges()),
         labeled_alters=tuple(ranked[: max(j, 0)]),
         graph=sub,
     )

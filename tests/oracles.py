@@ -326,6 +326,51 @@ def powerlaw_sample(
     return [xmin * (1.0 - rng.random()) ** exponent for _ in range(n)]
 
 
+def fit_discrete_bruteforce(
+    values: Sequence[int], min_tail: int = 10
+) -> tuple[float, int, float, int] | None:
+    """Discrete power-law fit by a plain scan: ``(ks, xmin, alpha, n_tail)``.
+
+    Every distinct value with at least ``min_tail`` values from it up, and
+    a tail that is not constant, is a cutoff. Its exponent minimizes
+    ``n log zeta(alpha, xmin) + alpha * sum(log x)`` over [1.0001, 20] by
+    bounded Brent search; its KS distance compares the tail's CCDF
+    ``P(X >= x)`` and ``P(X > x)`` with ``zeta(alpha, x) / zeta(alpha, xmin)``
+    and ``zeta(alpha, x + 1) / zeta(alpha, xmin)`` at every distinct tail
+    value. The smallest distance wins, ties going to the smaller cutoff.
+    """
+    from scipy.optimize import minimize_scalar
+    from scipy.special import zeta
+
+    xs = sorted(int(v) for v in values)
+    best = None
+    for xmin in sorted(set(xs)):
+        tail = [x for x in xs if x >= xmin]
+        n = len(tail)
+        if n < min_tail or tail[-1] == xmin:
+            continue
+        log_sum = math.fsum(math.log(x) for x in tail)
+
+        def nll(alpha: float, xmin: int = xmin, n: int = n, s: float = log_sum) -> float:
+            return n * math.log(zeta(alpha, xmin)) + alpha * s
+
+        res = minimize_scalar(nll, bounds=(1.0001, 20.0), method="bounded")
+        alpha = float(res.x)
+        z0 = zeta(alpha, xmin)
+        ks = 0.0
+        for x in sorted(set(tail)):
+            at_least = sum(1 for t in tail if t >= x) / n
+            above = sum(1 for t in tail if t > x) / n
+            ks = max(
+                ks,
+                abs(at_least - zeta(alpha, x) / z0),
+                abs(above - zeta(alpha, x + 1) / z0),
+            )
+        if best is None or ks < best[0]:
+            best = (ks, xmin, alpha, n)
+    return best
+
+
 # --- seeded graph generators --------------------------------------------------
 
 

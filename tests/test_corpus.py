@@ -37,7 +37,6 @@ def test_load_jsonl_roundtrip(tmp_path):
     assert len(corpus) == 2
     assert corpus.records[0] == ArticleRecord("x1", "V", 2021, ("a", "b"))
     assert corpus.records[1].keywords == ()
-    assert corpus.sources == (str(path),)
     assert corpus.years() == [2020, 2021]
 
 
@@ -142,8 +141,6 @@ def test_concat_checks_ids_across_files(tmp_path):
     )
     with pytest.raises(CorpusError, match="duplicate"):
         concat_corpora([a, b])
-    combined = concat_corpora([a])
-    assert combined.sources == a.sources
 
 
 def test_filter_eligible_reasons():

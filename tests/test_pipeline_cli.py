@@ -115,6 +115,9 @@ def test_load_config_rejections(tmp_path):
         (None, "seed", "0"),
         (None, "seed", 1.5),
         (None, "seed", False),
+        ("flags", "exhaustive_pairing", "false"),
+        ("flags", "discrete_power_law", "no"),
+        ("flags", "discrete_power_law", 1),
     ],
 )
 def test_load_config_rejects_bad_thresholds_and_seed(tmp_path, section, key, value):
@@ -154,6 +157,23 @@ def test_load_config_slice_forms(tmp_path):
         json.dumps({"inputs": ["c.jsonl"], "slices": [2020, 2020]}), "utf-8"
     )
     with pytest.raises(ConfigError, match="unique"):
+        load_config(p)
+
+
+@pytest.mark.parametrize(
+    ("entry", "named"),
+    [
+        (True, "slice true"),
+        ({"label": "x", "years": [True, 2021]}, '"label": "x"'),
+        ({"label": None, "years": "all"}, '"label": null'),
+        ({"label": False}, '"label": false'),
+    ],
+    ids=["bare-true", "bool-year", "null-label", "false-label"],
+)
+def test_load_config_rejects_slices_that_are_not_ints_or_labels(tmp_path, entry, named):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"inputs": ["c.jsonl"], "slices": [entry]}), "utf-8")
+    with pytest.raises(ConfigError, match=re.escape(named)):
         load_config(p)
 
 
@@ -447,6 +467,16 @@ def test_output_dir_protection(tmp_path):
     run_pipeline(config, out_dir=out, force=True)
     assert not (out / "keep.txt").exists()
     assert (out / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_output_path_that_is_a_file_is_rejected(tmp_path, force):
+    out = tmp_path / "results"
+    out.write_text("not a bundle", "utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"{out} is not a directory")):
+        run_pipeline(load_config(CONFIG), out_dir=out, force=force)
+    assert out.read_text("utf-8") == "not a bundle"
+    assert os.listdir(tmp_path) == ["results"]
 
 
 def test_failure_removes_partial_bundle(tmp_path):

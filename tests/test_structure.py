@@ -383,12 +383,13 @@ def test_fit_pure_sample_prefers_small_xmin():
 
 
 def test_fit_errors():
-    with pytest.raises(FitError, match="at least"):
-        fit_power_law([1.0] * 9)
-    with pytest.raises(FitError, match="positive"):
-        fit_power_law([0.0] + [1.0] * 19)
-    with pytest.raises(FitError, match="insufficient tail"):
-        fit_power_law([5.0] * 50)  # no log spread at any cutoff
+    for discrete in (False, True):
+        with pytest.raises(FitError, match="at least"):
+            fit_power_law([1.0] * 9, discrete=discrete)
+        with pytest.raises(FitError, match="positive"):
+            fit_power_law([0.0] + [1.0] * 19, discrete=discrete)
+        with pytest.raises(FitError, match="insufficient tail"):
+            fit_power_law([5.0] * 50, discrete=discrete)  # no log spread at any cutoff
 
 
 def test_fit_discrete_recovers_exponent():
@@ -399,6 +400,22 @@ def test_fit_discrete_recovers_exponent():
     fit = fit_power_law(values, discrete=True)
     assert abs(fit.alpha - 2.5) < 0.15
     assert fit.xmin >= 1.0
+
+
+def test_fit_discrete_matches_bruteforce_scan():
+    from scipy.stats import zipf
+
+    seed = np.random.default_rng(52)
+    for k in range(20):
+        # a shifted sample has a bent head, so the best cutoff is not always 1
+        values = zipf.rvs(
+            1.8 + 0.06 * k, loc=k % 3, size=200, random_state=seed
+        ).tolist()
+        fit = fit_power_law(values, discrete=True)
+        ks, xmin, alpha, n_tail = oracles.fit_discrete_bruteforce(values)
+        assert (fit.xmin, fit.n_tail) == (xmin, n_tail)
+        assert fit.alpha == pytest.approx(alpha, rel=0, abs=1e-9)
+        assert fit.ks_stat == pytest.approx(ks, rel=0, abs=1e-9)
 
 
 def test_fit_discrete_rejects_non_integers():

@@ -400,10 +400,10 @@ def ego_graph() -> WeightedGraph:
 def test_ego_network_subgraph_contents(ego_graph):
     view = ego_network(ego_graph, "e", j=2)
     assert view.ego == "e"
-    assert set(view.alters) == {"p", "q", "r"}
+    assert set(view.graph.neighbors("e")) == {"p", "q", "r"}
     assert "far" not in view.graph
     # edges among {e, p, q, r} only
-    assert sorted(view.edges) == sorted(
+    assert sorted(view.graph.edges()) == sorted(
         [("e", "p", 1), ("e", "q", 2), ("e", "r", 5), ("p", "q", 1)]
     )
 

@@ -102,7 +102,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
         "dot": to_dot,
         "csv": to_edge_csv,
     }[args.format](g)
-    out.write_text(text, "utf-8")
+    try:
+        out.write_text(text, "utf-8")
+    except OSError as exc:
+        raise KcnError(f"cannot write {out}: {exc.strerror or exc}") from exc
     print(f"wrote {out}")
     return 0
 
@@ -112,7 +115,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     manifest_path = bundle / "manifest.json"
     if not manifest_path.is_file():
         raise KcnError(f"{bundle} is not a finished bundle (no manifest.json)")
-    manifest = json.loads(manifest_path.read_text("utf-8"))
+    manifest = _load_json(manifest_path.read_text("utf-8"), manifest_path)
+    if not isinstance(manifest, dict):
+        raise KcnError(f"{manifest_path}: manifest must be a JSON object")
     slices = manifest.get("slices", [])
 
     chain = _audit_chain(bundle, args.keyword)
@@ -152,7 +157,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
     emerging = bundle / "emerging.json"
     if emerging.is_file():
-        keywords = [e["keyword"] for e in json.loads(emerging.read_text("utf-8"))]
+        entries = _load_json(emerging.read_text("utf-8"), emerging)
+        keywords = [e["keyword"] for e in entries]
         name = dict(zip(keywords, ego_file_names(keywords))).get(canonical)
         if name is not None and (bundle / name).is_file():
             print(f"ego network: {name}")
@@ -164,10 +170,10 @@ def _audit_chain(bundle: Path, keyword: str) -> list[tuple[str, str, str]]:
     if not path.is_file():
         return []
     by_rule: dict[str, dict[str, str]] = {}
-    for line in path.read_text("utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        entry = json.loads(line)
+        entry = _load_json(line, f"{path}:{lineno}")
         by_rule.setdefault(entry["rule"], {})[entry["raw"]] = entry["canonical"]
     chain = []
     current = keyword
@@ -203,6 +209,14 @@ def _bundle_vocabulary(bundle: Path, slices: list[str]) -> set[str]:
                 vocab.add(row[0])
                 vocab.add(row[1])
     return vocab
+
+
+def _load_json(text: str, where: Path | str):
+    """``json.loads`` of one bundle file's text; an error names ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise KcnError(f"{where}: invalid JSON: {exc}") from exc
 
 
 def _row_of(path: Path, keyword: str) -> list[str] | None:

@@ -70,18 +70,14 @@ def modularity(g: WeightedGraph, assignment: Mapping[str, int]) -> float:
     w_total = g.total_weight
     if w_total == 0:
         return 0.0
-    intra: dict[int, int] = {}
+    cluster = [assignment[v] for v in labels]
+    # per cluster: twice its internal weight, and its strength sum
+    intra2: dict[int, int] = {}
     strength_sum: dict[int, int] = {}
-    for v in labels:
-        cid = assignment[v]
-        strength_sum[cid] = strength_sum.get(cid, 0) + g.strength(v)
-    for u, v, w in g.edges():
-        if assignment[u] == assignment[v]:
-            cid = assignment[u]
-            intra[cid] = intra.get(cid, 0) + w
-    numerator = 0
-    for cid, s_c in strength_sum.items():
-        numerator += 4 * w_total * intra.get(cid, 0) - s_c * s_c
+    for c, row in zip(cluster, g.adjacency()):
+        strength_sum[c] = strength_sum.get(c, 0) + sum(row.values())
+        intra2[c] = intra2.get(c, 0) + sum(w for j, w in row.items() if cluster[j] == c)
+    numerator = sum(2 * w_total * intra2[c] - s * s for c, s in strength_sum.items())
     return numerator / (4 * w_total * w_total)
 
 
@@ -108,14 +104,13 @@ def fast_greedy(g: WeightedGraph) -> Partition:
         assignment = {v: i for i, v in enumerate(labels)}
         return Partition(assignment=assignment, modularity=0.0)
 
-    index = {v: i for i, v in enumerate(labels)}
-    a = [g.strength(v) / w2 for v in labels]
-    dq: dict[int, dict[int, float]] = {i: {} for i in range(n)}
-    for u, v, w in g.edges():
-        i, j = index[u], index[v]
-        gain = 2.0 * (w / w2 - a[i] * a[j])
-        dq[i][j] = gain
-        dq[j][i] = gain
+    adj = g.adjacency()
+    a = [sum(row.values()) / w2 for row in adj]
+    # a[i] * a[j] and a[j] * a[i] are the same float, so dq stays symmetric
+    dq: dict[int, dict[int, float]] = {
+        i: {j: 2.0 * (w / w2 - a[i] * a[j]) for j, w in row.items()}
+        for i, row in enumerate(adj)
+    }
     heap = _pair_heap(dq)
     live = len(heap)  # connected cluster pairs, one valid heap entry each
 
@@ -214,13 +209,12 @@ def _heap_is_stale(size: int, live: int) -> bool:
 
 def in_group_degree(g: WeightedGraph, partition: Partition) -> dict[str, int]:
     """Summed edge weight from each node to its own cluster."""
-    assignment = partition.assignment
-    totals: dict[str, int] = {v: 0 for v in g.labels()}
-    for u, v, w in g.edges():
-        if assignment[u] == assignment[v]:
-            totals[u] += w
-            totals[v] += w
-    return totals
+    labels = g.labels()
+    cluster = [partition.assignment[v] for v in labels]
+    return {
+        v: sum(w for j, w in row.items() if cluster[j] == c)
+        for v, c, row in zip(labels, cluster, g.adjacency())
+    }
 
 
 def name_clusters(g: WeightedGraph, partition: Partition) -> Partition:

@@ -29,19 +29,17 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, GraphError
 from .graph import SliceSpec
 from .normalize import DEFAULT_SYNONYM_THRESHOLD, default_lexicon_dir
 
 _TOP_KEYS = {"inputs", "lexicon", "slices", "thresholds", "output_dir", "seed", "flags"}
 _LEXICON_KEYS = {"protected", "abbrev", "merges"}
-_THRESHOLD_KEYS = {"max_keywords", "synonym_threshold", "top_k", "profile_k"}
-_FLAG_KEYS = {
-    "exhaustive_pairing",
-    "power_law_on",
-    "discrete_power_law",
-    "ego_degree_scope",
-}
+# each key is also the name of its RunConfig field, which the manifest echoes
+THRESHOLD_KEYS = frozenset({"max_keywords", "synonym_threshold", "top_k", "profile_k"})
+FLAG_KEYS = frozenset(
+    {"exhaustive_pairing", "power_law_on", "discrete_power_law", "ego_degree_scope"}
+)
 
 
 @dataclass(frozen=True)
@@ -92,13 +90,13 @@ def load_config(path: str | Path) -> RunConfig:
     slices = _parse_slices(raw.get("slices"), path)
 
     thresholds = raw.get("thresholds", {})
-    if not isinstance(thresholds, dict) or set(thresholds) - _THRESHOLD_KEYS:
+    if not isinstance(thresholds, dict) or set(thresholds) - THRESHOLD_KEYS:
         raise ConfigError(f"{path}: thresholds must be an object with "
-                          f"keys {sorted(_THRESHOLD_KEYS)}")
+                          f"keys {sorted(THRESHOLD_KEYS)}")
     flags = raw.get("flags", {})
-    if not isinstance(flags, dict) or set(flags) - _FLAG_KEYS:
+    if not isinstance(flags, dict) or set(flags) - FLAG_KEYS:
         raise ConfigError(
-            f"{path}: flags must be an object with keys {sorted(_FLAG_KEYS)}"
+            f"{path}: flags must be an object with keys {sorted(FLAG_KEYS)}"
         )
     power_law_on = flags.get("power_law_on", "strength")
     if power_law_on not in ("strength", "degree"):
@@ -241,14 +239,18 @@ def _parse_slices(value: object, where: Path) -> tuple[SliceSpec, ...] | None:
             )
         years = entry.get("years", "all")
         if years == "all":
-            specs.append(SliceSpec(label=str(label), years=None))
+            span = None
         elif isinstance(years, list) and len(years) == 2 and all(map(_is_int, years)):
-            specs.append(SliceSpec(label=str(label), years=(years[0], years[1])))
+            span = (years[0], years[1])
         else:
             raise ConfigError(
                 f"{where}: slice {shown}: years must be two integers "
                 '[first, last] or "all"'
             )
+        try:
+            specs.append(SliceSpec(label=str(label), years=span))
+        except GraphError as exc:  # an empty label or year range
+            raise ConfigError(f"{where}: slice {shown}: {exc}") from exc
     labels = [s.label for s in specs]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"{where}: slice labels must be unique")

@@ -304,12 +304,12 @@ def to_graphml(g: WeightedGraph, labeled: Iterable[str] | None = None) -> str:
             flag = "true" if label in labeled_set else "false"
             out.write(f'<data key="d3">{flag}</data>')
         out.write("</node>\n")
-    index = {label: i for i, label in enumerate(labels)}
-    for u, v, w in g.edges():
-        out.write(
-            f'    <edge source="n{index[u]}" target="n{index[v]}">'
-            f'<data key="d2">{w}</data></edge>\n'
-        )
+    for i, row in enumerate(g.adjacency()):
+        for j in sorted(j for j in row if j > i):
+            out.write(
+                f'    <edge source="n{i}" target="n{j}">'
+                f'<data key="d2">{row[j]}</data></edge>\n'
+            )
     out.write("  </graph>\n</graphml>\n")
     return out.getvalue()
 

@@ -169,8 +169,16 @@ def expand_parenthetical(keyword: str, lexicon: NormalizationLexicon) -> str:
 
 
 def apply_abbrev_map(keyword: str, lexicon: NormalizationLexicon) -> str:
-    """Expand ``keyword`` when it is, in its entirety, a known short form."""
-    return lexicon.abbrev_map.get(keyword, keyword)
+    """Expand ``keyword`` when it, or its singular, is a known short form.
+
+    The singular counts so that a plural short form ("llms") expands like
+    its singular: singularization runs after this stage, and a second
+    normalization would otherwise expand the "llm" the first one left.
+    """
+    abbrev = lexicon.abbrev_map
+    if keyword in abbrev:
+        return abbrev[keyword]
+    return abbrev.get(singularize(keyword, lexicon.protected_tokens), keyword)
 
 
 def similarity(a: str, b: str) -> float:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .communities import cluster_profiles, fast_greedy
-from .config import RunConfig
+from .config import FLAG_KEYS, THRESHOLD_KEYS, RunConfig
 from .corpus import Corpus, FilterReport, concat_corpora, filter_eligible, load_corpus
 from .errors import ConfigError, FitError, KcnError, StageError
 from .graph import (
@@ -246,8 +246,8 @@ def _analyze_slice(
         with _stage("macro"):
             summary = summarize(g)
             values = sorted(
-                (g.strength(v) if config.power_law_on == "strength" else g.degree(v))
-                for v in g.labels()
+                (sum(row.values()) if config.power_law_on == "strength" else len(row))
+                for row in g.adjacency()
             )
             positive = [v for v in values if v > 0]
             fit = None
@@ -443,18 +443,8 @@ def _manifest(
     echo = {
         "seed": config.seed,
         "slices": config.raw.get("slices"),
-        "thresholds": {
-            "max_keywords": config.max_keywords,
-            "synonym_threshold": config.synonym_threshold,
-            "top_k": config.top_k,
-            "profile_k": config.profile_k,
-        },
-        "flags": {
-            "exhaustive_pairing": config.exhaustive_pairing,
-            "power_law_on": config.power_law_on,
-            "discrete_power_law": config.discrete_power_law,
-            "ego_degree_scope": config.ego_degree_scope,
-        },
+        "thresholds": {key: getattr(config, key) for key in THRESHOLD_KEYS},
+        "flags": {key: getattr(config, key) for key in FLAG_KEYS},
     }
     inputs = [
         {"path": _given_path(entry), "sha256": _sha256(spec.path)}

@@ -145,6 +145,30 @@ def test_fast_greedy_trace_replay_on_random_graphs():
         assert part.modularity == pytest.approx(best_q, abs=1e-9)
 
 
+def test_fast_greedy_ignores_the_insertion_order_of_adjacency_rows():
+    # unit weights tie many gains, so the id-pair rule alone orders those merges
+    rng = random.Random(64)
+    reordered = 0
+    for _ in range(60):
+        g = oracles.random_connected_graph(rng, n_max=16, max_weight=1)
+        rows = [list(row.items()) for row in g.adjacency()]
+        for row in rows:
+            rng.shuffle(row)
+        reordered += any(
+            list(row) != [j for j, _ in items] for row, items in zip(g.adjacency(), rows)
+        )
+        freq = [g.freq(v) for v in g.labels()]
+        shuffled = WeightedGraph(g.labels(), [dict(items) for items in rows], freq)
+        want, got = fast_greedy(g), fast_greedy(shuffled)
+        assert [
+            (s.a, s.b, repr(s.delta_q), repr(s.q_after)) for s in got.merge_trace
+        ] == [(s.a, s.b, repr(s.delta_q), repr(s.q_after)) for s in want.merge_trace]
+        assert got.assignment == want.assignment
+        assert repr(got.modularity) == repr(want.modularity)
+        assert in_group_degree(shuffled, got) == in_group_degree(g, want)
+    assert reordered >= 50
+
+
 def test_fast_greedy_reaches_exhaustive_optimum_on_small_graphs():
     rng = random.Random(62)
     hits = 0

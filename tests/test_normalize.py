@@ -120,6 +120,18 @@ def test_expand_parenthetical_registers_short_form():
     assert apply_abbrev_map("xai", lex) == "explainable ai"
 
 
+def test_plural_short_form_expands_like_its_singular():
+    lex = NormalizationLexicon(protected_tokens={"ses"})
+    lex.register_abbrev("llm", "large language model")
+    lex.register_abbrev("ses", "socioeconomic status")
+    assert apply_abbrev_map("llms", lex) == "large language model"
+    assert apply_abbrev_map("ses", lex) == "socioeconomic status"
+    assert apply_abbrev_map("llm models", lex) == "llm models"
+    records = (ArticleRecord("r1", "v", 2021, ("LLMs",)),)
+    out, _ = normalize_corpus(Corpus(records=records), lex)
+    assert out.records[0].keywords == ("large language model",)
+
+
 def test_expand_parenthetical_passthrough_without_parens():
     lex = NormalizationLexicon()
     assert expand_parenthetical("plain keyword", lex) == "plain keyword"

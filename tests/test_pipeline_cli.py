@@ -167,8 +167,10 @@ def test_load_config_slice_forms(tmp_path):
         ({"label": "x", "years": [True, 2021]}, '"label": "x"'),
         ({"label": None, "years": "all"}, '"label": null'),
         ({"label": False}, '"label": false'),
+        ({"label": "", "years": "all"}, '"label": ""'),
+        ({"label": "x", "years": [2022, 2021]}, '"years": [2022, 2021]'),
     ],
-    ids=["bare-true", "bool-year", "null-label", "false-label"],
+    ids=["bare-true", "bool-year", "null-label", "false-label", "empty-label", "empty-years"],
 )
 def test_load_config_rejects_slices_that_are_not_ints_or_labels(tmp_path, entry, named):
     p = tmp_path / "c.json"
@@ -765,6 +767,44 @@ def test_cli_inspect_needs_finished_bundle(tmp_path):
     res = _run_cli("inspect", "anything", "--bundle", str(tmp_path))
     assert res.returncode == 1
     assert "manifest.json" in res.stderr
+
+
+@pytest.mark.parametrize(
+    ("name", "text"),
+    [
+        ("manifest.json", "{"),
+        ("manifest.json", "[]"),
+        ("emerging.json", '[{"keyword": '),
+        ("audit.jsonl", '{"raw": "x"\n'),
+    ],
+    ids=["manifest", "manifest-not-object", "emerging", "audit"],
+)
+def test_cli_inspect_damaged_bundle_file_is_one_error_line(tmp_path, bundle, name, text):
+    damaged = tmp_path / "bundle"
+    shutil.copytree(bundle, damaged)
+    (damaged / name).write_text(text, "utf-8")
+    before = _tree(damaged)
+    res = _run_cli("inspect", "neural network", "--bundle", str(damaged))
+    assert res.returncode == 1
+    assert res.stderr.startswith("kcn: error:")
+    assert len(res.stderr.splitlines()) == 1
+    assert str(damaged / name) in res.stderr
+    assert _tree(damaged) == before
+
+
+@pytest.mark.parametrize("where", ["directory", "missing/x.csv"])
+def test_cli_export_to_an_unwritable_path_is_one_error_line(tmp_path, where):
+    out = tmp_path / where
+    if where == "directory":
+        out.mkdir()
+    res = _run_cli(
+        "export", "--config", str(CONFIG), "--format", "csv", "--out", str(out)
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("kcn: error:")
+    assert len(res.stderr.splitlines()) == 1
+    assert str(out) in res.stderr
+    assert _tree(tmp_path) == {}
 
 
 def test_cli_export_formats(tmp_path):

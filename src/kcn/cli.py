@@ -158,7 +158,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     emerging = bundle / "emerging.json"
     if emerging.is_file():
         entries = _load_json(emerging.read_text("utf-8"), emerging)
-        keywords = [e["keyword"] for e in entries]
+        if not isinstance(entries, list):
+            raise KcnError(f"{emerging}: expected a JSON list of entries")
+        keywords = [
+            _entry(e, f"{emerging}: entry {i}", ("keyword",))["keyword"]
+            for i, e in enumerate(entries, 1)
+        ]
         name = dict(zip(keywords, ego_file_names(keywords))).get(canonical)
         if name is not None and (bundle / name).is_file():
             print(f"ego network: {name}")
@@ -173,7 +178,8 @@ def _audit_chain(bundle: Path, keyword: str) -> list[tuple[str, str, str]]:
     for lineno, line in enumerate(path.read_text("utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        entry = _load_json(line, f"{path}:{lineno}")
+        where = f"{path}:{lineno}"
+        entry = _entry(_load_json(line, where), where, ("rule", "raw", "canonical"))
         by_rule.setdefault(entry["rule"], {})[entry["raw"]] = entry["canonical"]
     chain = []
     current = keyword
@@ -217,6 +223,17 @@ def _load_json(text: str, where: Path | str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise KcnError(f"{where}: invalid JSON: {exc}") from exc
+
+
+def _entry(value, where: str, fields: tuple[str, ...]) -> dict:
+    """``value`` if it is a JSON object whose ``fields`` are all strings;
+    otherwise an error naming ``where``."""
+    if not isinstance(value, dict):
+        raise KcnError(f"{where}: expected a JSON object")
+    for name in fields:
+        if not isinstance(value.get(name), str):
+            raise KcnError(f"{where}: {name!r} must be a string")
+    return value
 
 
 def _row_of(path: Path, keyword: str) -> list[str] | None:

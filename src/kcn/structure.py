@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FitError, GraphError
 from .graph import WeightedGraph
+
+if TYPE_CHECKING:  # numpy loads only when a fit runs
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -208,12 +209,14 @@ def ccdf(values: Iterable[float]) -> list[tuple[float, float]]:
     One row per distinct value, ascending; starts at probability 1 and is
     non-increasing.
     """
-    data = np.asarray(sorted(values), dtype=float)
-    if data.size == 0:
+    data = [float(v) for v in sorted(values)]
+    n = len(data)
+    if n == 0:
         raise FitError("ccdf needs at least one value")
-    xs, first = np.unique(data, return_index=True)
-    probs = (data.size - first) / data.size
-    return [(float(x), float(p)) for x, p in zip(xs, probs)]
+    # int / int is correctly rounded: each probability is the float nearest (n - i) / n
+    return [
+        (x, (n - i) / n) for i, x in enumerate(data) if i == 0 or x != data[i - 1]
+    ]
 
 
 def fit_power_law(
@@ -233,6 +236,8 @@ def fit_power_law(
     With ``discrete=True`` the values must be positive integers and the
     exponent maximizes the zeta-normalized discrete likelihood instead.
     """
+    import numpy as np
+
     xs = np.asarray(sorted(float(v) for v in values), dtype=float)
     if xs.size < min_tail:
         raise FitError(f"need at least {min_tail} values, got {xs.size}")
@@ -268,6 +273,8 @@ def _continuous_tail(
     tail: np.ndarray, n_tail: int, log_sum: float, log_xmin: float
 ) -> PowerLawFit | None:
     """The continuous fit above ``tail[0]``; None without log-spread."""
+    import numpy as np
+
     log_spread = log_sum - n_tail * log_xmin
     if log_spread <= 0.0:
         return None
@@ -290,6 +297,7 @@ def _discrete_tail(
 
     ``log_xmin`` goes unused; the signature is ``_continuous_tail``'s.
     """
+    import numpy as np
     from scipy.optimize import minimize_scalar
     from scipy.special import zeta
 

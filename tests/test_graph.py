@@ -217,6 +217,20 @@ def test_graphml_structure_and_escaping():
     assert flags == {"n0": ["true"], "n1": ["false"]}
 
 
+def test_graphml_label_escaping_matches_saxutils():
+    from xml.sax.saxutils import escape
+
+    labels = ["a&b", "a<b", "a>b", 'say "x"', "it's", "]]>", "&amp;", "&<>\"']]>&amp;"]
+    g = WeightedGraph.from_edges([(a, b, 1) for a, b in zip(labels, labels[1:])])
+    text = to_graphml(g)
+    for label in labels:
+        assert f'<data key="d0">{escape(label)}</data>' in text
+    root = ET.fromstring(text)
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    parsed = [d.text for d in root.findall(".//g:data", ns) if d.get("key") == "d0"]
+    assert parsed == list(g.labels())
+
+
 def test_graphml_without_labeled_flag_has_no_d3():
     g = WeightedGraph.from_edges([("a", "b", 1)])
     assert "d3" not in to_graphml(g)

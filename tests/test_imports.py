@@ -1,0 +1,71 @@
+"""Each ``kcn`` command loads only the modules it runs.
+
+numpy loads only for the macro power-law fit and scipy only for the
+discrete one; GraphML escaping needs no ``xml.sax``, whose ``saxutils``
+pulls in ``urllib.request``, ``http.client`` and ``ssl``. Each probe is a
+fresh interpreter with only ``src`` on its path.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import DATA
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CONFIG = DATA / "config.json"
+HEAVY = ("numpy", "scipy", "xml.sax", "urllib.request")
+
+# runs ``kcn`` with the given arguments (or only loads the config), then
+# prints which of HEAVY the interpreter holds as its last line
+PROBE = f"""
+import json, sys
+from kcn.cli import main
+from kcn.config import load_config
+if len(sys.argv) > 1:
+    code = main(sys.argv[1:])
+else:
+    load_config({str(CONFIG)!r})
+    code = 0
+print(json.dumps([code, [m for m in {HEAVY!r} if m in sys.modules]]))
+"""
+
+
+def _loaded(tmp_path: Path, *args: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run(
+        [sys.executable, "-c", PROBE, *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    code, loaded = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0, res.stderr
+    return loaded
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("export", "--config", str(CONFIG), "--slice", "all", "--format", "graphml",
+         "--out", "all.graphml"),
+        ("run", "--config", str(CONFIG), "--out", "bundle", "--only", "meso",
+         "--only", "micro"),
+    ],
+    ids=["config", "export-graphml", "run-meso-micro"],
+)
+def test_command_loads_no_numpy_scipy_or_xml_sax(tmp_path, args):
+    assert _loaded(tmp_path, *args) == []
+
+
+def test_full_run_loads_numpy_for_the_fit(tmp_path):
+    # shows the probe sees an import: macro fits a power law with numpy
+    loaded = _loaded(tmp_path, "run", "--config", str(CONFIG), "--out", "bundle")
+    assert "numpy" in loaded
+    assert "xml.sax" not in loaded

@@ -792,6 +792,31 @@ def test_cli_inspect_damaged_bundle_file_is_one_error_line(tmp_path, bundle, nam
     assert _tree(damaged) == before
 
 
+@pytest.mark.parametrize(
+    ("name", "text", "where"),
+    [
+        ("emerging.json", '{"a": 1}', ""),
+        ("emerging.json", '[{"keyword": "x"}, {"keyword": 3}]', ": entry 2"),
+        ("emerging.json", '[["x"]]', ": entry 1"),
+        ("audit.jsonl", '{"rule": "fold", "raw": "A", "canonical": "a"}\n[1]\n', ":2"),
+        ("audit.jsonl", '{"rule": "merge"}\n', ":1"),
+        ("audit.jsonl", '{"rule": "merge", "raw": "x", "canonical": null}\n', ":1"),
+    ],
+    ids=["emerging-object", "emerging-keyword", "emerging-entry", "audit-list",
+         "audit-missing", "audit-null"],
+)
+def test_cli_inspect_bundle_entry_of_the_wrong_shape_is_one_error_line(
+    tmp_path, bundle, name, text, where
+):
+    damaged = tmp_path / "bundle"
+    shutil.copytree(bundle, damaged)
+    (damaged / name).write_text(text, "utf-8")
+    res = _run_cli("inspect", "neural network", "--bundle", str(damaged))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"kcn: error: {damaged / name}{where}: ")
+    assert len(res.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("where", ["directory", "missing/x.csv"])
 def test_cli_export_to_an_unwritable_path_is_one_error_line(tmp_path, where):
     out = tmp_path / where

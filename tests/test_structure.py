@@ -324,6 +324,40 @@ def test_ccdf_empty_is_an_error():
         ccdf([])
 
 
+def _ccdf_numpy(values) -> list[tuple[float, float]]:
+    """The numpy form of ``ccdf``: first indices from ``np.unique``."""
+    data = np.asarray(sorted(values), dtype=float)
+    xs, first = np.unique(data, return_index=True)
+    probs = (data.size - first) / data.size
+    return [(float(x), float(p)) for x, p in zip(xs, probs)]
+
+
+def test_ccdf_matches_numpy_reference_bit_for_bit():
+    rng = random.Random(61)
+    inputs = [
+        [7],
+        [2.5],
+        [3, 3, 3],
+        [1, 1.0, 2],
+        [0.1, 0.2, 0.30000000000000004, 0.3],
+        [2**53, 2**53 + 1, 5],  # distinct ints that round to one float
+    ]
+    for _ in range(900):
+        n = rng.randint(1, 300)
+        kind = rng.randrange(4)
+        if kind == 0:  # int strengths, many ties
+            values = [rng.randint(1, 40) for _ in range(n)]
+        elif kind == 1:  # floats with ties
+            values = [round(rng.uniform(0, 10), 1) for _ in range(n)]
+        elif kind == 2:
+            values = [rng.uniform(0, 1e6) for _ in range(n)]
+        else:
+            values = [rng.paretovariate(1.5) for _ in range(n)]
+        inputs.append(values)
+    for values in inputs:
+        assert repr(ccdf(values)) == repr(_ccdf_numpy(values))
+
+
 # --- power-law fitting ----------------------------------------------------------------
 
 

@@ -17,7 +17,15 @@ from pathlib import Path
 from .config import load_config
 from .errors import KcnError, NormalizationError
 from .graph import build_kcn, to_dot, to_edge_csv, to_graphml
-from .normalize import fold_case_hyphens, similarity
+from .normalize import (
+    RULE_ABBREV,
+    RULE_FOLD,
+    RULE_MERGE,
+    RULE_PAREN,
+    RULE_SINGULAR,
+    fold_case_hyphens,
+    similarity,
+)
 from .pipeline import STAGES, _safe_name, ego_file_names, prepare, run_pipeline, slice_file
 
 # unused since export goes through prepare(); kept bound because perfbench/tracer.py wraps them
@@ -190,9 +198,9 @@ def _audit_chain(bundle: Path, keyword: str) -> list[tuple[str, str, str]]:
     except NormalizationError:
         folded = current
     if folded != current:
-        chain.append((current, folded, "fold"))
+        chain.append((current, folded, RULE_FOLD))
         current = folded
-    for rule in ("paren", "abbrev", "singular", "merge"):
+    for rule in (RULE_PAREN, RULE_ABBREV, RULE_SINGULAR, RULE_MERGE):
         nxt = by_rule.get(rule, {}).get(current)
         if nxt is not None and nxt != current:
             chain.append((current, nxt, rule))

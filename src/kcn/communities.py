@@ -10,7 +10,7 @@ kept so the agglomeration can be audited and exported as a dendrogram.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import GraphError
@@ -33,7 +33,6 @@ class Partition:
 
     assignment: dict[str, int]
     modularity: float
-    cluster_names: dict[int, str] = field(default_factory=dict)
     merge_trace: tuple[MergeStep, ...] = ()
 
     def clusters(self) -> dict[int, list[str]]:
@@ -217,10 +216,9 @@ def in_group_degree(g: WeightedGraph, partition: Partition) -> dict[str, int]:
     }
 
 
-def name_clusters(g: WeightedGraph, partition: Partition) -> Partition:
-    """Name every cluster after the top member of its ``cluster_profiles``."""
-    names = {p.cluster_id: p.name for p in cluster_profiles(g, partition, 1)}
-    return replace(partition, cluster_names=names)
+def name_clusters(g: WeightedGraph, partition: Partition) -> dict[int, str]:
+    """Cluster id to the top member of its ``cluster_profiles``."""
+    return {p.cluster_id: p.name for p in cluster_profiles(g, partition, 1)}
 
 
 def cluster_profiles(

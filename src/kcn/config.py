@@ -26,7 +26,7 @@ Recognized keys::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, GraphError
@@ -57,17 +57,17 @@ class RunConfig:
     abbrev_path: Path | None
     merges_path: Path | None
     slices: tuple[SliceSpec, ...] | None
-    max_keywords: int = 10
-    synonym_threshold: float = DEFAULT_SYNONYM_THRESHOLD
-    top_k: int = 20
-    profile_k: int = 10
-    output_dir: Path | None = None
-    seed: int = 0
-    exhaustive_pairing: bool = False
-    power_law_on: str = "strength"
-    discrete_power_law: bool = False
-    ego_degree_scope: str = "ego"
-    raw: dict = field(default_factory=dict)
+    max_keywords: int
+    synonym_threshold: float
+    top_k: int
+    profile_k: int
+    output_dir: Path | None
+    seed: int
+    exhaustive_pairing: bool
+    power_law_on: str
+    discrete_power_law: bool
+    ego_degree_scope: str
+    raw: dict
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -109,7 +109,7 @@ def filter_eligible(
     kept: list[ArticleRecord] = []
     excluded: list[Exclusion] = []
     for record in corpus.records:
-        deduped = _dedupe(record.keywords)
+        deduped = tuple(dict.fromkeys(record.keywords))
         if not deduped:
             excluded.append(Exclusion(record.id, REASON_NO_KEYWORDS))
         elif len(deduped) > max_keywords:
@@ -120,17 +120,6 @@ def filter_eligible(
             )
     filtered = Corpus(records=tuple(kept))
     return filtered, FilterReport(excluded=tuple(excluded), retained=len(kept))
-
-
-def _dedupe(keywords: Iterable[str]) -> tuple[str, ...]:
-    # preserve first-occurrence order while removing exact repeats
-    seen: set[str] = set()
-    out: list[str] = []
-    for kw in keywords:
-        if kw not in seen:
-            seen.add(kw)
-            out.append(kw)
-    return tuple(out)
 
 
 def _check_unique_ids(records: Iterable[ArticleRecord], source: str) -> None:

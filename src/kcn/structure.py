@@ -310,13 +310,12 @@ def _discrete_tail(
     alpha = float(res.x)
     distinct = np.unique(tail)
     z0 = zeta(alpha, xmin)
-    model_ccdf = np.array([zeta(alpha, x) for x in distinct]) / z0
-    emp_ge = np.array([(tail >= x).sum() for x in distinct]) / n_tail
-    emp_gt = np.array([(tail > x).sum() for x in distinct]) / n_tail
+    # the tail is sorted, so the counts at or above each value are index gaps
+    emp_ge = (n_tail - np.searchsorted(tail, distinct, side="left")) / n_tail
+    emp_gt = (n_tail - np.searchsorted(tail, distinct, side="right")) / n_tail
     # compare CCDFs just above and below each step
     ks = float(
-        np.max(np.maximum(np.abs(emp_ge - model_ccdf),
-                          np.abs(emp_gt - np.array(
-                              [zeta(alpha, x + 1) for x in distinct]) / z0)))
+        np.max(np.maximum(np.abs(emp_ge - zeta(alpha, distinct) / z0),
+                          np.abs(emp_gt - zeta(alpha, distinct + 1) / z0)))
     )
     return PowerLawFit(alpha=alpha, xmin=float(xmin), ks_stat=ks, n_tail=int(n_tail))

@@ -312,17 +312,16 @@ def test_name_clusters_tie_breaks():
     g = WeightedGraph.from_edges(
         [("b", "a", 3)], freq={"a": 1, "b": 5}
     )
-    part = fast_greedy(g)
-    named = name_clusters(g, part)
-    assert set(named.cluster_names.values()) == {"b"}
+    names = name_clusters(g, fast_greedy(g))
+    assert set(names.values()) == {"b"}
 
     g2 = WeightedGraph.from_edges([("b", "a", 3)], freq={"a": 2, "b": 2})
-    named2 = name_clusters(g2, fast_greedy(g2))
-    assert set(named2.cluster_names.values()) == {"a"}
+    names2 = name_clusters(g2, fast_greedy(g2))
+    assert set(names2.values()) == {"a"}
 
 
 def test_cluster_profiles_top1_is_the_name(two_triangles):
-    part = name_clusters(two_triangles, fast_greedy(two_triangles))
+    part = fast_greedy(two_triangles)
     profiles = cluster_profiles(two_triangles, part, k=2)
     assert len(profiles) == 2
     for profile in profiles:
@@ -339,7 +338,7 @@ def test_cluster_profiles_truncate_and_rank():
     )
     part = fast_greedy(g)
     if len(part.clusters()) == 1:
-        profiles = cluster_profiles(g, name_clusters(g, part), k=3)
+        profiles = cluster_profiles(g, part, k=3)
         ranked = [v for v, _ in profiles[0].top]
         assert ranked[0] == "hub"
         assert len(ranked) == 3
@@ -349,7 +348,7 @@ def test_cluster_profiles_random_consistency():
     rng = random.Random(65)
     for _ in range(15):
         g = oracles.random_connected_graph(rng)
-        part = name_clusters(g, fast_greedy(g))
+        part = fast_greedy(g)
         profiles = cluster_profiles(g, part, k=4)
         assert sum(p.size for p in profiles) == g.n
         ingroup = in_group_degree(g, part)

@@ -69,3 +69,20 @@ def test_full_run_loads_numpy_for_the_fit(tmp_path):
     loaded = _loaded(tmp_path, "run", "--config", str(CONFIG), "--out", "bundle")
     assert "numpy" in loaded
     assert "xml.sax" not in loaded
+
+
+def test_inspect_loads_no_numpy_scipy_or_xml_sax(tmp_path):
+    _loaded(tmp_path, "run", "--config", str(CONFIG), "--out", "bundle",
+            "--only", "meso", "--only", "micro")
+    assert _loaded(tmp_path, "inspect", "Neural Networks", "--bundle", "bundle") == []
+
+
+def test_graph_loads_only_corpus_and_errors(tmp_path):
+    # the package root imports no submodule, so kcn.graph pulls in only its own imports
+    probe = ("import json, sys, kcn.graph; print(json.dumps(sorted("
+             "m for m in sys.modules if m == 'kcn' or m.startswith('kcn.'))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == ["kcn", "kcn.corpus", "kcn.errors", "kcn.graph"]

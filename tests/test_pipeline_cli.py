@@ -192,6 +192,29 @@ def test_load_config_lexicon_null_disables(tmp_path):
     assert config.abbrev_path is not None  # others keep the default
 
 
+def test_load_config_defaults_are_the_documented_ones(tmp_path):
+    # the defaults README and the config module docstring give
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"inputs": [str(DATA / "synthetic_corpus.jsonl")]}), "utf-8")
+    config = load_config(p)
+    thresholds = {"max_keywords": 10, "synonym_threshold": 90.0, "top_k": 20, "profile_k": 10}
+    flags = {
+        "exhaustive_pairing": False,
+        "power_law_on": "strength",
+        "discrete_power_law": False,
+        "ego_degree_scope": "ego",
+    }
+    for key, value in {**thresholds, **flags, "seed": 0, "output_dir": None}.items():
+        assert repr(getattr(config, key)) == repr(value), key
+    out = tmp_path / "b"
+    run_pipeline(config, out_dir=out, only={"meso"})
+    echo = json.loads((out / "manifest.json").read_text("utf-8"))["config"]
+    assert echo["seed"] == 0
+    assert echo["thresholds"] == thresholds
+    assert echo["flags"] == flags
+    assert repr(echo["thresholds"]["synonym_threshold"]) == "90.0"
+
+
 # --- bundle layout and content ---------------------------------------------------------
 
 
@@ -734,6 +757,42 @@ def test_cli_inspect_known_keyword(bundle):
     assert "singular: neural networks -> neural network" in res.stdout
     assert "articles:" in res.stdout
     assert "[all]" in res.stdout
+
+
+def test_cli_inspect_follows_every_rule(tmp_path):
+    # "TLA (Tee)" folds, loses its parenthetical, expands as a short form,
+    # singularizes and merges into the more frequent "short form"
+    (tmp_path / "abbrev.tsv").write_text("tla\tthree letter acronyms\n", "utf-8")
+    (tmp_path / "merges.tsv").write_text("three letter acronym\tshort form\tallow\n", "utf-8")
+    records = [
+        ("r1", 2020, ["TLA (Tee)", "alpha"]),
+        ("r2", 2020, ["short form", "alpha"]),
+        ("r3", 2021, ["short form", "beta"]),
+        ("r4", 2021, ["alpha", "beta"]),
+    ]
+    (tmp_path / "c.jsonl").write_text("".join(
+        json.dumps({"id": i, "venue": "v", "year": y, "keywords": kws}) + "\n"
+        for i, y, kws in records
+    ), "utf-8")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "inputs": ["c.jsonl"],
+        "lexicon": {"abbrev": "abbrev.tsv", "merges": "merges.tsv"},
+    }), "utf-8")
+    out = tmp_path / "b"
+    res = _run_cli("run", "--config", str(config), "--out", str(out), "--only", "micro")
+    assert res.returncode == 0, res.stderr
+    res = _run_cli("inspect", "TLA (Tee)", "--bundle", str(out))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[:7] == [
+        "keyword: TLA (Tee)",
+        "  fold: TLA (Tee) -> tla (tee)",
+        "  paren: tla (tee) -> tla",
+        "  abbrev: tla -> three letter acronyms",
+        "  singular: three letter acronyms -> three letter acronym",
+        "  merge: three letter acronym -> short form",
+        "canonical: short form",
+    ]
 
 
 def test_cli_inspect_unknown_keyword_suggests(bundle):

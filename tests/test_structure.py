@@ -452,6 +452,46 @@ def test_fit_discrete_matches_bruteforce_scan():
         assert fit.ks_stat == pytest.approx(ks, rel=0, abs=1e-9)
 
 
+def _discrete_tail_per_value(tail, n_tail, log_sum):
+    """The discrete tail fit with one Python loop per distinct value."""
+    from scipy.optimize import minimize_scalar
+    from scipy.special import zeta
+
+    xmin = int(tail[0])
+
+    def nll(alpha):
+        return n_tail * math.log(zeta(alpha, xmin)) + alpha * log_sum
+
+    alpha = float(minimize_scalar(nll, bounds=(1.0001, 20.0), method="bounded").x)
+    distinct = np.unique(tail)
+    z0 = zeta(alpha, xmin)
+    model_ge = np.array([zeta(alpha, x) for x in distinct]) / z0
+    model_gt = np.array([zeta(alpha, x + 1) for x in distinct]) / z0
+    emp_ge = np.array([(tail >= x).sum() for x in distinct]) / n_tail
+    emp_gt = np.array([(tail > x).sum() for x in distinct]) / n_tail
+    ks = float(np.max(np.maximum(np.abs(emp_ge - model_ge), np.abs(emp_gt - model_gt))))
+    return alpha, ks
+
+
+def test_discrete_tail_matches_the_per_value_loops_bit_for_bit():
+    from scipy.stats import zipf
+
+    from kcn.structure import _discrete_tail
+
+    rng = np.random.default_rng(53)
+    for k in range(200):
+        # zipf tails with many ties, shifted so the cutoff is not always 1
+        values = zipf.rvs(1.6 + 0.01 * k, loc=k % 7, size=10 + 3 * k, random_state=rng)
+        tail = np.sort(values.astype(int))
+        if tail[-1] == tail[0]:
+            continue
+        n_tail = np.int64(tail.size)
+        log_sum = float(np.log(tail.astype(float)).sum())
+        fit = _discrete_tail(tail, n_tail, log_sum, math.log(tail[0]))
+        alpha, ks = _discrete_tail_per_value(tail, n_tail, log_sum)
+        assert (repr(fit.alpha), repr(fit.ks_stat)) == (repr(alpha), repr(ks)), k
+
+
 def test_fit_discrete_rejects_non_integers():
     with pytest.raises(FitError, match="integer"):
         fit_power_law([1.5] * 20, discrete=True)

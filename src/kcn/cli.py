@@ -127,6 +127,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if not isinstance(manifest, dict):
         raise KcnError(f"{manifest_path}: manifest must be a JSON object")
     slices = manifest.get("slices", [])
+    if not isinstance(slices, list) or not all(isinstance(s, str) for s in slices):
+        raise KcnError(f"{manifest_path}: 'slices' must be a list of strings")
+    for label in slices:
+        # slices/. and slices/.. would be the slices directory and the bundle root
+        if _safe_name(label) in (".", ".."):
+            raise KcnError(
+                f"{manifest_path}: slice label {label!r} cannot name a slice directory"
+            )
 
     chain = _audit_chain(bundle, args.keyword)
     canonical = chain[-1][1] if chain else args.keyword

@@ -38,3 +38,7 @@ class StageError(KcnError):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # rebuilt from both arguments when a forked worker pickles it back
+        return type(self), (self.stage, self.cause)

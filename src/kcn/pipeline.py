@@ -53,7 +53,15 @@ from .graph import (
 )
 from .normalize import NormalizationLexicon, default_lexicon_dir, load_lexicon, normalize_corpus
 from .structure import average_clustering, ccdf, fit_power_law, profile_nodes, summarize
-from .trends import detect_emerging, ego_network, frequency_table, top_k_table, weighted_betweenness
+from .trends import (
+    CentralityTable,
+    _forked,
+    detect_emerging,
+    ego_network,
+    frequency_table,
+    top_k_table,
+    weighted_betweenness,
+)
 
 # unused since cluster_profiles names the clusters; kept bound because perfbench/tracer.py wraps it
 from .communities import name_clusters
@@ -66,6 +74,9 @@ _SAFE_RE = re.compile(r"[^\w.-]+")
 # longest ego file name (suffix and ".graphml" included) and safe slice label,
 # in bytes; file systems commonly refuse names over 255 bytes
 _EGO_NAME_BYTES = 200
+
+# the fixed cost of a slice's files, in keyword pairs; see _child_share
+_SLICE_PAIRS = 100
 
 # per-slice files whose name repeats the slice label
 _LABELED_KINDS = frozenset({"clusters", "membership", "dendrogram", "betweenness"})
@@ -174,18 +185,7 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
     report, normalized, lexicon, slices = prepare(config)
     labels = [s.label for s in slices]
     vocabulary = {kw for r in normalized.records for kw in r.keywords}
-
-    # each slice is analysed as soon as it is built and its graph dropped;
-    # ego views come from the first whole-corpus graph, which keeps every
-    # record, so every emerging keyword is one of its nodes
-    overall = None
-    results = []
-    for spec in slices:
-        with _stage("build"):
-            g = build_kcn(normalized, spec)
-        results.append(_analyze_slice(config, stages, g, spec, out))
-        if overall is None and spec.years is None:
-            overall = g
+    results = _analyze_slices(config, stages, normalized, slices, out)
 
     if "macro" in stages:
         with _stage("macro"):
@@ -193,6 +193,19 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
 
     emerging = []
     if "micro" in stages:
+        # betweenness may fork a child of its own, so it runs once the
+        # slice phase's child is gone, each slice graph built again and
+        # dropped before the next; ego views come from the first
+        # whole-corpus graph, which keeps every record, so every emerging
+        # keyword is one of its nodes
+        overall = None
+        for spec, result in zip(slices, results):
+            with _stage("build"):
+                g = build_kcn(normalized, spec)
+            with _stage("micro"):
+                result["table"] = _write_betweenness(config, g, spec, out)
+            if overall is None and spec.years is None:
+                overall = g
         with _stage("micro"):
             # full table, so lookups work for every canonical keyword
             _write_csv(
@@ -228,6 +241,127 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
         "records": len(normalized),
         "emerging": [e.keyword for e in emerging],
     }
+
+
+def _analyze_slices(
+    config: RunConfig,
+    stages: set[str],
+    normalized: Corpus,
+    slices: list[SliceSpec],
+    out: Path,
+) -> list[dict]:
+    """The slice phase: build, ``edges.csv``, macro and meso of every slice.
+
+    Returns the ``_analyze_slice`` results in slice order. With two CPUs, a
+    forked child (see ``trends._forked``) takes the slices
+    ``_child_share`` picks and writes their files into ``out`` itself;
+    this process runs the rest. Each slice's files and result come from
+    the same calls either way, so no byte depends on the split. Each side
+    runs its slices in slice order and stops at its first failure; of the
+    two, the earlier slice's error is raised, as the serial loop would.
+    """
+    theirs = _child_share(normalized, slices)
+    forked = None
+    if theirs:
+        if "macro" in stages:
+            # the fits need it; loaded once here, not in both processes
+            import numpy  # noqa: F401
+
+        forked = _forked(
+            lambda: _pickled(_slice_share(config, stages, normalized, slices, out, theirs)),
+            lambda: _slice_share(
+                config, stages, normalized, slices, out,
+                [i for i in range(len(slices)) if i not in theirs],
+            ),
+            lambda code: KcnError(
+                f"worker for slices {', '.join(slices[i].label for i in theirs)} "
+                f"failed with exit code {code}"
+            ),
+        )
+    if forked is None:
+        done, failure = _slice_share(
+            config, stages, normalized, slices, out, range(len(slices))
+        )
+    else:
+        import pickle
+
+        payload, (done, failure) = forked
+        their_done, their_failure = pickle.loads(payload)
+        done.update(their_done)
+        # the two sides hold other slices, so only the indices are compared
+        failure = min(filter(None, (failure, their_failure)), default=None)
+    if failure is not None:
+        raise failure[1]
+    return [done[i] for i in range(len(slices))]
+
+
+def _child_share(normalized: Corpus, slices: list[SliceSpec]) -> list[int]:
+    """Indices, ascending, of the slices a forked child analyses.
+
+    A slice costs the keyword pairs of its records plus ``_SLICE_PAIRS``.
+    By falling cost, ties in slice order, each slice goes to the side with
+    the lower total so far, ties to this process, which so keeps at least
+    one slice. The rule reads only the inputs.
+    """
+    pairs: dict[int, int] = {}  # by year
+    for r in normalized.records:
+        k = len(r.keywords)
+        pairs[r.year] = pairs.get(r.year, 0) + k * (k - 1) // 2
+    costs = [
+        _SLICE_PAIRS + sum(p for year, p in pairs.items() if spec.contains(year))
+        for spec in slices
+    ]
+    totals = [0, 0]  # this process, the child
+    theirs = []
+    for i in sorted(range(len(slices)), key=lambda i: -costs[i]):
+        side = int(totals[1] < totals[0])
+        totals[side] += costs[i]
+        if side:
+            theirs.append(i)
+    return sorted(theirs)
+
+
+def _slice_share(
+    config: RunConfig,
+    stages: set[str],
+    normalized: Corpus,
+    slices: list[SliceSpec],
+    out: Path,
+    indices,
+) -> tuple[dict[int, dict], tuple[int, Exception] | None]:
+    """Build and analyse ``slices[i]`` for each ``i`` in ``indices``, in order.
+
+    Returns the results by slice index and, once a slice fails, its index
+    and error; the slices after it do not run. Each graph is dropped
+    once the next is built.
+    """
+    done = {}
+    for i in indices:
+        spec = slices[i]
+        try:
+            with _stage("build"):
+                g = build_kcn(normalized, spec)
+            done[i] = _analyze_slice(config, stages, g, spec, out)
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _pickled(share: tuple[dict[int, dict], tuple[int, Exception] | None]) -> bytes:
+    """``share`` as the forked slice worker sends it back.
+
+    An error that does not survive pickling is sent as a ``KcnError`` with
+    its message.
+    """
+    import pickle
+
+    done, failure = share
+    if failure is not None:
+        try:
+            pickle.loads(pickle.dumps(failure[1]))
+        except Exception:
+            failure = (failure[0], KcnError(str(failure[1])))
+    return pickle.dumps((done, failure))
 
 
 def _analyze_slice(
@@ -328,21 +462,24 @@ def _analyze_slice(
                 ],
             )
 
-    if "micro" in stages:
-        with _stage("micro"):
-            table = top_k_table(
-                g, config.top_k, spec.label, values=weighted_betweenness(g)
-            )
-            result["table"] = table
-            _write_csv(
-                slice_file(out, spec.label, "betweenness", "csv"),
-                ["keyword", "value", "rank"],
-                [
-                    (kw, _fmt(value), rank)
-                    for rank, (kw, value) in enumerate(table.rows, 1)
-                ],
-            )
     return result
+
+
+def _write_betweenness(
+    config: RunConfig, g: WeightedGraph, spec: SliceSpec, out: Path
+) -> CentralityTable:
+    table = top_k_table(
+        g, config.top_k, spec.label, values=weighted_betweenness(g)
+    )
+    _write_csv(
+        slice_file(out, spec.label, "betweenness", "csv"),
+        ["keyword", "value", "rank"],
+        [
+            (kw, _fmt(value), rank)
+            for rank, (kw, value) in enumerate(table.rows, 1)
+        ],
+    )
+    return table
 
 
 def _write_summary_files(out: Path, results: list[dict]) -> None:

@@ -15,7 +15,7 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 from .corpus import Corpus
 from .errors import GraphError
@@ -25,6 +25,8 @@ from .graph import WeightedGraph
 # per node, its (neighbour, distance) pairs; a distance is the lcm of all
 # weights divided by the edge's weight, an exact int
 Steps = list[tuple[tuple[int, int], ...]]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,8 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     nbrs = [tuple((j, scale // w) for j, w in row.items()) for row in adj]
 
     split = _split(n)
-    if _workers() > 1 and 0 < split < n:
-        bc = _forked_sum(nbrs, split)
-    else:
+    bc = _forked_sum(nbrs, split) if 0 < split < n else None
+    if bc is None:
         bc = _prefix_sum(nbrs, range(n))
     labels = g.labels()
     # each unordered pair was visited from both endpoints
@@ -95,7 +96,7 @@ _PAIR_BUDGET = 1 << 21
 
 
 def _workers() -> int:
-    """Processes betweenness may use: 2 with two CPUs or more, else 1.
+    """Processes ``_forked`` may use: 2 with two CPUs or more, else 1.
 
     Only one child plus this process has been measured; more would fork
     per slice and keep more sparse dependencies here. 1 where ``os.fork``
@@ -206,34 +207,69 @@ def _sparse_deltas(nbrs: Steps, sources: range) -> tuple[array, array]:
     return nodes, values
 
 
-def _forked_sum(nbrs: Steps, split: int) -> list[float]:
+def _forked_sum(nbrs: Steps, split: int) -> list[float] | None:
     """Scores of all sources: ``[0, split)`` in a child, the rest here.
 
     A float sum depends on its order, so this process may not sum its
     sources on their own. The child sends back its sum, which is the
     serial prefix, as ``n`` doubles; this process's nonzero dependencies
-    are then added onto it in source order. If no pipe or child can be
-    made, every source runs here. A failed child exits non-zero and makes
-    this raise ``GraphError``. The child is reaped, also when this process
-    raises itself.
+    are then added onto it in source order. None, with nothing run, where
+    ``_forked`` starts no child.
     """
     n = len(nbrs)
+    forked = _forked(
+        lambda: array("d", _prefix_sum(nbrs, range(split))).tobytes(),
+        lambda: _sparse_deltas(nbrs, range(split, n)),
+        lambda code: GraphError(
+            f"betweenness worker for sources 0-{split - 1} "
+            f"failed with exit code {code}"
+        ),
+    )
+    if forked is None:
+        return None
+    payload, (nodes, values) = forked
+    prefix = array("d")
+    prefix.frombytes(payload)
+    bc = prefix.tolist()
+    for u, d in zip(nodes, values):
+        bc[u] += d
+    return bc
+
+
+def _forked(
+    child: Callable[[], bytes],
+    here: Callable[[], T],
+    failed: Callable[[int], Exception],
+) -> tuple[bytes, T] | None:
+    """Run ``child`` in a forked child process and ``here`` in this one.
+
+    Returns the bytes ``child`` returned, read from a pipe, and what
+    ``here`` returned. Returns None, having run neither, where
+    ``_workers()`` is 1 or no pipe or child can be made; the caller then
+    runs the work serially. A child that raises prints its traceback and
+    exits non-zero, and ``failed(exit_code)`` is raised here. If ``here``
+    raises, the child is killed. On every path the child is reaped before
+    this returns or raises, so it never outlives the files it writes to.
+    Betweenness (``_forked_sum``) and the pipeline's slice phase share it.
+    """
+    if _workers() < 2:
+        return None
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
-        return _prefix_sum(nbrs, range(n))
+        return None
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return _prefix_sum(nbrs, range(n))
+        return None
     if pid == 0:
-        _child(nbrs, range(split), write_fd, read_fd)
+        _child(child, write_fd, read_fd)
     os.close(write_fd)
     finished = False
     try:
-        nodes, values = _sparse_deltas(nbrs, range(split, n))
+        result = here()
         with open(read_fd, "rb", closefd=False) as fh:
             payload = fh.read()
         finished = True
@@ -245,21 +281,12 @@ def _forked_sum(nbrs: Steps, split: int) -> list[float]:
         os.close(read_fd)
         status = os.waitpid(pid, 0)[1]
     if status != 0:
-        raise GraphError(
-            f"betweenness worker for sources 0-{split - 1} "
-            f"failed with exit code {os.waitstatus_to_exitcode(status)}"
-        )
-
-    prefix = array("d")
-    prefix.frombytes(payload)
-    bc = prefix.tolist()
-    for u, d in zip(nodes, values):
-        bc[u] += d
-    return bc
+        raise failed(os.waitstatus_to_exitcode(status))
+    return payload, result
 
 
-def _child(nbrs: Steps, sources: range, write_fd: int, read_fd: int) -> NoReturn:
-    """Body of the forked worker: write its prefix sum, then exit.
+def _child(work: Callable[[], bytes], write_fd: int, read_fd: int) -> NoReturn:
+    """Body of the forked worker: write what ``work`` returns, then exit.
 
     ``read_fd``, the parent's end of the pipe, is closed here.
     """
@@ -267,7 +294,7 @@ def _child(nbrs: Steps, sources: range, write_fd: int, read_fd: int) -> NoReturn
     try:
         os.close(read_fd)
         with open(write_fd, "wb") as fh:
-            fh.write(array("d", _prefix_sum(nbrs, sources)).tobytes())
+            fh.write(work())
         status = 0
     except Exception:
         import traceback

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from kcn import pipeline
+from kcn import pipeline, trends
 from kcn.config import load_config
 from kcn.errors import ConfigError, StageError
 from kcn.graph import WeightedGraph
@@ -23,6 +23,7 @@ from kcn.pipeline import _clip, _write_ego_files, ego_file_names, run_pipeline
 from kcn.trends import EmergingKeyword
 
 from conftest import DATA
+from test_trends import WORKER_COUNTS
 
 CONFIG = DATA / "config.json"
 
@@ -454,31 +455,58 @@ def test_only_subset_is_byte_identical_with_full_run(tmp_path, bundle):
         assert full[name] == blob, f"{name} differs from the full run"
 
 
-def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(
+    tmp_path, monkeypatch, workers
+):
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    # either process appends a line per build and per check, so the slices
+    # a forked worker analyses are checked too
+    seen = tmp_path / "seen.jsonl"
     built = []  # (slice, weak reference to its graph), in build order
     build = pipeline.build_kcn
     analyze = pipeline._analyze_slice
+    betweenness = pipeline.weighted_betweenness
+
+    def record(kind, label, alive):
+        with seen.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps([kind, label, alive]) + "\n")
 
     def tracking_build(corpus, spec):
         g = build(corpus, spec)
         built.append((spec, weakref.ref(g)))
+        record("build", spec.label, [])
         return g
 
-    alive = []  # earlier year-slice graphs still alive, per analysed slice
-
-    def checking_analyze(config, stages, g, spec, out):
+    def alive_besides(g):
+        # earlier year-slice graphs still alive in this process
         gc.collect()
-        alive.append([
+        return [
             s.label for s, ref in built
             if s.years is not None and ref() is not None and ref() is not g
-        ])
+        ]
+
+    def checking_analyze(config, stages, g, spec, out):
+        record("analyze", spec.label, alive_besides(g))
         return analyze(config, stages, g, spec, out)
+
+    def checking_betweenness(g):
+        record("betweenness", None, alive_besides(g))
+        return betweenness(g)
 
     monkeypatch.setattr(pipeline, "build_kcn", tracking_build)
     monkeypatch.setattr(pipeline, "_analyze_slice", checking_analyze)
-    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
-    assert len(alive) == len(built) > 2
-    assert alive == [[]] * len(built)
+    monkeypatch.setattr(pipeline, "weighted_betweenness", checking_betweenness)
+    result = run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
+    lines = [json.loads(line) for line in seen.read_text("utf-8").splitlines()]
+    builds = [line for line in lines if line[0] == "build"]
+    checks = [line for line in lines if line[0] != "build"]
+    # each slice graph is built once for the slice phase and once for micro
+    assert len(checks) == len(builds) == 2 * len(result["slices"]) > 2
+    assert sorted(label for kind, label, _ in checks if kind == "analyze") == sorted(
+        result["slices"]
+    )
+    assert [alive for _, _, alive in checks] == [[]] * len(checks)
 
 
 def test_output_dir_protection(tmp_path):
@@ -874,6 +902,28 @@ def test_cli_inspect_bundle_entry_of_the_wrong_shape_is_one_error_line(
     assert res.returncode == 1
     assert res.stderr.startswith(f"kcn: error: {damaged / name}{where}: ")
     assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    ("slices", "message"),
+    [
+        (7, "'slices' must be a list of strings"),
+        ([2020, "all"], "'slices' must be a list of strings"),
+        (["2020", "."], "slice label '.' cannot name a slice directory"),
+        ([".."], "slice label '..' cannot name a slice directory"),
+    ],
+    ids=["int", "int-label", "dot", "dot-dot"],
+)
+def test_cli_inspect_bad_manifest_slices_is_one_error_line(tmp_path, bundle, slices, message):
+    damaged = tmp_path / "bundle"
+    shutil.copytree(bundle, damaged)
+    manifest = damaged / "manifest.json"
+    payload = json.loads(manifest.read_text("utf-8"))
+    payload["slices"] = slices
+    manifest.write_text(json.dumps(payload), "utf-8")
+    res = _run_cli("inspect", "neural network", "--bundle", str(damaged))
+    assert res.returncode == 1
+    assert res.stderr == f"kcn: error: {manifest}: {message}\n"
 
 
 @pytest.mark.parametrize("where", ["directory", "missing/x.csv"])

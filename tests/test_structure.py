@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import random
 import warnings
 
 import numpy as np
 import pytest
 
+from kcn import trends
 from kcn.config import load_config
 from kcn.errors import FitError, GraphError
 from kcn.graph import WeightedGraph
@@ -26,6 +28,7 @@ from kcn.structure import (
 
 import oracles
 from conftest import DATA
+from test_trends import WORKER_COUNTS
 
 # --- summary ---------------------------------------------------------------
 
@@ -148,12 +151,20 @@ def test_clustering_is_the_same_in_every_call_order():
                 assert average_clustering(shared, weighted=False) == sum(unweighted) / g.n
 
 
-def test_macro_stage_walks_each_slice_graph_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_macro_stage_walks_each_slice_graph_once(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    # either process appends a line per walk, so a forked slice worker's
+    # walks are counted too; built keeps each walked graph alive, so no id
+    # is reused within a process
+    walks = tmp_path / "walks.txt"
     built = []
     walk = WeightedGraph.closed_pairs.func
 
     def counting(g):
         built.append(g)
+        with walks.open("a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {id(g)}\n")
         return walk(g)
 
     table = functools.cached_property(counting)
@@ -162,8 +173,9 @@ def test_macro_stage_walks_each_slice_graph_once(tmp_path, monkeypatch):
     result = run_pipeline(
         load_config(DATA / "config.json"), out_dir=tmp_path / "out", only={"macro"}
     )
-    assert len(built) == len(result["slices"]) == 6
-    assert len({id(g) for g in built}) == len(built)
+    lines = walks.read_text("utf-8").splitlines()
+    assert len(lines) == len(result["slices"]) == 6
+    assert len(set(lines)) == len(lines)
 
 
 def test_clustering_unit_weights_equal_unweighted():

@@ -75,8 +75,12 @@ _SAFE_RE = re.compile(r"[^\w.-]+")
 # in bytes; file systems commonly refuse names over 255 bytes
 _EGO_NAME_BYTES = 200
 
-# the fixed cost of a slice's files, in keyword pairs; see _child_share
+# the fixed cost of a slice's files, in keyword pairs; see _slice_costs
 _SLICE_PAIRS = 100
+
+# distinct keywords times keyword pairs that cost as much betweenness as
+# one keyword pair costs build, files, macro and meso; see _slice_costs
+_BETWEENNESS_PAIRS = 50
 
 # per-slice files whose name repeats the slice label
 _LABELED_KINDS = frozenset({"clusters", "membership", "dendrogram", "betweenness"})
@@ -185,7 +189,7 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
     report, normalized, lexicon, slices = prepare(config)
     labels = [s.label for s in slices]
     vocabulary = {kw for r in normalized.records for kw in r.keywords}
-    results = _analyze_slices(config, stages, normalized, slices, out)
+    results, kept = _analyze_slices(config, stages, normalized, slices, out)
 
     if "macro" in stages:
         with _stage("macro"):
@@ -193,19 +197,20 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
 
     emerging = []
     if "micro" in stages:
-        # betweenness may fork a child of its own, so it runs once the
-        # slice phase's child is gone, each slice graph built again and
-        # dropped before the next; ego views come from the first
-        # whole-corpus graph, which keeps every record, so every emerging
-        # keyword is one of its nodes
-        overall = None
-        for spec, result in zip(slices, results):
+        # the slice phase wrote every other slice's table; the costliest
+        # slice's betweenness runs on the graph it kept, now that its child
+        # is gone, so that betweenness may fork a child of its own
+        keep, g = kept
+        with _stage("micro"):
+            results[keep]["table"] = _write_betweenness(config, g, slices[keep], out)
+        # ego views come from the first whole-corpus graph, which keeps
+        # every record, so every emerging keyword is one of its nodes; it
+        # is the kept graph unless a year range ties with it on cost
+        whole = next((i for i, spec in enumerate(slices) if spec.years is None), None)
+        overall = g if whole == keep else None
+        if whole is not None and overall is None:
             with _stage("build"):
-                g = build_kcn(normalized, spec)
-            with _stage("micro"):
-                result["table"] = _write_betweenness(config, g, spec, out)
-            if overall is None and spec.years is None:
-                overall = g
+                overall = build_kcn(normalized, slices[whole])
         with _stage("micro"):
             # full table, so lookups work for every canonical keyword
             _write_csv(
@@ -249,18 +254,24 @@ def _analyze_slices(
     normalized: Corpus,
     slices: list[SliceSpec],
     out: Path,
-) -> list[dict]:
-    """The slice phase: build, ``edges.csv``, macro and meso of every slice.
+) -> tuple[list[dict], tuple[int, WeightedGraph] | None]:
+    """The slice phase: build, ``edges.csv``, macro, meso and betweenness of every slice.
 
-    Returns the ``_analyze_slice`` results in slice order. With two CPUs, a
+    Returns the ``_analyze_slice`` results in slice order and, when micro
+    runs, the index and graph of the costliest slice (``_costliest``).
+    That slice's betweenness is left out, for the caller to run once this
+    phase is over, when it may fork a child of its own. With two CPUs, a
     forked child (see ``trends._forked``) takes the slices
     ``_child_share`` picks and writes their files into ``out`` itself;
-    this process runs the rest. Each slice's files and result come from
-    the same calls either way, so no byte depends on the split. Each side
-    runs its slices in slice order and stops at its first failure; of the
-    two, the earlier slice's error is raised, as the serial loop would.
+    this process runs the rest. Betweenness run in either process during
+    the phase forks no further child. Each slice's files and result come
+    from the same calls either way, so no byte depends on the split. Each
+    side runs its slices in slice order and stops at its first failure; of
+    the two, the earlier slice's error is raised, as the serial loop would.
     """
-    theirs = _child_share(normalized, slices)
+    micro = "micro" in stages
+    keep = _costliest(_slice_costs(normalized, slices)) if micro else None
+    theirs = _child_share(normalized, slices, micro)
     forked = None
     if theirs:
         if "macro" in stages:
@@ -271,7 +282,7 @@ def _analyze_slices(
             lambda: _pickled(_slice_share(config, stages, normalized, slices, out, theirs)),
             lambda: _slice_share(
                 config, stages, normalized, slices, out,
-                [i for i in range(len(slices)) if i not in theirs],
+                [i for i in range(len(slices)) if i not in theirs], keep,
             ),
             lambda code: KcnError(
                 f"worker for slices {', '.join(slices[i].label for i in theirs)} "
@@ -280,7 +291,7 @@ def _analyze_slices(
         )
     if forked is None:
         done, failure = _slice_share(
-            config, stages, normalized, slices, out, range(len(slices))
+            config, stages, normalized, slices, out, range(len(slices)), keep
         )
     else:
         import pickle
@@ -292,30 +303,59 @@ def _analyze_slices(
         failure = min(filter(None, (failure, their_failure)), default=None)
     if failure is not None:
         raise failure[1]
-    return [done[i] for i in range(len(slices))]
+    results = [done[i] for i in range(len(slices))]
+    return results, ((keep, results[keep].pop("graph")) if micro else None)
 
 
-def _child_share(normalized: Corpus, slices: list[SliceSpec]) -> list[int]:
-    """Indices, ascending, of the slices a forked child analyses.
+def _slice_costs(normalized: Corpus, slices: list[SliceSpec]) -> list[tuple[int, int]]:
+    """Each slice's estimated cost in keyword pairs: the phase, then betweenness.
 
-    A slice costs the keyword pairs of its records plus ``_SLICE_PAIRS``.
-    By falling cost, ties in slice order, each slice goes to the side with
-    the lower total so far, ties to this process, which so keeps at least
-    one slice. The rule reads only the inputs.
+    The phase (build, files, macro, meso) costs the keyword pairs of the
+    slice's records plus ``_SLICE_PAIRS``; betweenness costs its distinct
+    keywords times those pairs, over ``_BETWEENNESS_PAIRS``.
     """
     pairs: dict[int, int] = {}  # by year
+    keywords: dict[int, set[str]] = {}
     for r in normalized.records:
         k = len(r.keywords)
         pairs[r.year] = pairs.get(r.year, 0) + k * (k - 1) // 2
-    costs = [
-        _SLICE_PAIRS + sum(p for year, p in pairs.items() if spec.contains(year))
-        for spec in slices
-    ]
-    totals = [0, 0]  # this process, the child
+        keywords.setdefault(r.year, set()).update(r.keywords)
+    costs = []
+    for spec in slices:
+        years = [year for year in pairs if spec.contains(year)]
+        p = sum(pairs[year] for year in years)
+        distinct = len(set().union(*(keywords[year] for year in years)))
+        costs.append((_SLICE_PAIRS + p, distinct * p // _BETWEENNESS_PAIRS))
+    return costs
+
+
+def _costliest(costs: list[tuple[int, int]]) -> int:
+    """Index of the slice of highest total cost, the first of equals."""
+    return max(range(len(costs)), key=lambda i: sum(costs[i]))
+
+
+def _child_share(
+    normalized: Corpus, slices: list[SliceSpec], micro: bool = True
+) -> list[int]:
+    """Indices, ascending, of the slices a forked child analyses.
+
+    A slice's load is its phase cost plus, with ``micro``, its betweenness
+    cost (see ``_slice_costs``). The costliest slice (``_costliest``)
+    stays in this process, and its betweenness, which runs after the
+    phase, is not counted. Then by falling load, ties in slice order, each
+    slice goes to the side with the lower total so far, ties to this
+    process. The rule reads only the inputs.
+    """
+    costs = _slice_costs(normalized, slices)
+    keep = _costliest(costs)
+    loads = [phase + (betweenness if micro else 0) for phase, betweenness in costs]
+    loads[keep] = costs[keep][0]
+    rest = sorted((i for i in range(len(slices)) if i != keep), key=lambda i: -loads[i])
+    totals = [loads[keep], 0]  # this process, the child
     theirs = []
-    for i in sorted(range(len(slices)), key=lambda i: -costs[i]):
+    for i in rest:
         side = int(totals[1] < totals[0])
-        totals[side] += costs[i]
+        totals[side] += loads[i]
         if side:
             theirs.append(i)
     return sorted(theirs)
@@ -328,12 +368,14 @@ def _slice_share(
     slices: list[SliceSpec],
     out: Path,
     indices,
+    keep: int | None = None,
 ) -> tuple[dict[int, dict], tuple[int, Exception] | None]:
     """Build and analyse ``slices[i]`` for each ``i`` in ``indices``, in order.
 
     Returns the results by slice index and, once a slice fails, its index
     and error; the slices after it do not run. Each graph is dropped
-    once the next is built.
+    once the next is built, except that of ``slices[keep]``: that slice
+    skips micro, and its result holds its graph under ``"graph"``.
     """
     done = {}
     for i in indices:
@@ -341,7 +383,11 @@ def _slice_share(
         try:
             with _stage("build"):
                 g = build_kcn(normalized, spec)
-            done[i] = _analyze_slice(config, stages, g, spec, out)
+            if i == keep:
+                done[i] = _analyze_slice(config, stages - {"micro"}, g, spec, out)
+                done[i]["graph"] = g
+            else:
+                done[i] = _analyze_slice(config, stages, g, spec, out)
         except Exception as exc:
             return done, (i, exc)
     return done, None
@@ -461,6 +507,10 @@ def _analyze_slice(
                     for i, s in enumerate(partition.merge_trace)
                 ],
             )
+
+    if "micro" in stages:
+        with _stage("micro"):
+            result["table"] = _write_betweenness(config, g, spec, out)
 
     return result
 

@@ -22,8 +22,9 @@ from .errors import GraphError
 from .graph import WeightedGraph
 
 
-# per node, its (neighbour, distance) pairs; a distance is the lcm of all
-# weights divided by the edge's weight, an exact int
+# per node, its (neighbour, step) pairs; a step is the edge's distance, the
+# lcm of all weights divided by the edge's weight, shifted left by
+# _node_bits(n) so that a heap key is one int, (distance << bits) | node
 Steps = list[tuple[tuple[int, int], ...]]
 
 T = TypeVar("T")
@@ -67,20 +68,23 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     tie detection never depends on floating-point rounding.
 
     With two CPUs or more (see ``_workers``), a forked child runs the
-    first sources and this process the rest (see ``_split``); otherwise,
-    or if the child cannot be started, every source runs here. Each
-    node's score gets the same float additions in the same source order
-    as a serial loop, so the result is bit-identical either way. Until
-    the child is done, this process keeps its own sources' nonzero
-    dependencies, about 12 bytes each and at most ``_PAIR_BUDGET`` of
-    them.
+    first sources and this process the rest (see ``_split``). Every
+    source runs here instead with one CPU, when the child cannot be
+    started, or when this call is made while a ``_forked`` call runs, as
+    in the pipeline's slice phase, which so ranks all but its costliest
+    slice without further forks. Each node's score gets the same float
+    additions in the same source order as a serial loop, so the result is
+    bit-identical either way. Until the child is done, this process keeps
+    its own sources' nonzero dependencies, about 12 bytes each and at
+    most ``_PAIR_BUDGET`` of them.
     """
     n = g.n
     if n == 0:
         raise GraphError("betweenness of an empty graph is undefined")
     adj = g.adjacency()
     scale = math.lcm(*(w for row in adj for w in row.values()))
-    nbrs = [tuple((j, scale // w) for j, w in row.items()) for row in adj]
+    bits = _node_bits(n)
+    nbrs = [tuple((j, (scale // w) << bits) for j, w in row.items()) for row in adj]
 
     split = _split(n)
     bc = _forked_sum(nbrs, split) if 0 < split < n else None
@@ -94,16 +98,20 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
 # most (node, dependency) pairs the parent may hold while its child runs
 _PAIR_BUDGET = 1 << 21
 
+# whether a _forked call is running in this process or, in a forked child,
+# in its parent
+_forking = False
+
 
 def _workers() -> int:
     """Processes ``_forked`` may use: 2 with two CPUs or more, else 1.
 
-    Only one child plus this process has been measured; more would fork
-    per slice and keep more sparse dependencies here. 1 where ``os.fork``
-    is missing or another Python thread is running, since a forked child
-    inherits only the forking thread and any lock another thread holds
-    stays locked. Native threads Python does not start, such as numpy's
-    BLAS pool, are not counted; OpenBLAS shuts its pool down around a fork.
+    Only one child plus this process has been measured; more would keep
+    more sparse dependencies here. 1 where ``os.fork`` is missing or
+    another Python thread is running, since a forked child inherits only
+    the forking thread and any lock another thread holds stays locked.
+    Native threads Python does not start, such as numpy's BLAS pool, are
+    not counted; OpenBLAS shuts its pool down around a fork.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
@@ -123,17 +131,26 @@ def _split(n: int) -> int:
     return max(n // 2, n - _PAIR_BUDGET // n)
 
 
+def _node_bits(n: int) -> int:
+    """Bits below the distance in the heap keys of an ``n``-node graph."""
+    return (n - 1).bit_length()
+
+
 def _source_delta(nbrs: Steps, source: int) -> tuple[list[int], list[float]]:
     """Dijkstra from ``source``, then Brandes dependency accumulation.
 
     Returns the reached nodes in settle order, ``source`` first, and the
     dependency of ``source`` on every node. Only the nodes after the first
-    take a score from it.
+    take a score from it. A heap entry is one int, ``(distance << bits) |
+    node``: every node index is below ``1 << bits``, so the ints order as
+    the ``(distance, node)`` pairs they encode, and nodes settle in the
+    same order. Distances stay shifted throughout.
     """
     # looked up per call, so a stand-in for the heapq module is honoured
     heappop = heapq.heappop
     heappush = heapq.heappush
     n = len(nbrs)
+    mask = (1 << _node_bits(n)) - 1
     dist: list = [None] * n
     sigma = [0] * n
     preds: dict[int, list[int]] = {}
@@ -141,9 +158,9 @@ def _source_delta(nbrs: Steps, source: int) -> tuple[list[int], list[float]]:
     sigma[source] = 1
     done = [False] * n
     order: list[int] = []
-    heap = [(0, source)]
+    heap = [source]  # at distance 0
     while heap:
-        _, u = heappop(heap)
+        u = heappop(heap) & mask
         if done[u]:
             continue
         done[u] = True
@@ -161,7 +178,7 @@ def _source_delta(nbrs: Steps, source: int) -> tuple[list[int], list[float]]:
                 dist[v] = nd
                 sigma[v] = su
                 preds[v] = [u]
-                heappush(heap, (nd, v))
+                heappush(heap, nd | v)
             elif nd == dv:
                 sigma[v] += su
                 preds[v].append(u)
@@ -251,8 +268,12 @@ def _forked(
     raises, the child is killed. On every path the child is reaped before
     this returns or raises, so it never outlives the files it writes to.
     Betweenness (``_forked_sum``) and the pipeline's slice phase share it.
+
+    A call made while another is running, in ``here`` or in the child it
+    forked, also returns None, so there is never more than one child.
     """
-    if _workers() < 2:
+    global _forking
+    if _forking or _workers() < 2:
         return None
     try:
         read_fd, write_fd = os.pipe()
@@ -264,6 +285,7 @@ def _forked(
         os.close(read_fd)
         os.close(write_fd)
         return None
+    _forking = True  # in both processes
     if pid == 0:
         _child(child, write_fd, read_fd)
     os.close(write_fd)
@@ -274,6 +296,7 @@ def _forked(
             payload = fh.read()
         finished = True
     finally:
+        _forking = False
         if not finished:
             import signal  # only here: importing it costs about 1 ms
 

@@ -208,6 +208,55 @@ def betweenness_brandes_serial(g: WeightedGraph) -> list[tuple[str, float]]:
     return [(labels[i], bc[i] / 2.0) for i in range(n)]
 
 
+def source_delta_tuple_keys(
+    nbrs: list[tuple[tuple[int, int], ...]], source: int
+) -> tuple[list[int], list[float]]:
+    """One source of the Brandes kernel with ``(distance, node)`` heap entries.
+
+    ``nbrs[u]`` holds ``(v, distance)`` pairs, the distances exact ints.
+    Returns the settle order and the dependency of ``source`` on every
+    node. This is the kernel as it stood before its heap entries became
+    one int each, kept as the bitwise reference for that encoding.
+    """
+    n = len(nbrs)
+    dist: list = [None] * n
+    sigma = [0] * n
+    preds: dict[int, list[int]] = {}
+    dist[source] = 0
+    sigma[source] = 1
+    done = [False] * n
+    order: list[int] = []
+    heap = [(0, source)]
+    while heap:
+        _, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        order.append(u)
+        du = dist[u]
+        su = sigma[u]
+        for v, step in nbrs[u]:
+            if done[v]:
+                continue
+            nd = du + step
+            dv = dist[v]
+            if dv is None or nd < dv:
+                dist[v] = nd
+                sigma[v] = su
+                preds[v] = [u]
+                heapq.heappush(heap, (nd, v))
+            elif nd == dv:
+                sigma[v] += su
+                preds[v].append(u)
+    delta = [0.0] * n
+    for i in range(len(order) - 1, 0, -1):
+        u = order[i]
+        coeff = (1.0 + delta[u]) / sigma[u]
+        for p in preds[u]:
+            delta[p] += sigma[p] * coeff
+    return order, delta
+
+
 # --- modularity -------------------------------------------------------------
 
 

@@ -3,7 +3,8 @@
 ``pipeline._analyze_slices`` hands the slices ``pipeline._child_share``
 picks to one forked child when there are two CPUs. These tests pin that
 the bundle does not depend on the split, that a failure reads as it would
-in the serial loop, and that no child or partial bundle outlives a run.
+in the serial loop, that a run has at most one child at a time, and that
+no child or partial bundle outlives a run.
 """
 
 from __future__ import annotations
@@ -129,6 +130,95 @@ def test_run_is_serial_when_no_child_can_start(tmp_path, monkeypatch, serial, fa
             os.fstat(fd)
 
 
+def _slices_config(
+    tmp_path: Path, slices: list[dict], inputs: Path = DATA / "synthetic_corpus.jsonl"
+) -> Path:
+    raw = json.loads(CONFIG.read_text("utf-8"))
+    raw["inputs"] = [str(inputs)]
+    raw["slices"] = slices
+    path = tmp_path / "slices.json"
+    path.write_text(json.dumps(raw), "utf-8")
+    return path
+
+
+YEARS = [{"label": str(y), "years": [y, y]} for y in range(2020, 2025)]
+
+
+@needs_fork
+def test_bytes_match_when_the_costliest_slice_is_a_year_range_and_there_is_no_all(
+    tmp_path, monkeypatch
+):
+    slices = [YEARS[0], {"label": "2021-2023", "years": [2021, 2023]}, *YEARS[3:]]
+    config = load_config(_slices_config(tmp_path, slices))
+    prepared = pipeline.prepare(config)
+    costs = pipeline._slice_costs(prepared.normalized, prepared.slices)
+    assert prepared.slices[pipeline._costliest(costs)].label == "2021-2023"
+    assert pipeline._child_share(prepared.normalized, prepared.slices)
+    trees = []
+    for workers in (1, 2):
+        monkeypatch.setattr(trends, "_workers", lambda: workers)
+        run_pipeline(config, out_dir=tmp_path / str(workers))
+        trees.append(_tree(tmp_path / str(workers)))
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_ego_networks_come_from_all_when_a_year_range_ties_with_it(tmp_path, monkeypatch, workers):
+    # a one-keyword record outside the range: the range ties with all on
+    # cost, but an emerging keyword's frequency differs between the two
+    corpus = tmp_path / "corpus.jsonl"
+    extra = {"id": "z0001", "venue": "v", "year": 2019, "keywords": ["large language model"]}
+    corpus.write_text(
+        (DATA / "synthetic_corpus.jsonl").read_text("utf-8") + json.dumps(extra) + "\n", "utf-8"
+    )
+    span = {"label": "span", "years": [2020, 2024]}
+    whole = {"label": "all", "years": "all"}
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    egos = []
+    # the first of the two is the costliest; only span first makes micro
+    # build all's graph again
+    for name, tied in (("span-first", [span, whole]), ("all-first", [whole, span])):
+        config = load_config(_slices_config(tmp_path, [*YEARS, *tied], corpus))
+        prepared = pipeline.prepare(config)
+        costs = pipeline._slice_costs(prepared.normalized, prepared.slices)
+        assert costs[-1] == costs[-2]
+        assert prepared.slices[pipeline._costliest(costs)].label == name.split("-")[0]
+        run_pipeline(config, out_dir=tmp_path / name)
+        egos.append({k: v for k, v in _tree(tmp_path / name).items() if k.startswith("ego_")})
+    assert "ego_large_language_model.graphml" in egos[0]
+    assert egos[0] == egos[1]
+
+
+@needs_fork
+@pytest.mark.parametrize(("only", "forks"), [(None, 2), ({"macro", "meso"}, 1)])
+def test_a_run_forks_one_child_at_a_time(tmp_path, monkeypatch, only, forks):
+    # either process appends a line per fork: its pid and its live children
+    log = tmp_path / "forks.txt"
+    alive: set[int] = set()
+    real_fork = os.fork
+    real_waitpid = os.waitpid
+
+    def fork():
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {len(alive)}\n")
+        pid = real_fork()
+        if pid:
+            alive.add(pid)
+        return pid
+
+    def waitpid(pid, options):
+        result = real_waitpid(pid, options)
+        alive.discard(pid)
+        return result
+
+    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out", only=only)
+    # the slice phase's child, then the costliest slice's betweenness child
+    assert log.read_text("utf-8").splitlines() == [f"{os.getpid()} 0"] * forks
+
+
 # --- failures ---------------------------------------------------------------------
 
 
@@ -221,6 +311,34 @@ def test_first_failing_slice_wins_then_first_failing_stage(tmp_path, monkeypatch
     with pytest.raises(StageError) as info:
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     assert str(info.value) == f"[macro] {early} macro"
+    _assert_no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("late_side", ["ours", "theirs"])
+def test_child_betweenness_failure_wins_over_a_later_meso_failure(
+    tmp_path, monkeypatch, workers, late_side
+):
+    ours, theirs = _labels()
+    slices = [s.label for s in _slices()[0]]
+    early = theirs[0]
+    late = next(
+        label for label in (ours if late_side == "ours" else theirs)
+        if slices.index(label) > slices.index(early)
+    )
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    _fail(
+        monkeypatch,
+        {
+            (early, "weighted_betweenness"): GraphError(f"{early} micro"),
+            (late, "fast_greedy"): GraphError(f"{late} meso"),
+        },
+    )
+    with pytest.raises(StageError) as info:
+        run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
+    assert str(info.value) == f"[micro] {early} micro"
+    assert info.value.stage == "micro"
     _assert_no_child_left()
     assert os.listdir(tmp_path) == []
 

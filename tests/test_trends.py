@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import math
 import os
 import random
 import threading
@@ -133,6 +134,85 @@ def test_betweenness_matches_networkx():
         )
         ref = nx.betweenness_centrality(ref_graph, weight="dist", normalized=False)
         assert weighted_betweenness(g) == pytest.approx(ref, abs=1e-9)
+
+
+# --- one int per heap entry ----------------------------------------------------
+
+# primes up to 97; their product, the lcm of a graph using each, is 120 bits
+PRIMES = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
+# n = 1 and 2, and each power of two with the size one above it: the sizes
+# at which the node bits of a heap key grow
+SIZES = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]
+
+
+def _graph(rng: random.Random, n: int, weights: list[int]) -> WeightedGraph:
+    """A random connected graph on v0..v{n-1}, node indices in label order."""
+    labels = [f"v{i}" for i in range(n)]
+    pairs = [(i - 1, i) for i in range(1, n)]  # a path first fixes the indices
+    pairs += [
+        (i, j) for i, j in combinations(range(n), 2)
+        if j > i + 1 and rng.random() < 3 / n
+    ]
+    edges = [(labels[i], labels[j], rng.choice(weights)) for i, j in pairs]
+    return WeightedGraph.from_edges(edges, isolated=labels)
+
+
+def _cycle(n: int) -> WeightedGraph:
+    # unit weights: from any source, the two nodes halfway round tie, and
+    # one of them can be v0 and the other the highest index
+    labels = [f"v{i}" for i in range(n)]
+    edges = [(labels[i], labels[(i + 1) % n], 1) for i in range(n)]
+    return WeightedGraph.from_edges(edges)
+
+
+def _assert_kernel_matches_tuple_keys(g: WeightedGraph) -> None:
+    """Settle order, dependency bits and score bits equal the tuple-key kernel's."""
+    adj = g.adjacency()
+    scale = math.lcm(*(w for row in adj for w in row.values()))
+    plain = [tuple((j, scale // w) for j, w in row.items()) for row in adj]
+    bits = trends._node_bits(g.n)
+    shifted = [tuple((j, d << bits) for j, d in row) for row in plain]
+    bc = [0.0] * g.n
+    for source in range(g.n):
+        order, delta = trends._source_delta(shifted, source)
+        want_order, want_delta = oracles.source_delta_tuple_keys(plain, source)
+        assert order == want_order, (g.edges(), source)
+        assert list(map(repr, delta)) == list(map(repr, want_delta)), (g.edges(), source)
+        for u in want_order[1:]:
+            bc[u] += want_delta[u]
+    want = [(v, repr(bc[i] / 2.0)) for i, v in enumerate(g.labels())]
+    assert [(v, repr(x)) for v, x in weighted_betweenness(g).items()] == want
+
+
+def test_heap_keys_match_tuple_keys_when_the_lcm_passes_2_to_the_100():
+    g = _graph(random.Random(81), 40, PRIMES)
+    assert math.lcm(*(w for _, _, w in g.edges())).bit_length() > 100
+    _assert_kernel_matches_tuple_keys(g)
+    # two primes alone: paths of many hops with few distinct lengths
+    _assert_kernel_matches_tuple_keys(_graph(random.Random(82), 33, [89, 97]))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_heap_keys_match_tuple_keys_at_every_node_bit_edge(n):
+    # the fewest bits that hold every node index
+    bits = trends._node_bits(n)
+    assert n <= 1 << bits and (bits == 0 or n > 1 << (bits - 1))
+    rng = random.Random(n)
+    # few distinct weights make many exact ties between distinct nodes
+    _assert_kernel_matches_tuple_keys(_graph(rng, n, [1, 2, 3]))
+    _assert_kernel_matches_tuple_keys(_graph(rng, n, [2, 3, 5, 7, 11, 13]))
+    if n >= 3:
+        _assert_kernel_matches_tuple_keys(_cycle(n))
+
+
+def test_heap_keys_match_tuple_keys_on_exact_ties():
+    # the tie that holds only in exact terms, and a star whose leaves all
+    # tie at one distance from the hub, the highest index last
+    _assert_kernel_matches_tuple_keys(_tie_graph())
+    hub = WeightedGraph.from_edges([("h", f"l{i}", 2) for i in range(16)])
+    _assert_kernel_matches_tuple_keys(hub)
+    for g in _graphs_with_ties():
+        _assert_kernel_matches_tuple_keys(g)
 
 
 # --- betweenness across worker processes ---------------------------------------
@@ -276,6 +356,29 @@ def test_betweenness_interrupt_in_parent_reaps_every_child(monkeypatch, cycle4):
     monkeypatch.setattr(trends, "_workers", lambda: 2)
     with pytest.raises(KeyboardInterrupt):
         weighted_betweenness(cycle4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_forked_inside_forked_starts_no_child(monkeypatch):
+    monkeypatch.setattr(trends, "_workers", lambda: 2)
+
+    def failed(code):
+        return AssertionError(f"child exited {code}")
+
+    def nested():
+        return trends._forked(lambda: b"grandchild", lambda: "here", failed)
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    # from the child and from here, a nested call runs nothing
+    assert trends._forked(lambda: repr(nested()).encode(), nested, failed) == (b"None", None)
+    # the guard is released on return and when here() raises
+    with pytest.raises(KeyboardInterrupt):
+        trends._forked(lambda: b"", interrupted, failed)
+    assert trends._forked(lambda: b"child", lambda: "here", failed) == (b"child", "here")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

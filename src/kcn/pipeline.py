@@ -266,8 +266,9 @@ def _analyze_slices(
     this process runs the rest. Betweenness run in either process during
     the phase forks no further child. Each slice's files and result come
     from the same calls either way, so no byte depends on the split. Each
-    side runs its slices in slice order and stops at its first failure; of
-    the two, the earlier slice's error is raised, as the serial loop would.
+    side returns the error of its first failing slice in slice order (see
+    ``_slice_share``); of the two, the earlier slice's error is raised, as
+    the serial loop would.
     """
     micro = "micro" in stages
     keep = _costliest(_slice_costs(normalized, slices)) if micro else None
@@ -370,15 +371,24 @@ def _slice_share(
     indices,
     keep: int | None = None,
 ) -> tuple[dict[int, dict], tuple[int, Exception] | None]:
-    """Build and analyse ``slices[i]`` for each ``i`` in ``indices``, in order.
+    """Build and analyse ``slices[i]`` for each ``i`` in ``indices``.
 
+    ``slices[keep]``, when in ``indices``, runs first, so that its meso,
+    the peak of the phase, starts from the smallest base; the rest run in
+    order. That slice skips micro, and its result holds its graph under
+    ``"graph"``; every other graph is dropped once the next is built.
     Returns the results by slice index and, once a slice fails, its index
-    and error; the slices after it do not run. Each graph is dropped
-    once the next is built, except that of ``slices[keep]``: that slice
-    skips micro, and its result holds its graph under ``"graph"``.
+    and error; the slices after it in order do not run. If ``keep`` fails,
+    the slices before it still run until one of them fails, so the error
+    returned is that of the first failing slice in order.
     """
+    if keep in indices:
+        indices = [keep, *(i for i in indices if i != keep)]
     done = {}
+    failure = None
     for i in indices:
+        if failure is not None and i > failure[0]:
+            break
         spec = slices[i]
         try:
             with _stage("build"):
@@ -389,8 +399,8 @@ def _slice_share(
             else:
                 done[i] = _analyze_slice(config, stages, g, spec, out)
         except Exception as exc:
-            return done, (i, exc)
-    return done, None
+            failure = (i, exc)
+    return done, failure
 
 
 def _pickled(share: tuple[dict[int, dict], tuple[int, Exception] | None]) -> bytes:

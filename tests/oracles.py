@@ -162,7 +162,9 @@ def betweenness_brandes_serial(g: WeightedGraph) -> list[tuple[str, float]]:
     Each node's score takes one float addition per source, in source
     order, so this fixes the bits a faster implementation must match. The
     settle order depends only on (distance, node index), never on how a
-    node's neighbours are listed.
+    node's neighbours are listed. Every edge is relaxed, those that no
+    shortest path can use included, so this is also the reference for
+    betweenness on the distance backbone.
     """
     labels = g.labels()
     n = g.n

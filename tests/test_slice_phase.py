@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from kcn import pipeline, trends
+from kcn import cli, pipeline, trends
 from kcn.config import load_config
 from kcn.errors import GraphError, KcnError, StageError
 from kcn.pipeline import STAGES, run_pipeline
@@ -130,6 +130,25 @@ def test_run_is_serial_when_no_child_can_start(tmp_path, monkeypatch, serial, fa
             os.fstat(fd)
 
 
+def test_bundle_bytes_do_not_depend_on_the_backbone(tmp_path, monkeypatch):
+    # kcn run as shipped, then with betweenness run on every edge
+    dropped: list[int] = []
+    backbone = trends._backbone
+
+    def counting(adj):
+        rows = backbone(adj)
+        dropped.append(sum(map(len, adj)) - sum(map(len, rows)))
+        return rows
+
+    monkeypatch.setattr(trends, "_backbone", counting)
+    assert cli.main(["run", "--config", str(CONFIG), "--out", str(tmp_path / "backbone")]) == 0
+    # the last call, this process's, is the all slice's betweenness
+    assert dropped[-1] > 0
+    monkeypatch.setattr(trends, "_backbone", lambda adj: adj)
+    assert cli.main(["run", "--config", str(CONFIG), "--out", str(tmp_path / "whole")]) == 0
+    assert _tree(tmp_path / "backbone") == _tree(tmp_path / "whole")
+
+
 def _slices_config(
     tmp_path: Path, slices: list[dict], inputs: Path = DATA / "synthetic_corpus.jsonl"
 ) -> Path:
@@ -219,6 +238,23 @@ def test_a_run_forks_one_child_at_a_time(tmp_path, monkeypatch, only, forks):
     assert log.read_text("utf-8").splitlines() == [f"{os.getpid()} 0"] * forks
 
 
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_this_process_builds_the_costliest_slice_first(tmp_path, monkeypatch, workers):
+    built: list[str] = []  # a forked child appends to its own copy
+    build = pipeline.build_kcn
+
+    def building(corpus, spec):
+        built.append(spec.label)
+        return build(corpus, spec)
+
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "build_kcn", building)
+    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
+    # all, the costliest, then the rest of this process's share in order
+    here = _labels()[0] if workers == 2 else [s.label for s in _slices()[0]]
+    assert built == ["all", *(label for label in here if label != "all")]
+
+
 # --- failures ---------------------------------------------------------------------
 
 
@@ -292,12 +328,18 @@ def test_child_error_that_does_not_unpickle_keeps_its_message(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("first", ["ours", "theirs"])
+@pytest.mark.parametrize("first", ["ours", "theirs", "before_keep"])
 def test_first_failing_slice_wins_then_first_failing_stage(tmp_path, monkeypatch, workers, first):
     ours, theirs = _labels()
     slices = [s.label for s in _slices()[0]]
-    # the earlier failing slice fails in two stages, the later in one
-    early, late = (ours[0], theirs[-1]) if first == "ours" else (theirs[0], ours[-1])
+    # the earlier failing slice fails in two stages, the later in one; in
+    # before_keep the later is all, which this process runs first, and
+    # the earlier is a slice this process runs after it
+    early, late = {
+        "ours": (ours[0], theirs[-1]),
+        "theirs": (theirs[0], ours[-1]),
+        "before_keep": (ours[0], "all"),
+    }[first]
     assert slices.index(early) < slices.index(late)
     monkeypatch.setattr(trends, "_workers", lambda: workers)
     _fail(

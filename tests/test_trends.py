@@ -411,6 +411,91 @@ def test_workers_is_one_while_another_thread_runs():
     assert not thread.is_alive()
 
 
+# --- the distance backbone -----------------------------------------------------
+
+
+def _edge_pairs(g: WeightedGraph) -> set[tuple[str, str]]:
+    return {tuple(sorted((u, v))) for u, v, _ in g.edges()}
+
+
+def _kept(g: WeightedGraph) -> set[tuple[str, str]]:
+    """The edges ``trends._backbone`` keeps, as sorted label pairs."""
+    labels = g.labels()
+    rows = trends._backbone(g.adjacency())
+    kept = {tuple(sorted((labels[u], labels[v]))) for u, row in enumerate(rows) for v in row}
+    # each edge is kept from both ends or from neither
+    assert sum(map(len, rows)) == 2 * len(kept)
+    return kept
+
+
+def _assert_matches_exhaustive(g: WeightedGraph) -> dict[str, float]:
+    ours = weighted_betweenness(g)
+    exact = oracles.betweenness_exhaustive(g)
+
+    def ranks(bc):
+        return sorted(bc, key=lambda v: (-bc[v], v))
+
+    assert ranks(ours) == ranks(exact)
+    assert ours == pytest.approx(exact, abs=1e-12)
+    return ours
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(1, 2, 2), (2, 3, 6)],
+    ids=["1/2+1/2=1/1", "1/3+1/6=1/2"],
+)
+def test_backbone_keeps_an_edge_that_ties_a_two_step_path(weights):
+    # a-b is exactly as long as a-x-b, so both are shortest a-b paths
+    # (sigma is 2) and x takes half the pair; in ints (2+2)*1 == 2*2 and
+    # (3+6)*2 == 3*6, the second a tie only in rationals
+    direct, ax, xb = weights
+    g = WeightedGraph.from_edges([("a", "b", direct), ("a", "x", ax), ("x", "b", xb)])
+    assert _kept(g) == _edge_pairs(g)
+    assert _assert_matches_exhaustive(g) == {"a": 0.0, "b": 0.0, "x": 0.5}
+    _assert_bits_match_serial_loop(g)
+
+
+def test_backbone_keeps_an_edge_only_a_three_step_path_beats():
+    # u-v (length 1) is longer than u-a-b-v (3/10), but u and v share no
+    # neighbour, so the two-step test keeps it; a-v (1) is longer than
+    # a-b-v (1/5) and is dropped
+    g = WeightedGraph.from_edges(
+        [("u", "v", 1), ("u", "a", 10), ("a", "b", 10), ("b", "v", 10),
+         ("a", "v", 1), ("v", "w", 1)]
+    )
+    assert _kept(g) == _edge_pairs(g) - {("a", "v")}
+    _assert_bits_match_serial_loop(g)
+    _assert_matches_exhaustive(g)
+
+
+def test_backbone_of_one_and_two_nodes():
+    solo = WeightedGraph.from_edges([], isolated=["solo"])
+    pair = WeightedGraph.from_edges([("a", "b", 3)])
+    assert trends._backbone(solo.adjacency()) == [{}]
+    assert _kept(pair) == {("a", "b")}
+    assert weighted_betweenness(solo) == {"solo": 0.0}
+    assert weighted_betweenness(pair) == {"a": 0.0, "b": 0.0}
+    _assert_bits_match_serial_loop(solo)
+    _assert_bits_match_serial_loop(pair)
+
+
+def test_backbone_bits_match_the_unpruned_serial_loop_on_seeded_graphs():
+    # weights up to 12 make many edges longer than a two-step detour;
+    # the serial loop runs on every edge
+    rng = random.Random(77)
+    graphs = [oracles.random_graph(rng, n_max=12, max_weight=12) for _ in range(30)]
+    graphs += [
+        oracles.random_connected_graph(rng, n_max=12, extra=0.5, max_weight=12)
+        for _ in range(30)
+    ]
+    pruned = 0
+    for g in graphs:
+        _assert_bits_match_serial_loop(g)
+        pruned += len(_kept(g)) < len(g.edges())
+    assert pruned >= 30
+
+
 # --- top-k tables ------------------------------------------------------------------
 
 

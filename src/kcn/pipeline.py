@@ -75,11 +75,11 @@ _SAFE_RE = re.compile(r"[^\w.-]+")
 # in bytes; file systems commonly refuse names over 255 bytes
 _EGO_NAME_BYTES = 200
 
-# the fixed cost of a slice's files, in keyword pairs; see _slice_costs
+# the fixed cost of a slice's files, in keyword pairs; see _schedule
 _SLICE_PAIRS = 100
 
 # distinct keywords times keyword pairs that cost as much betweenness as
-# one keyword pair costs build, files, macro and meso; see _slice_costs
+# one keyword pair costs build, files, macro and meso; see _schedule
 _BETWEENNESS_PAIRS = 50
 
 # per-slice files whose name repeats the slice label
@@ -189,7 +189,7 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
     report, normalized, lexicon, slices = prepare(config)
     labels = [s.label for s in slices]
     vocabulary = {kw for r in normalized.records for kw in r.keywords}
-    results, kept = _analyze_slices(config, stages, normalized, slices, out)
+    results, whole = _analyze_slices(config, stages, normalized, slices, out)
 
     if "macro" in stages:
         with _stage("macro"):
@@ -197,20 +197,6 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
 
     emerging = []
     if "micro" in stages:
-        # the slice phase wrote every other slice's table; the costliest
-        # slice's betweenness runs on the graph it kept, now that its child
-        # is gone, so that betweenness may fork a child of its own
-        keep, g = kept
-        with _stage("micro"):
-            results[keep]["table"] = _write_betweenness(config, g, slices[keep], out)
-        # ego views come from the first whole-corpus graph, which keeps
-        # every record, so every emerging keyword is one of its nodes; it
-        # is the kept graph unless a year range ties with it on cost
-        whole = next((i for i, spec in enumerate(slices) if spec.years is None), None)
-        overall = g if whole == keep else None
-        if whole is not None and overall is None:
-            with _stage("build"):
-                overall = build_kcn(normalized, slices[whole])
         with _stage("micro"):
             # full table, so lookups work for every canonical keyword
             _write_csv(
@@ -232,8 +218,10 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
                     for e in emerging
                 ],
             )
-            if overall is not None:
-                _write_ego_files(out, config, overall, emerging)
+            if whole is not None:
+                # the first whole-corpus graph keeps every record, so every
+                # emerging keyword is one of its nodes
+                _write_ego_files(out, config, whole, emerging)
 
     with _stage("report"):
         _write_json(out / "filter_report.json", report.to_json())
@@ -254,25 +242,22 @@ def _analyze_slices(
     normalized: Corpus,
     slices: list[SliceSpec],
     out: Path,
-) -> tuple[list[dict], tuple[int, WeightedGraph] | None]:
-    """The slice phase: build, ``edges.csv``, macro, meso and betweenness of every slice.
+) -> tuple[list[dict], WeightedGraph | None]:
+    """Build, ``edges.csv``, macro, meso and betweenness of every slice.
 
     Returns the ``_analyze_slice`` results in slice order and, when micro
-    runs, the index and graph of the costliest slice (``_costliest``).
-    That slice's betweenness is left out, for the caller to run once this
-    phase is over, when it may fork a child of its own. With two CPUs, a
-    forked child (see ``trends._forked``) takes the slices
-    ``_child_share`` picks and writes their files into ``out`` itself;
-    this process runs the rest. Betweenness run in either process during
-    the phase forks no further child. Each slice's files and result come
-    from the same calls either way, so no byte depends on the split. Each
-    side returns the error of its first failing slice in slice order (see
-    ``_slice_share``); of the two, the earlier slice's error is raised, as
-    the serial loop would.
+    runs, the graph of the first whole-corpus slice, or None when there is
+    none. With two CPUs, a forked child (see ``trends._forked``) takes the
+    slices ``_schedule`` gives it and writes their files into ``out``
+    itself; this process runs the rest. The slice ``_schedule`` keeps here
+    has its betweenness run last, once the child is reaped, so that it may
+    fork a child of its own; betweenness run during the phase forks none.
+    Each slice's files and result come from the same calls either way, so
+    no byte depends on the split. Each side returns the error of its first
+    failing slice in slice order (see ``_slice_share``); of the two, the
+    earlier slice's error is raised, as the serial loop would.
     """
-    micro = "micro" in stages
-    keep = _costliest(_slice_costs(normalized, slices)) if micro else None
-    theirs = _child_share(normalized, slices, micro)
+    keep, theirs = _schedule(normalized, slices, "micro" in stages)
     forked = None
     if theirs:
         if "macro" in stages:
@@ -305,15 +290,30 @@ def _analyze_slices(
     if failure is not None:
         raise failure[1]
     results = [done[i] for i in range(len(slices))]
-    return results, ((keep, results[keep].pop("graph")) if micro else None)
+    if keep is None:
+        return results, None
+    g = results[keep].pop("graph")
+    with _stage("micro"):
+        results[keep]["table"] = _write_betweenness(config, g, slices[keep], out)
+    return results, (g if slices[keep].years is None else None)
 
 
-def _slice_costs(normalized: Corpus, slices: list[SliceSpec]) -> list[tuple[int, int]]:
-    """Each slice's estimated cost in keyword pairs: the phase, then betweenness.
+def _schedule(
+    normalized: Corpus, slices: list[SliceSpec], micro: bool
+) -> tuple[int | None, list[int]]:
+    """The slice this process keeps, and the slices a forked child analyses.
 
-    The phase (build, files, macro, meso) costs the keyword pairs of the
-    slice's records plus ``_SLICE_PAIRS``; betweenness costs its distinct
-    keywords times those pairs, over ``_BETWEENNESS_PAIRS``.
+    A slice's phase (build, files, macro, meso) costs the keyword pairs of
+    its records plus ``_SLICE_PAIRS``; its betweenness costs its distinct
+    keywords times those pairs, over ``_BETWEENNESS_PAIRS``. This process
+    keeps the slice of highest total cost: a whole-corpus slice of equals,
+    then the first. With ``micro`` that slice is returned as ``keep``, and
+    its betweenness, which runs after the phase, is not counted; without,
+    ``keep`` is None. Then by falling load (phase cost plus, with
+    ``micro``, betweenness cost), ties in slice order, each other slice
+    goes to the side with the lower total so far, ties to this process.
+    The child's slices are returned ascending. The rule reads only the
+    inputs.
     """
     pairs: dict[int, int] = {}  # by year
     keywords: dict[int, set[str]] = {}
@@ -321,45 +321,28 @@ def _slice_costs(normalized: Corpus, slices: list[SliceSpec]) -> list[tuple[int,
         k = len(r.keywords)
         pairs[r.year] = pairs.get(r.year, 0) + k * (k - 1) // 2
         keywords.setdefault(r.year, set()).update(r.keywords)
-    costs = []
+    phase, betweenness = [], []
     for spec in slices:
         years = [year for year in pairs if spec.contains(year)]
         p = sum(pairs[year] for year in years)
         distinct = len(set().union(*(keywords[year] for year in years)))
-        costs.append((_SLICE_PAIRS + p, distinct * p // _BETWEENNESS_PAIRS))
-    return costs
-
-
-def _costliest(costs: list[tuple[int, int]]) -> int:
-    """Index of the slice of highest total cost, the first of equals."""
-    return max(range(len(costs)), key=lambda i: sum(costs[i]))
-
-
-def _child_share(
-    normalized: Corpus, slices: list[SliceSpec], micro: bool = True
-) -> list[int]:
-    """Indices, ascending, of the slices a forked child analyses.
-
-    A slice's load is its phase cost plus, with ``micro``, its betweenness
-    cost (see ``_slice_costs``). The costliest slice (``_costliest``)
-    stays in this process, and its betweenness, which runs after the
-    phase, is not counted. Then by falling load, ties in slice order, each
-    slice goes to the side with the lower total so far, ties to this
-    process. The rule reads only the inputs.
-    """
-    costs = _slice_costs(normalized, slices)
-    keep = _costliest(costs)
-    loads = [phase + (betweenness if micro else 0) for phase, betweenness in costs]
-    loads[keep] = costs[keep][0]
-    rest = sorted((i for i in range(len(slices)) if i != keep), key=lambda i: -loads[i])
-    totals = [loads[keep], 0]  # this process, the child
+        phase.append(_SLICE_PAIRS + p)
+        betweenness.append(distinct * p // _BETWEENNESS_PAIRS)
+    kept = max(
+        range(len(slices)),
+        key=lambda i: (phase[i] + betweenness[i], slices[i].years is None, -i),
+    )
+    loads = [a + (b if micro else 0) for a, b in zip(phase, betweenness)]
+    loads[kept] = phase[kept]
+    rest = sorted((i for i in range(len(slices)) if i != kept), key=lambda i: -loads[i])
+    totals = [loads[kept], 0]  # this process, the child
     theirs = []
     for i in rest:
         side = int(totals[1] < totals[0])
         totals[side] += loads[i]
         if side:
             theirs.append(i)
-    return sorted(theirs)
+    return (kept if micro else None), sorted(theirs)
 
 
 def _slice_share(

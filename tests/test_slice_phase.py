@@ -1,10 +1,11 @@
 """The slice phase of ``kcn run`` split between this process and a child.
 
-``pipeline._analyze_slices`` hands the slices ``pipeline._child_share``
-picks to one forked child when there are two CPUs. These tests pin that
-the bundle does not depend on the split, that a failure reads as it would
-in the serial loop, that a run has at most one child at a time, and that
-no child or partial bundle outlives a run.
+``pipeline._analyze_slices`` hands the slices ``pipeline._schedule``
+gives the child to one forked child when there are two CPUs. These tests
+pin that the bundle does not depend on the split, that a failure reads as
+it would in the serial loop, that a run has at most one child at a time
+and builds each slice graph once, and that no child or partial bundle
+outlives a run.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def serial(tmp_path_factory):
 
 def _slices():
     prepared = pipeline.prepare(load_config(CONFIG))
-    return prepared.slices, pipeline._child_share(prepared.normalized, prepared.slices)
+    return prepared.slices, pipeline._schedule(prepared.normalized, prepared.slices, True)[1]
 
 
 def test_the_test_config_gives_both_processes_slices():
@@ -80,9 +81,9 @@ def test_the_test_config_gives_both_processes_slices():
 
 def test_child_share_repeats_and_leaves_a_lone_slice_here():
     prepared = pipeline.prepare(load_config(CONFIG))
-    assert pipeline._child_share(prepared.normalized, prepared.slices) == _slices()[1]
+    assert pipeline._schedule(prepared.normalized, prepared.slices, True)[1] == _slices()[1]
     for spec in prepared.slices:
-        assert pipeline._child_share(prepared.normalized, [spec]) == []
+        assert pipeline._schedule(prepared.normalized, [spec], True) == (0, [])
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -170,9 +171,9 @@ def test_bytes_match_when_the_costliest_slice_is_a_year_range_and_there_is_no_al
     slices = [YEARS[0], {"label": "2021-2023", "years": [2021, 2023]}, *YEARS[3:]]
     config = load_config(_slices_config(tmp_path, slices))
     prepared = pipeline.prepare(config)
-    costs = pipeline._slice_costs(prepared.normalized, prepared.slices)
-    assert prepared.slices[pipeline._costliest(costs)].label == "2021-2023"
-    assert pipeline._child_share(prepared.normalized, prepared.slices)
+    keep, theirs = pipeline._schedule(prepared.normalized, prepared.slices, True)
+    assert prepared.slices[keep].label == "2021-2023"
+    assert theirs
     trees = []
     for workers in (1, 2):
         monkeypatch.setattr(trends, "_workers", lambda: workers)
@@ -192,17 +193,35 @@ def test_ego_networks_come_from_all_when_a_year_range_ties_with_it(tmp_path, mon
     )
     span = {"label": "span", "years": [2020, 2024]}
     whole = {"label": "all", "years": "all"}
+    # either process appends a line per build: the slice's label
+    log = tmp_path / "builds.txt"
+    build = pipeline.build_kcn
+
+    def building(corpus, spec):
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(f"{spec.label}\n")
+        return build(corpus, spec)
+
     monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "build_kcn", building)
     egos = []
-    # the first of the two is the costliest; only span first makes micro
-    # build all's graph again
+    # all is kept in both orders, so its graph gives the ego networks and
+    # no slice graph is built twice
     for name, tied in (("span-first", [span, whole]), ("all-first", [whole, span])):
         config = load_config(_slices_config(tmp_path, [*YEARS, *tied], corpus))
         prepared = pipeline.prepare(config)
-        costs = pipeline._slice_costs(prepared.normalized, prepared.slices)
-        assert costs[-1] == costs[-2]
-        assert prepared.slices[pipeline._costliest(costs)].label == name.split("-")[0]
+        # the records outside span add no keyword pair and no keyword, so
+        # span and all have the same cost
+        within = next(spec for spec in prepared.slices if spec.label == "span").contains
+        records = prepared.normalized.records
+        inside = {kw for r in records if within(r.year) for kw in r.keywords}
+        assert all(len(r.keywords) == 1 and r.keywords[0] in inside
+                   for r in records if not within(r.year))
+        keep, _ = pipeline._schedule(prepared.normalized, prepared.slices, True)
+        assert prepared.slices[keep].label == "all"
+        log.write_text("", "utf-8")
         run_pipeline(config, out_dir=tmp_path / name)
+        assert sorted(log.read_text("utf-8").splitlines()) == sorted(s.label for s in prepared.slices)
         egos.append({k: v for k, v in _tree(tmp_path / name).items() if k.startswith("ego_")})
     assert "ego_large_language_model.graphml" in egos[0]
     assert egos[0] == egos[1]
@@ -353,6 +372,46 @@ def test_first_failing_slice_wins_then_first_failing_stage(tmp_path, monkeypatch
     with pytest.raises(StageError) as info:
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     assert str(info.value) == f"[macro] {early} macro"
+    _assert_no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("beside", [None, "ours", "theirs"])
+def test_kept_slice_betweenness_failure_loses_to_a_year_slice_failure(
+    tmp_path, monkeypatch, workers, beside
+):
+    # all, the kept slice, runs its betweenness after the phase, in this
+    # process; a year slice of either side fails in meso
+    ours, theirs = _labels()
+    year = {"ours": ours[0], "theirs": theirs[0]}.get(beside)
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    if beside is not None:
+        _fail(monkeypatch, {(year, "fast_greedy"): GraphError(f"{year} meso")})
+    kept = []
+    build = pipeline.build_kcn
+    betweenness = pipeline.weighted_betweenness
+
+    def building(corpus, spec):
+        g = build(corpus, spec)
+        if spec.label == "all":
+            kept.append(g)
+        return g
+
+    def failing(g):
+        if any(g is k for k in kept):
+            raise GraphError("all micro")
+        return betweenness(g)
+
+    monkeypatch.setattr(pipeline, "build_kcn", building)
+    monkeypatch.setattr(pipeline, "weighted_betweenness", failing)
+    with pytest.raises(StageError) as info:
+        run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
+    if beside is None:
+        assert str(info.value) == "[micro] all micro"
+        assert info.value.stage == "micro"
+    else:
+        assert str(info.value) == f"[meso] {year} meso"
     _assert_no_child_left()
     assert os.listdir(tmp_path) == []
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -123,7 +124,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     manifest_path = bundle / "manifest.json"
     if not manifest_path.is_file():
         raise KcnError(f"{bundle} is not a finished bundle (no manifest.json)")
-    manifest = _load_json(manifest_path.read_text("utf-8"), manifest_path)
+    manifest = _load_json(_bundle_text(manifest_path), manifest_path)
     if not isinstance(manifest, dict):
         raise KcnError(f"{manifest_path}: manifest must be a JSON object")
     slices = manifest.get("slices", [])
@@ -173,7 +174,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
     emerging = bundle / "emerging.json"
     if emerging.is_file():
-        entries = _load_json(emerging.read_text("utf-8"), emerging)
+        entries = _load_json(_bundle_text(emerging), emerging)
         if not isinstance(entries, list):
             raise KcnError(f"{emerging}: expected a JSON list of entries")
         keywords = [
@@ -191,7 +192,7 @@ def _audit_chain(bundle: Path, keyword: str) -> list[tuple[str, str, str]]:
     if not path.is_file():
         return []
     by_rule: dict[str, dict[str, str]] = {}
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_bundle_text(path).splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
@@ -233,6 +234,14 @@ def _bundle_vocabulary(bundle: Path, slices: list[str]) -> set[str]:
     return vocab
 
 
+def _bundle_text(path: Path) -> str:
+    """The text of one bundle file, line ends as written; an error names ``path``."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise KcnError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_json(text: str, where: Path | str):
     """``json.loads`` of one bundle file's text; an error names ``where``."""
     try:
@@ -262,7 +271,6 @@ def _row_of(path: Path, keyword: str) -> list[str] | None:
 
 
 def _csv_rows(path: Path) -> list[list[str]]:
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)  # header
-        return [row for row in reader if row]
+    reader = csv.reader(io.StringIO(_bundle_text(path), newline=""))
+    next(reader, None)  # header
+    return [row for row in reader if row]

@@ -9,6 +9,7 @@ report the offending line number on failure.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,7 +135,7 @@ def _load_jsonl(path: Path) -> list[ArticleRecord]:
     records: list[ArticleRecord] = []
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
@@ -150,39 +151,38 @@ def _load_jsonl(path: Path) -> list[ArticleRecord]:
 def _load_csv(path: Path) -> list[ArticleRecord]:
     records: list[ArticleRecord] = []
     try:
-        fh = path.open(newline="", encoding="utf-8")
-    except OSError as exc:
+        text = path.read_bytes().decode("utf-8")  # line ends as written, for csv
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError(f"{path}: empty file, expected a header row") from None
-        if tuple(h.strip() for h in header) != _CSV_COLUMNS:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CorpusError(f"{path}: empty file, expected a header row") from None
+    if tuple(h.strip() for h in header) != _CSV_COLUMNS:
+        raise CorpusError(
+            f"{path}:1: expected header {','.join(_CSV_COLUMNS)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(row) != len(_CSV_COLUMNS):
             raise CorpusError(
-                f"{path}:1: expected header {','.join(_CSV_COLUMNS)!r}, "
-                f"got {','.join(header)!r}"
+                f"{where}: expected {len(_CSV_COLUMNS)} fields, got {len(row)}"
             )
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(_CSV_COLUMNS):
-                raise CorpusError(
-                    f"{where}: expected {len(_CSV_COLUMNS)} fields, got {len(row)}"
-                )
-            rec_id, venue, year_text, cell = row
-            try:
-                year = int(year_text.strip())
-            except ValueError:
-                raise CorpusError(
-                    f"{where}: year must be an integer, got {year_text!r}"
-                ) from None
-            keywords = tuple(
-                part.strip() for part in cell.split(";") if part.strip()
-            )
-            records.append(ArticleRecord(rec_id, venue, year, keywords))
+        rec_id, venue, year_text, cell = row
+        try:
+            year = int(year_text.strip())
+        except ValueError:
+            raise CorpusError(
+                f"{where}: year must be an integer, got {year_text!r}"
+            ) from None
+        keywords = tuple(
+            part.strip() for part in cell.split(";") if part.strip()
+        )
+        records.append(ArticleRecord(rec_id, venue, year, keywords))
     return records
 
 

@@ -468,7 +468,7 @@ def _merge_stage_form(text: str, lexicon: NormalizationLexicon) -> str:
 def _tsv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -56,6 +56,11 @@ from .structure import average_clustering, ccdf, fit_power_law, profile_nodes, s
 from .trends import (
     CentralityTable,
     _forked,
+    _prefix_sum,
+    _sparse_deltas,
+    _split,
+    _steps,
+    betweenness_scores,
     detect_emerging,
     ego_network,
     frequency_table,
@@ -247,54 +252,74 @@ def _analyze_slices(
 
     Returns the ``_analyze_slice`` results in slice order and, when micro
     runs, the graph of the first whole-corpus slice, or None when there is
-    none. With two CPUs, a forked child (see ``trends._forked``) takes the
-    slices ``_schedule`` gives it and writes their files into ``out``
-    itself; this process runs the rest. The slice ``_schedule`` keeps here
-    has its betweenness run last, once the child is reaped, so that it may
-    fork a child of its own; betweenness run during the phase forks none.
-    Each slice's files and result come from the same calls either way, so
-    no byte depends on the split. Each side returns the error of its first
-    failing slice in slice order (see ``_slice_share``); of the two, the
-    earlier slice's error is raised, as the serial loop would.
+    none. ``trends._forked`` runs two shares, in a forked child and here.
+    The child analyses the slices ``_schedule`` gives it, writing their
+    files into ``out`` itself, then sums the kept slice's Brandes sources
+    before ``trends._split``. This process builds the kept slice before
+    the fork, analyses it and the other slices, then keeps the nonzero
+    dependencies of the later sources and adds them onto that sum in
+    source order. So no byte depends on the split, and a run that leaves
+    the child no work forks none. Of the two shares' first failing slices
+    (see ``_slice_share``), the earlier is raised, as in the serial loop;
+    the kept slice's betweenness counts as that slice.
     """
+    import pickle
+
     keep, theirs = _schedule(normalized, slices, "micro" in stages)
-    forked = None
-    if theirs:
-        if "macro" in stages:
-            # the fits need it; loaded once here, not in both processes
-            import numpy  # noqa: F401
+    ours = [i for i in range(len(slices)) if i not in theirs and i != keep]
+    g = kept = unbuilt = None
+    n = cut = 0
+    if keep is not None:
+        try:
+            with _stage("build"):
+                g = build_kcn(normalized, slices[keep])
+            kept = (keep, g)
+            n = g.n
+            cut = _split(n) if n else 0
+        except Exception as exc:
+            unbuilt = (keep, exc)
 
-        forked = _forked(
-            lambda: _pickled(_slice_share(config, stages, normalized, slices, out, theirs)),
-            lambda: _slice_share(
-                config, stages, normalized, slices, out,
-                [i for i in range(len(slices)) if i not in theirs], keep,
-            ),
-            lambda code: KcnError(
-                f"worker for slices {', '.join(slices[i].label for i in theirs)} "
-                f"failed with exit code {code}"
-            ),
-        )
-    if forked is None:
+    def share(indices, sources, part, first=None):
         done, failure = _slice_share(
-            config, stages, normalized, slices, out, range(len(slices)), keep
+            config, stages, normalized, slices, out, indices, unbuilt, first
         )
-    else:
-        import pickle
+        # the kept slice's Dijkstra steps are derived after the slices, so
+        # that no meso runs on top of them
+        summed = None
+        if g is not None and (failure is None or failure[0] > keep):
+            try:
+                with _stage("micro"):
+                    summed = part(_steps(g), sources)
+            except Exception as exc:
+                failure = (keep, exc)
+        return done, failure, summed
 
-        payload, (done, failure) = forked
-        their_done, their_failure = pickle.loads(payload)
-        done.update(their_done)
-        # the two sides hold other slices, so only the indices are compared
-        failure = min(filter(None, (failure, their_failure)), default=None)
+    work = [f"slices {', '.join(slices[i].label for i in theirs)}"] if theirs else []
+    if cut:
+        work.append(f"sources 0-{cut - 1} of {slices[keep].label}")
+    if theirs and "macro" in stages:
+        # the fits need it; loaded once here, not in both processes
+        import numpy  # noqa: F401
+
+    payload, (done, failure, suffix) = _forked(
+        lambda: _pickled(share(theirs, range(cut), _prefix_sum)),
+        lambda: share(ours, range(cut, n), _sparse_deltas, kept),
+        lambda code: KcnError(f"worker for {' and '.join(work)} failed with exit code {code}"),
+        bool(work),
+    )
+    their_done, their_failure, prefix = pickle.loads(payload)
+    done.update(their_done)
+    # both shares may report the kept slice: only the indices are compared,
+    # and a tie goes to this process
+    failure = min(filter(None, (failure, their_failure)), key=lambda f: f[0], default=None)
     if failure is not None:
         raise failure[1]
     results = [done[i] for i in range(len(slices))]
-    if keep is None:
+    if g is None:
         return results, None
-    g = results[keep].pop("graph")
     with _stage("micro"):
-        results[keep]["table"] = _write_betweenness(config, g, slices[keep], out)
+        values = betweenness_scores(g, prefix, suffix)
+        results[keep]["table"] = _write_betweenness(config, g, slices[keep], out, values)
     return results, (g if slices[keep].years is None else None)
 
 
@@ -308,12 +333,12 @@ def _schedule(
     keywords times those pairs, over ``_BETWEENNESS_PAIRS``. This process
     keeps the slice of highest total cost: a whole-corpus slice of equals,
     then the first. With ``micro`` that slice is returned as ``keep``, and
-    its betweenness, which runs after the phase, is not counted; without,
-    ``keep`` is None. Then by falling load (phase cost plus, with
-    ``micro``, betweenness cost), ties in slice order, each other slice
-    goes to the side with the lower total so far, ties to this process.
-    The child's slices are returned ascending. The rule reads only the
-    inputs.
+    its betweenness, whose sources both processes share after their
+    slices, is not counted; without, ``keep`` is None. Then by falling
+    load (phase cost plus, with ``micro``, betweenness cost), ties in
+    slice order, each other slice goes to the side with the lower total
+    so far, ties to this process. The child's slices are returned
+    ascending. The rule reads only the inputs.
     """
     pairs: dict[int, int] = {}  # by year
     keywords: dict[int, set[str]] = {}
@@ -352,23 +377,28 @@ def _slice_share(
     slices: list[SliceSpec],
     out: Path,
     indices,
-    keep: int | None = None,
+    failure: tuple[int, Exception] | None = None,
+    kept: tuple[int, WeightedGraph] | None = None,
 ) -> tuple[dict[int, dict], tuple[int, Exception] | None]:
-    """Build and analyse ``slices[i]`` for each ``i`` in ``indices``.
+    """Build and analyse ``slices[i]`` for each ``i`` in ``indices``, in order.
 
-    ``slices[keep]``, when in ``indices``, runs first, so that its meso,
-    the peak of the phase, starts from the smallest base; the rest run in
-    order. That slice skips micro, and its result holds its graph under
-    ``"graph"``; every other graph is dropped once the next is built.
-    Returns the results by slice index and, once a slice fails, its index
-    and error; the slices after it in order do not run. If ``keep`` fails,
-    the slices before it still run until one of them fails, so the error
-    returned is that of the first failing slice in order.
+    ``kept``, the index and graph of a slice built already, runs first
+    and skips micro, so that its meso, the peak of the phase, starts from
+    the smallest base; every other graph is dropped once the next is
+    built. ``failure`` is the index and error of a slice that failed
+    already. Returns the results by slice index and, once a slice fails,
+    its index and error; the slices after it in order do not run. If the
+    kept slice fails, the slices before it still run until one of them
+    fails, so the error returned is that of the first failing slice in
+    order.
     """
-    if keep in indices:
-        indices = [keep, *(i for i in indices if i != keep)]
     done = {}
-    failure = None
+    if kept is not None:
+        i, g = kept
+        try:
+            done[i] = _analyze_slice(config, stages - {"micro"}, g, slices[i], out)
+        except Exception as exc:
+            failure = (i, exc)
     for i in indices:
         if failure is not None and i > failure[0]:
             break
@@ -376,31 +406,27 @@ def _slice_share(
         try:
             with _stage("build"):
                 g = build_kcn(normalized, spec)
-            if i == keep:
-                done[i] = _analyze_slice(config, stages - {"micro"}, g, spec, out)
-                done[i]["graph"] = g
-            else:
-                done[i] = _analyze_slice(config, stages, g, spec, out)
+            done[i] = _analyze_slice(config, stages, g, spec, out)
         except Exception as exc:
             failure = (i, exc)
     return done, failure
 
 
-def _pickled(share: tuple[dict[int, dict], tuple[int, Exception] | None]) -> bytes:
-    """``share`` as the forked slice worker sends it back.
+def _pickled(share: tuple) -> bytes:
+    """``share``, results, failure and prefix sum, as the forked child sends it back.
 
     An error that does not survive pickling is sent as a ``KcnError`` with
     its message.
     """
     import pickle
 
-    done, failure = share
+    done, failure, prefix = share
     if failure is not None:
         try:
             pickle.loads(pickle.dumps(failure[1]))
         except Exception:
             failure = (failure[0], KcnError(str(failure[1])))
-    return pickle.dumps((done, failure))
+    return pickle.dumps((done, failure, prefix))
 
 
 def _analyze_slice(
@@ -503,17 +529,15 @@ def _analyze_slice(
 
     if "micro" in stages:
         with _stage("micro"):
-            result["table"] = _write_betweenness(config, g, spec, out)
+            result["table"] = _write_betweenness(config, g, spec, out, weighted_betweenness(g))
 
     return result
 
 
 def _write_betweenness(
-    config: RunConfig, g: WeightedGraph, spec: SliceSpec, out: Path
+    config: RunConfig, g: WeightedGraph, spec: SliceSpec, out: Path, values: dict[str, float]
 ) -> CentralityTable:
-    table = top_k_table(
-        g, config.top_k, spec.label, values=weighted_betweenness(g)
-    )
+    table = top_k_table(g, config.top_k, spec.label, values=values)
     _write_csv(
         slice_file(out, spec.label, "betweenness", "csv"),
         ["keyword", "value", "rank"],

@@ -74,55 +74,56 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     since it counts in the path multiplicities. Every distance, path count
     and predecessor list, and so every float addition and every bit of
     the result, is as on the whole graph.
-
-    With two CPUs or more (see ``_workers``), a forked child runs the
-    first sources and this process the rest (see ``_split``). Every
-    source runs here instead with one CPU, when the child cannot be
-    started, or when this call is made while a ``_forked`` call runs, as
-    in the pipeline's slice phase, which so ranks all but its costliest
-    slice without further forks. Each node's score gets the same float
-    additions in the same source order as a serial loop, so the result is
-    bit-identical either way. Until the child is done, this process keeps
-    its own sources' nonzero dependencies, about 12 bytes each and at
-    most ``_PAIR_BUDGET`` of them.
     """
+    return betweenness_scores(g, _prefix_sum(_steps(g), range(g.n)))
+
+
+def betweenness_scores(
+    g: WeightedGraph, prefix: Sequence[float], suffix=((), ())
+) -> dict[str, float]:
+    """Scores by label from the sum of the first sources and the rest's dependencies.
+
+    ``prefix`` is the ``_prefix_sum`` of sources ``[0, cut)`` and
+    ``suffix`` the ``_sparse_deltas`` of ``[cut, n)``. The dependencies
+    are added onto the prefix in source order, so each score gets the
+    float additions of a serial loop over all sources, and every bit of
+    the result is that of ``weighted_betweenness`` at any ``cut``.
+    """
+    bc = list(prefix)
+    for u, d in zip(*suffix):
+        bc[u] += d
+    labels = g.labels()
+    # each unordered pair was visited from both endpoints
+    return {labels[i]: bc[i] / 2.0 for i in range(g.n)}
+
+
+def _steps(g: WeightedGraph) -> Steps:
+    """The Dijkstra steps of ``g``'s distance backbone, by node index."""
     n = g.n
     if n == 0:
         raise GraphError("betweenness of an empty graph is undefined")
     adj = g.adjacency()
     scale = math.lcm(*(w for row in adj for w in row.values()))
     bits = _node_bits(n)
-    nbrs = [
+    return [
         tuple((j, (scale // w) << bits) for j, w in row.items())
         for row in _backbone(adj)
     ]
-
-    split = _split(n)
-    bc = _forked_sum(nbrs, split) if 0 < split < n else None
-    if bc is None:
-        bc = _prefix_sum(nbrs, range(n))
-    labels = g.labels()
-    # each unordered pair was visited from both endpoints
-    return {labels[i]: bc[i] / 2.0 for i in range(n)}
 
 
 # most (node, dependency) pairs the parent may hold while its child runs
 _PAIR_BUDGET = 1 << 21
 
-# whether a _forked call is running in this process or, in a forked child,
-# in its parent
-_forking = False
-
 
 def _workers() -> int:
     """Processes ``_forked`` may use: 2 with two CPUs or more, else 1.
 
-    Only one child plus this process has been measured; more would keep
-    more sparse dependencies here. 1 where ``os.fork`` is missing or
-    another Python thread is running, since a forked child inherits only
-    the forking thread and any lock another thread holds stays locked.
-    Native threads Python does not start, such as numpy's BLAS pool, are
-    not counted; OpenBLAS shuts its pool down around a fork.
+    A run forks once, and only one child plus this process has been
+    measured. 1 where ``os.fork`` is missing or another Python thread is
+    running, since a forked child inherits only the forking thread and
+    any lock another thread holds stays locked. Native threads Python
+    does not start, such as numpy's BLAS pool, are not counted; OpenBLAS
+    shuts its pool down around a fork.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
@@ -267,68 +268,34 @@ def _sparse_deltas(nbrs: Steps, sources: range) -> tuple[array, array]:
     return nodes, values
 
 
-def _forked_sum(nbrs: Steps, split: int) -> list[float] | None:
-    """Scores of all sources: ``[0, split)`` in a child, the rest here.
-
-    A float sum depends on its order, so this process may not sum its
-    sources on their own. The child sends back its sum, which is the
-    serial prefix, as ``n`` doubles; this process's nonzero dependencies
-    are then added onto it in source order. None, with nothing run, where
-    ``_forked`` starts no child.
-    """
-    n = len(nbrs)
-    forked = _forked(
-        lambda: array("d", _prefix_sum(nbrs, range(split))).tobytes(),
-        lambda: _sparse_deltas(nbrs, range(split, n)),
-        lambda code: GraphError(
-            f"betweenness worker for sources 0-{split - 1} "
-            f"failed with exit code {code}"
-        ),
-    )
-    if forked is None:
-        return None
-    payload, (nodes, values) = forked
-    prefix = array("d")
-    prefix.frombytes(payload)
-    bc = prefix.tolist()
-    for u, d in zip(nodes, values):
-        bc[u] += d
-    return bc
-
-
 def _forked(
     child: Callable[[], bytes],
     here: Callable[[], T],
     failed: Callable[[int], Exception],
-) -> tuple[bytes, T] | None:
+    fork: bool = True,
+) -> tuple[bytes, T]:
     """Run ``child`` in a forked child process and ``here`` in this one.
 
     Returns the bytes ``child`` returned, read from a pipe, and what
-    ``here`` returned. Returns None, having run neither, where
-    ``_workers()`` is 1 or no pipe or child can be made; the caller then
-    runs the work serially. A child that raises prints its traceback and
-    exits non-zero, and ``failed(exit_code)`` is raised here. If ``here``
-    raises, the child is killed. On every path the child is reaped before
-    this returns or raises, so it never outlives the files it writes to.
-    Betweenness (``_forked_sum``) and the pipeline's slice phase share it.
-
-    A call made while another is running, in ``here`` or in the child it
-    forked, also returns None, so there is never more than one child.
+    ``here`` returned. Where ``fork`` is false, ``_workers()`` is 1 or no
+    pipe or child can be made, both run in this process instead, ``here``
+    first. A child that raises prints its traceback and exits non-zero,
+    and ``failed(exit_code)`` is raised here. If ``here`` raises, the
+    child is killed. On every path the child is reaped before this
+    returns or raises, so it never outlives the files it writes to.
     """
-    global _forking
-    if _forking or _workers() < 2:
-        return None
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    _forking = True  # in both processes
+    pid, fds = None, ()
+    if fork and _workers() > 1:
+        try:
+            fds = os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
+        result = here()
+        return child(), result
+    read_fd, write_fd = fds
     if pid == 0:
         _child(child, write_fd, read_fd)
     os.close(write_fd)
@@ -339,7 +306,6 @@ def _forked(
             payload = fh.read()
         finished = True
     finally:
-        _forking = False
         if not finished:
             import signal  # only here: importing it costs about 1 ms
 

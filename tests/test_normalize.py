@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import string
 
 import pytest
@@ -645,3 +646,7 @@ def test_load_lexicon_rejects_bad_threshold():
 def test_missing_lexicon_file_reports_path(tmp_path):
     with pytest.raises(LexiconError, match="cannot read"):
         load_lexicon(protected_path=tmp_path / "absent.tsv")
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes(b"caf\xe9\n")
+    with pytest.raises(LexiconError, match=f"cannot read lexicon file {re.escape(str(latin1))}: 'utf-8'"):
+        load_lexicon(protected_path=latin1)

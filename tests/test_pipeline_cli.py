@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from kcn import pipeline, trends
+from kcn import cli, pipeline, trends
 from kcn.config import load_config
 from kcn.errors import ConfigError, StageError
 from kcn.graph import WeightedGraph
@@ -97,6 +97,10 @@ def test_load_config_rejections(tmp_path):
     with pytest.raises(ConfigError, match="invalid JSON"):
         p = tmp_path / "broken.json"
         p.write_text("{", "utf-8")
+        load_config(p)
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"inputs": ["caf\xe9.jsonl"]}')
+    with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(p))}: 'utf-8' codec"):
         load_config(p)
 
 
@@ -467,6 +471,7 @@ def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(
     build = pipeline.build_kcn
     analyze = pipeline._analyze_slice
     betweenness = pipeline.weighted_betweenness
+    steps = pipeline._steps
 
     def record(kind, label, alive):
         with seen.open("a", encoding="utf-8") as fh:
@@ -494,17 +499,24 @@ def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(
         record("betweenness", None, alive_besides(g))
         return betweenness(g)
 
+    def checking_steps(g):
+        # the kept slice's sources, which each process takes after its slices
+        record("steps", None, alive_besides(g))
+        return steps(g)
+
     monkeypatch.setattr(pipeline, "build_kcn", tracking_build)
     monkeypatch.setattr(pipeline, "_analyze_slice", checking_analyze)
     monkeypatch.setattr(pipeline, "weighted_betweenness", checking_betweenness)
+    monkeypatch.setattr(pipeline, "_steps", checking_steps)
     result = run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     lines = [json.loads(line) for line in seen.read_text("utf-8").splitlines()]
     builds = [line for line in lines if line[0] == "build"]
     checks = [line for line in lines if line[0] != "build"]
     # each slice graph is built once, in the slice phase, and analysed and
-    # ranked by betweenness once
+    # ranked by betweenness once; the kept slice's sources are split in two
     assert len(builds) == len(result["slices"]) > 1
-    assert len(checks) == 2 * len(builds)
+    assert [kind for kind, _, _ in checks].count("betweenness") == len(builds) - 1
+    assert [kind for kind, _, _ in checks].count("steps") == 2
     assert sorted(label for _, label, _ in builds) == sorted(result["slices"])
     assert sorted(label for kind, label, _ in checks if kind == "analyze") == sorted(
         result["slices"]
@@ -780,6 +792,29 @@ def test_cli_error_reporting(tmp_path):
     assert "--force" in res.stderr or "not empty" in res.stderr
 
 
+@pytest.mark.parametrize("damaged", ["config", "corpus-jsonl", "corpus-csv", "lexicon"])
+def test_cli_run_input_that_is_not_utf8_is_one_error_line_naming_it(tmp_path, capsys, damaged):
+    raw = json.loads(CONFIG.read_text("utf-8"))
+    raw["inputs"] = [str(DATA / "synthetic_corpus.jsonl")]
+    bad = tmp_path / f"{damaged}.bad"
+    if damaged == "config":
+        bad.write_bytes(json.dumps(raw).encode()[:-1] + b', "x": "\xff"}')
+        config = bad
+    else:
+        bad.write_bytes(b"\xff\n")
+        if damaged == "lexicon":
+            raw["lexicon"] = {"protected": str(bad)}
+        else:
+            raw["inputs"] = [{"path": str(bad), "format": damaged.split("-")[1]}]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), "utf-8")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("kcn: error: ")
+    assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in err
+
+
 def test_cli_inspect_known_keyword(bundle):
     res = _run_cli("inspect", "Neural Networks", "--bundle", str(bundle))
     assert res.returncode == 0, res.stderr
@@ -866,13 +901,20 @@ def test_cli_inspect_needs_finished_bundle(tmp_path):
         ("manifest.json", "[]"),
         ("emerging.json", '[{"keyword": '),
         ("audit.jsonl", '{"raw": "x"\n'),
+        # one byte that is not UTF-8
+        ("manifest.json", b"\xff"),
+        ("emerging.json", b"[\xff]"),
+        ("audit.jsonl", b"\xff\n"),
+        ("frequency.csv", b"keyword,count\n\xff,1\n"),
+        ("slices/all/edges.csv", b"source,target,weight\n\xff,b,1\n"),
     ],
-    ids=["manifest", "manifest-not-object", "emerging", "audit"],
+    ids=["manifest", "manifest-not-object", "emerging", "audit", "manifest-utf8",
+         "emerging-utf8", "audit-utf8", "frequency-utf8", "slice-csv-utf8"],
 )
 def test_cli_inspect_damaged_bundle_file_is_one_error_line(tmp_path, bundle, name, text):
     damaged = tmp_path / "bundle"
     shutil.copytree(bundle, damaged)
-    (damaged / name).write_text(text, "utf-8")
+    (damaged / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     before = _tree(damaged)
     res = _run_cli("inspect", "neural network", "--bundle", str(damaged))
     assert res.returncode == 1

@@ -1,11 +1,11 @@
 """The slice phase of ``kcn run`` split between this process and a child.
 
 ``pipeline._analyze_slices`` hands the slices ``pipeline._schedule``
-gives the child to one forked child when there are two CPUs. These tests
-pin that the bundle does not depend on the split, that a failure reads as
-it would in the serial loop, that a run has at most one child at a time
-and builds each slice graph once, and that no child or partial bundle
-outlives a run.
+gives the child, and the first Brandes sources of the slice it keeps, to
+one forked child when there are two CPUs. These tests pin that the bundle
+does not depend on the split, that a failure reads as it would in the
+serial loop, that a run forks at most once and builds each slice graph
+once, and that no child or partial bundle outlives a run.
 """
 
 from __future__ import annotations
@@ -69,6 +69,29 @@ def _slices():
     return prepared.slices, pipeline._schedule(prepared.normalized, prepared.slices, True)[1]
 
 
+def _all_nodes() -> int:
+    """Nodes of the test config's all slice, more than any year slice has."""
+    prepared = pipeline.prepare(load_config(CONFIG))
+    sizes = [pipeline.build_kcn(prepared.normalized, spec).n for spec in prepared.slices]
+    assert prepared.slices[-1].label == "all" and max(sizes[:-1]) < sizes[-1]
+    return sizes[-1]
+
+
+def _on_all_sources(monkeypatch, call) -> int:
+    """Run ``call(source)`` before each of all's Brandes sources; returns
+    all's node count, by which its Dijkstra steps are told apart."""
+    n = _all_nodes()
+    real = trends._source_delta
+
+    def source_delta(nbrs, source):
+        if len(nbrs) == n:
+            call(source)
+        return real(nbrs, source)
+
+    monkeypatch.setattr(trends, "_source_delta", source_delta)
+    return n
+
+
 def test_the_test_config_gives_both_processes_slices():
     slices, theirs = _slices()
     assert 0 < len(theirs) < len(slices)
@@ -124,8 +147,8 @@ def test_run_is_serial_when_no_child_can_start(tmp_path, monkeypatch, serial, fa
     monkeypatch.setattr(os, "fork", fork)
     run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     assert _tree(tmp_path / "out") == serial["macro-meso-micro"]
-    # the slice phase and each slice's betweenness tried
-    assert len(made) == (0 if fails == "pipe" else 2 * (1 + len(_slices()[0])))
+    # the run's one fork tried
+    assert len(made) == (0 if fails == "pipe" else 2)
     for fd in made:
         with pytest.raises(OSError):
             os.fstat(fd)
@@ -227,10 +250,8 @@ def test_ego_networks_come_from_all_when_a_year_range_ties_with_it(tmp_path, mon
     assert egos[0] == egos[1]
 
 
-@needs_fork
-@pytest.mark.parametrize(("only", "forks"), [(None, 2), ({"macro", "meso"}, 1)])
-def test_a_run_forks_one_child_at_a_time(tmp_path, monkeypatch, only, forks):
-    # either process appends a line per fork: its pid and its live children
+def _forks(tmp_path, monkeypatch, config, only) -> list[str]:
+    """Run ``config`` on two CPUs; a line per fork: its pid and its live children."""
     log = tmp_path / "forks.txt"
     alive: set[int] = set()
     real_fork = os.fork
@@ -252,9 +273,24 @@ def test_a_run_forks_one_child_at_a_time(tmp_path, monkeypatch, only, forks):
     monkeypatch.setattr(trends, "_workers", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "waitpid", waitpid)
-    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out", only=only)
-    # the slice phase's child, then the costliest slice's betweenness child
-    assert log.read_text("utf-8").splitlines() == [f"{os.getpid()} 0"] * forks
+    run_pipeline(config, out_dir=tmp_path / "out", only=only)
+    return log.read_text("utf-8").splitlines() if log.exists() else []
+
+
+@needs_fork
+@pytest.mark.parametrize(("only", "forks"), [(None, 1), ({"macro", "meso"}, 1)])
+def test_a_run_forks_one_child_at_a_time(tmp_path, monkeypatch, only, forks):
+    # the slice phase's child, which also takes all's first sources
+    assert _forks(tmp_path, monkeypatch, load_config(CONFIG), only) == [f"{os.getpid()} 0"] * forks
+
+
+@needs_fork
+@pytest.mark.parametrize(("only", "forks"), [(None, 1), ({"macro", "meso"}, 0)])
+def test_a_lone_slice_forks_only_for_its_sources(tmp_path, monkeypatch, only, forks):
+    # with micro the child sums the first half of the sources; without,
+    # it would have no work
+    config = load_config(_slices_config(tmp_path, [{"label": "all", "years": "all"}]))
+    assert _forks(tmp_path, monkeypatch, config, only) == [f"{os.getpid()} 0"] * forks
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -269,9 +305,11 @@ def test_this_process_builds_the_costliest_slice_first(tmp_path, monkeypatch, wo
     monkeypatch.setattr(trends, "_workers", lambda: workers)
     monkeypatch.setattr(pipeline, "build_kcn", building)
     run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
-    # all, the costliest, then the rest of this process's share in order
-    here = _labels()[0] if workers == 2 else [s.label for s in _slices()[0]]
-    assert built == ["all", *(label for label in here if label != "all")]
+    # all, the costliest, then the rest of this process's share in order,
+    # then, on one CPU, the child's share
+    here, theirs = _labels()
+    assert built == ["all", *(label for label in here if label != "all"),
+                     *(theirs if workers == 1 else [])]
 
 
 # --- failures ---------------------------------------------------------------------
@@ -381,37 +419,41 @@ def test_first_failing_slice_wins_then_first_failing_stage(tmp_path, monkeypatch
 def test_kept_slice_betweenness_failure_loses_to_a_year_slice_failure(
     tmp_path, monkeypatch, workers, beside
 ):
-    # all, the kept slice, runs its betweenness after the phase, in this
-    # process; a year slice of either side fails in meso
+    # all, the kept slice, fails in its first source, which the child
+    # sums, or in its last, which this process runs; a year slice of
+    # either side fails in meso
     ours, theirs = _labels()
     year = {"ours": ours[0], "theirs": theirs[0]}.get(beside)
     monkeypatch.setattr(trends, "_workers", lambda: workers)
     if beside is not None:
         _fail(monkeypatch, {(year, "fast_greedy"): GraphError(f"{year} meso")})
-    kept = []
-    build = pipeline.build_kcn
-    betweenness = pipeline.weighted_betweenness
+    failing = []
 
-    def building(corpus, spec):
-        g = build(corpus, spec)
-        if spec.label == "all":
-            kept.append(g)
-        return g
-
-    def failing(g):
-        if any(g is k for k in kept):
+    def fail(source):
+        if source in failing:
             raise GraphError("all micro")
-        return betweenness(g)
 
-    monkeypatch.setattr(pipeline, "build_kcn", building)
-    monkeypatch.setattr(pipeline, "weighted_betweenness", failing)
-    with pytest.raises(StageError) as info:
+    n = _on_all_sources(monkeypatch, fail)
+    for source in (0, n - 1):
+        failing[:] = [source]
+        with pytest.raises(StageError) as info:
+            run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
+        if beside is None:
+            assert str(info.value) == "[micro] all micro"
+            assert info.value.stage == "micro"
+        else:
+            assert str(info.value) == f"[meso] {year} meso"
+        _assert_no_child_left()
+        assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_a_failed_build_of_the_kept_slice_alone_is_raised(tmp_path, monkeypatch, workers):
+    # all is built before the split, and both shares report its failure
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    _fail(monkeypatch, {("all", "build_kcn"): GraphError("all build")})
+    with pytest.raises(StageError, match=r"^\[build\] all build$"):
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
-    if beside is None:
-        assert str(info.value) == "[micro] all micro"
-        assert info.value.stage == "micro"
-    else:
-        assert str(info.value) == f"[meso] {year} meso"
     _assert_no_child_left()
     assert os.listdir(tmp_path) == []
 
@@ -481,9 +523,13 @@ def test_child_failure_under_force_keeps_old_bundle(tmp_path, monkeypatch, worke
     assert os.listdir(tmp_path) == ["old"]
 
 
+def _child_work(n: int) -> str:
+    cut = trends._split(n)
+    return f"slices {', '.join(_labels()[1])} and sources 0-{cut - 1} of all"
+
+
 @needs_fork
 def test_a_child_that_dies_is_an_error_naming_its_slices(tmp_path, monkeypatch):
-    _, theirs = _labels()
     parent = os.getpid()
     build = pipeline.build_kcn
 
@@ -492,9 +538,50 @@ def test_a_child_that_dies_is_an_error_naming_its_slices(tmp_path, monkeypatch):
             os._exit(3)
         return build(corpus, spec)
 
+    work = _child_work(_all_nodes())
     monkeypatch.setattr(trends, "_workers", lambda: 2)
     monkeypatch.setattr(pipeline, "build_kcn", dying)
-    with pytest.raises(KcnError, match=f"slices {', '.join(theirs)} failed with exit code 3"):
+    with pytest.raises(KcnError, match=f"^worker for {work} failed with exit code 3$"):
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     _assert_no_child_left()
     assert os.listdir(tmp_path) == []
+
+
+@needs_fork
+def test_a_child_that_dies_in_the_prefix_is_an_error_naming_its_slices(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def dying(source):
+        if os.getpid() != parent:
+            os._exit(3)
+
+    n = _on_all_sources(monkeypatch, dying)
+    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    with pytest.raises(KcnError, match=f"^worker for {_child_work(n)} failed with exit code 3$"):
+        run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
+    _assert_no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("room", [3, 0], ids=["three-sources", "none"])
+def test_bytes_match_the_serial_bundle_when_the_budget_moves_the_cut(
+    tmp_path, monkeypatch, serial, workers, room
+):
+    # room for the dependencies of 3 of all's sources here, or of none:
+    # then the child sums every source
+    n = _all_nodes()
+    shares: list[range] = []
+    real = trends._sparse_deltas
+
+    def sparse_deltas(nbrs, sources):
+        if len(nbrs) == n:
+            shares.append(sources)
+        return real(nbrs, sources)
+
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(trends, "_PAIR_BUDGET", max(room * n, n - 1))
+    monkeypatch.setattr(pipeline, "_sparse_deltas", sparse_deltas)
+    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
+    assert _tree(tmp_path / "out") == serial["macro-meso-micro"]
+    assert shares == [range(n - room, n)]

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import threading
+from array import array
 from itertools import combinations
 
 import pytest
@@ -234,6 +235,16 @@ def _graphs_with_ties() -> list[WeightedGraph]:
     ]
 
 
+def _seeded_backbone_graphs() -> list[WeightedGraph]:
+    # weights up to 12 make many edges longer than a two-step detour
+    rng = random.Random(77)
+    graphs = [oracles.random_graph(rng, n_max=12, max_weight=12) for _ in range(30)]
+    return graphs + [
+        oracles.random_connected_graph(rng, n_max=12, extra=0.5, max_weight=12)
+        for _ in range(30)
+    ]
+
+
 def _assert_bits_match_serial_loop(g: WeightedGraph) -> None:
     got = [(v, repr(x)) for v, x in weighted_betweenness(g).items()]
     want = [(v, repr(x)) for v, x in oracles.betweenness_brandes_serial(g)]
@@ -247,10 +258,42 @@ def _tie_graph() -> WeightedGraph:
     )
 
 
+def test_betweenness_bits_do_not_depend_on_the_cut():
+    # the pipeline sums the sources before the cut in one process and adds
+    # the rest's dependencies in another, in source order
+    for g in _graphs_with_ties() + _seeded_backbone_graphs():
+        want = [(v, repr(x)) for v, x in weighted_betweenness(g).items()]
+        steps = trends._steps(g)
+        for cut in range(g.n + 1):
+            got = trends.betweenness_scores(
+                g,
+                trends._prefix_sum(steps, range(cut)),
+                trends._sparse_deltas(steps, range(cut, g.n)),
+            )
+            assert [(v, repr(x)) for v, x in got.items()] == want, (g.edges(), cut)
+
+
+def _forked_betweenness(g: WeightedGraph) -> dict[str, float]:
+    """Betweenness as the pipeline splits it: the first sources summed in
+    ``_forked``'s child, the rest's dependencies kept here."""
+    steps = trends._steps(g)
+    cut = trends._split(g.n)
+    payload, suffix = trends._forked(
+        lambda: array("d", trends._prefix_sum(steps, range(cut))).tobytes(),
+        lambda: trends._sparse_deltas(steps, range(cut, g.n)),
+        lambda code: GraphError(f"sources 0-{cut - 1} failed with exit code {code}"),
+    )
+    prefix = array("d")
+    prefix.frombytes(payload)
+    return trends.betweenness_scores(g, prefix, suffix)
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_betweenness_bits_match_serial_loop_for_every_worker_count(monkeypatch, workers):
     monkeypatch.setattr(trends, "_workers", lambda: workers)
     for g in _graphs_with_ties():
+        want = [(v, repr(x)) for v, x in oracles.betweenness_brandes_serial(g)]
+        assert [(v, repr(x)) for v, x in _forked_betweenness(g).items()] == want
         _assert_bits_match_serial_loop(g)
 
 
@@ -277,9 +320,9 @@ def test_betweenness_runs_serially_when_no_child_can_start(monkeypatch, fails):
     monkeypatch.setattr(os, "fork", fork)
     graphs = _graphs_with_ties()
     for g in graphs:
-        _assert_bits_match_serial_loop(g)
-    # a 1-node graph has no second source to hand over, so makes no pipe
-    assert len(made) == (0 if fails == "pipe" else 2 * sum(g.n > 1 for g in graphs))
+        want = [(v, repr(x)) for v, x in oracles.betweenness_brandes_serial(g)]
+        assert [(v, repr(x)) for v, x in _forked_betweenness(g).items()] == want
+    assert len(made) == (0 if fails == "pipe" else 2 * len(graphs))
     for fd in made:
         with pytest.raises(OSError):
             os.fstat(fd)
@@ -297,36 +340,6 @@ def test_split_keeps_the_parents_pairs_within_budget(monkeypatch):
         assert (n - split) * n <= trends._PAIR_BUDGET
 
 
-@needs_fork
-def test_betweenness_over_budget_shrinks_or_skips_the_parents_share(monkeypatch):
-    g = oracles.random_graph(random.Random(76), n_max=40, p=0.3, max_weight=3)
-    assert g.n > 20
-    shares: list[range] = []
-    pairs: list[int] = []
-    real_sparse = trends._sparse_deltas
-
-    def sparse_deltas(nbrs, sources):
-        shares.append(sources)
-        nodes, values = real_sparse(nbrs, sources)
-        pairs.append(len(nodes))
-        return nodes, values
-
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
-    monkeypatch.setattr(trends, "_sparse_deltas", sparse_deltas)
-    monkeypatch.setattr(trends, "_PAIR_BUDGET", 3 * g.n)
-    _assert_bits_match_serial_loop(g)
-    assert shares == [range(g.n - 3, g.n)] and pairs[0] <= 3 * g.n
-
-    # not one source fits: no child is forked
-    def fork():
-        raise AssertionError("forked over budget")
-
-    monkeypatch.setattr(trends, "_PAIR_BUDGET", g.n - 1)
-    monkeypatch.setattr(os, "fork", fork)
-    _assert_bits_match_serial_loop(g)
-    assert len(shares) == 1
-
-
 def _failing_at(source_of, exc):
     real = trends._source_delta
 
@@ -340,11 +353,11 @@ def _failing_at(source_of, exc):
 
 @needs_fork
 def test_betweenness_child_failure_raises_and_leaves_no_child(monkeypatch, cycle4):
-    # source 0 belongs to the first chunk, which always runs in a child
+    # source 0 is before the cut, so it runs in the child
     monkeypatch.setattr(trends, "_source_delta", _failing_at(lambda n: 0, RuntimeError("boom")))
     monkeypatch.setattr(trends, "_workers", lambda: 2)
     with pytest.raises(GraphError, match="sources 0-1 failed with exit code 1"):
-        weighted_betweenness(cycle4)
+        _forked_betweenness(cycle4)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -355,32 +368,30 @@ def test_betweenness_interrupt_in_parent_reaps_every_child(monkeypatch, cycle4):
     monkeypatch.setattr(trends, "_source_delta", _failing_at(lambda n: n - 1, KeyboardInterrupt))
     monkeypatch.setattr(trends, "_workers", lambda: 2)
     with pytest.raises(KeyboardInterrupt):
-        weighted_betweenness(cycle4)
+        _forked_betweenness(cycle4)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@needs_fork
-def test_forked_inside_forked_starts_no_child(monkeypatch):
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+@pytest.mark.parametrize(("workers", "fork"), [(1, True), (2, False)], ids=["one-cpu", "no-fork"])
+def test_forked_runs_here_then_child_when_it_does_not_fork(monkeypatch, workers, fork):
+    def forking():
+        raise AssertionError("forked")
 
-    def failed(code):
-        return AssertionError(f"child exited {code}")
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(os, "fork", forking, raising=False)
+    ran: list[str] = []
 
-    def nested():
-        return trends._forked(lambda: b"grandchild", lambda: "here", failed)
+    def child():
+        ran.append("child")
+        return b"child"
 
-    def interrupted():
-        raise KeyboardInterrupt
+    def here():
+        ran.append("here")
+        return "here"
 
-    # from the child and from here, a nested call runs nothing
-    assert trends._forked(lambda: repr(nested()).encode(), nested, failed) == (b"None", None)
-    # the guard is released on return and when here() raises
-    with pytest.raises(KeyboardInterrupt):
-        trends._forked(lambda: b"", interrupted, failed)
-    assert trends._forked(lambda: b"child", lambda: "here", failed) == (b"child", "here")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert trends._forked(child, here, AssertionError, fork) == (b"child", "here")
+    assert ran == ["here", "child"]
 
 
 @needs_fork
@@ -481,16 +492,9 @@ def test_backbone_of_one_and_two_nodes():
 
 
 def test_backbone_bits_match_the_unpruned_serial_loop_on_seeded_graphs():
-    # weights up to 12 make many edges longer than a two-step detour;
     # the serial loop runs on every edge
-    rng = random.Random(77)
-    graphs = [oracles.random_graph(rng, n_max=12, max_weight=12) for _ in range(30)]
-    graphs += [
-        oracles.random_connected_graph(rng, n_max=12, extra=0.5, max_weight=12)
-        for _ in range(30)
-    ]
     pruned = 0
-    for g in graphs:
+    for g in _seeded_backbone_graphs():
         _assert_bits_match_serial_loop(g)
         pruned += len(_kept(g)) < len(g.edges())
     assert pruned >= 30

@@ -134,7 +134,8 @@ def _check_unique_ids(records: Iterable[ArticleRecord], source: str) -> None:
 def _load_jsonl(path: Path) -> list[ArticleRecord]:
     records: list[ArticleRecord] = []
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        # JSON strings may hold U+2028, which str.splitlines also splits at
+        lines = path.read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):

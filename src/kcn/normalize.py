@@ -471,7 +471,8 @@ def _tsv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
     except (OSError, UnicodeDecodeError) as exc:
         raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
     rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # only "\n" ends a row, as in _load_jsonl
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         rows.append((lineno, [f.strip() for f in line.split("\t")]))

@@ -57,8 +57,6 @@ from .trends import (
     CentralityTable,
     _forked,
     _prefix_sum,
-    _sparse_deltas,
-    _split,
     _steps,
     betweenness_scores,
     detect_emerging,
@@ -253,46 +251,68 @@ def _analyze_slices(
     Returns the ``_analyze_slice`` results in slice order and, when micro
     runs, the graph of the first whole-corpus slice, or None when there is
     none. ``trends._forked`` runs two shares, in a forked child and here.
-    The child analyses the slices ``_schedule`` gives it, writing their
-    files into ``out`` itself, then sums the kept slice's Brandes sources
-    before ``trends._split``. This process builds the kept slice before
-    the fork, analyses it and the other slices, then keeps the nonzero
-    dependencies of the later sources and adds them onto that sum in
-    source order. So no byte depends on the split, and a run that leaves
-    the child no work forks none. Of the two shares' first failing slices
-    (see ``_slice_share``), the earlier is raised, as in the serial loop;
-    the kept slice's betweenness counts as that slice.
+    This process builds the kept slice before the fork. The child sums
+    the first half of that slice's Brandes sources and sends the sum
+    first, then analyses the slices ``_schedule`` gives it, writing their
+    files into ``out`` itself, and sends their results. This process
+    analyses the kept slice and its other slices, receives the sum and
+    adds its own sources onto it in source order, then receives the
+    child's slices. So no byte depends on the split, and a run that
+    leaves the child no work forks none. Of the two shares' first failing
+    slices (see ``_slice_share``), the earlier is raised, as in the serial
+    loop; the kept slice's betweenness counts as that slice.
     """
     import pickle
 
     keep, theirs = _schedule(normalized, slices, "micro" in stages)
     ours = [i for i in range(len(slices)) if i not in theirs and i != keep]
     g = kept = unbuilt = None
-    n = cut = 0
+    cut = 0
     if keep is not None:
         try:
             with _stage("build"):
                 g = build_kcn(normalized, slices[keep])
             kept = (keep, g)
-            n = g.n
-            cut = _split(n) if n else 0
+            cut = g.n // 2
         except Exception as exc:
             unbuilt = (keep, exc)
 
-    def share(indices, sources, part, first=None):
-        done, failure = _slice_share(
-            config, stages, normalized, slices, out, indices, unbuilt, first
-        )
-        # the kept slice's Dijkstra steps are derived after the slices, so
-        # that no meso runs on top of them
-        summed = None
-        if g is not None and (failure is None or failure[0] > keep):
+    def child():
+        # None without a sum; a failed sum is the failure its slices start from
+        prefix, failure = None, unbuilt
+        if cut:
             try:
                 with _stage("micro"):
-                    summed = part(_steps(g), sources)
+                    prefix = _prefix_sum(_steps(g), range(cut))
             except Exception as exc:
                 failure = (keep, exc)
-        return done, failure, summed
+        yield prefix
+        done, failure = _slice_share(
+            config, stages, normalized, slices, out, theirs, failure
+        )
+        if failure is not None:
+            try:
+                pickle.loads(pickle.dumps(failure[1]))
+            except Exception:
+                # an error that does not survive pickling keeps its message
+                failure = (failure[0], KcnError(str(failure[1])))
+        yield done, failure
+
+    def here(receive):
+        done, failure = _slice_share(
+            config, stages, normalized, slices, out, ours, unbuilt, kept
+        )
+        prefix = receive()
+        summed = None
+        # the kept slice's Dijkstra steps are derived after the slices, so
+        # that no meso runs on top of them; a cut with no prefix failed
+        if g is not None and (failure is None or failure[0] > keep) and (prefix or not cut):
+            try:
+                with _stage("micro"):
+                    summed = _prefix_sum(_steps(g), range(cut, g.n), prefix)
+            except Exception as exc:
+                failure = (keep, exc)
+        return done, failure, summed, receive()
 
     work = [f"slices {', '.join(slices[i].label for i in theirs)}"] if theirs else []
     if cut:
@@ -301,13 +321,12 @@ def _analyze_slices(
         # the fits need it; loaded once here, not in both processes
         import numpy  # noqa: F401
 
-    payload, (done, failure, suffix) = _forked(
-        lambda: _pickled(share(theirs, range(cut), _prefix_sum)),
-        lambda: share(ours, range(cut, n), _sparse_deltas, kept),
+    done, failure, summed, (their_done, their_failure) = _forked(
+        child,
+        here,
         lambda code: KcnError(f"worker for {' and '.join(work)} failed with exit code {code}"),
         bool(work),
     )
-    their_done, their_failure, prefix = pickle.loads(payload)
     done.update(their_done)
     # both shares may report the kept slice: only the indices are compared,
     # and a tie goes to this process
@@ -318,7 +337,7 @@ def _analyze_slices(
     if g is None:
         return results, None
     with _stage("micro"):
-        values = betweenness_scores(g, prefix, suffix)
+        values = betweenness_scores(g, summed)
         results[keep]["table"] = _write_betweenness(config, g, slices[keep], out, values)
     return results, (g if slices[keep].years is None else None)
 
@@ -410,23 +429,6 @@ def _slice_share(
         except Exception as exc:
             failure = (i, exc)
     return done, failure
-
-
-def _pickled(share: tuple) -> bytes:
-    """``share``, results, failure and prefix sum, as the forked child sends it back.
-
-    An error that does not survive pickling is sent as a ``KcnError`` with
-    its message.
-    """
-    import pickle
-
-    done, failure, prefix = share
-    if failure is not None:
-        try:
-            pickle.loads(pickle.dumps(failure[1]))
-        except Exception:
-            failure = (failure[0], KcnError(str(failure[1])))
-    return pickle.dumps((done, failure, prefix))
 
 
 def _analyze_slice(

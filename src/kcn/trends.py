@@ -13,9 +13,8 @@ import math
 import os
 import sys
 import threading
-from array import array
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterator, NoReturn, Sequence, TypeVar
 
 from .corpus import Corpus
 from .errors import GraphError
@@ -78,20 +77,12 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     return betweenness_scores(g, _prefix_sum(_steps(g), range(g.n)))
 
 
-def betweenness_scores(
-    g: WeightedGraph, prefix: Sequence[float], suffix=((), ())
-) -> dict[str, float]:
-    """Scores by label from the sum of the first sources and the rest's dependencies.
+def betweenness_scores(g: WeightedGraph, bc: Sequence[float]) -> dict[str, float]:
+    """Scores by label from the ``_prefix_sum`` of all of ``g``'s sources.
 
-    ``prefix`` is the ``_prefix_sum`` of sources ``[0, cut)`` and
-    ``suffix`` the ``_sparse_deltas`` of ``[cut, n)``. The dependencies
-    are added onto the prefix in source order, so each score gets the
-    float additions of a serial loop over all sources, and every bit of
-    the result is that of ``weighted_betweenness`` at any ``cut``.
+    The sum may be taken in two parts, ``[cut, n)`` added onto ``[0,
+    cut)``: every bit is then that of ``weighted_betweenness`` at any cut.
     """
-    bc = list(prefix)
-    for u, d in zip(*suffix):
-        bc[u] += d
     labels = g.labels()
     # each unordered pair was visited from both endpoints
     return {labels[i]: bc[i] / 2.0 for i in range(g.n)}
@@ -111,14 +102,11 @@ def _steps(g: WeightedGraph) -> Steps:
     ]
 
 
-# most (node, dependency) pairs the parent may hold while its child runs
-_PAIR_BUDGET = 1 << 21
-
-
 def _workers() -> int:
     """Processes ``_forked`` may use: 2 with two CPUs or more, else 1.
 
-    A run forks once, and only one child plus this process has been
+    With 1, ``_forked`` runs the child's share here, as it is received. A
+    run forks once, and only one child plus this process has been
     measured. 1 where ``os.fork`` is missing or another Python thread is
     running, since a forked child inherits only the forking thread and
     any lock another thread holds stays locked. Native threads Python
@@ -132,15 +120,6 @@ def _workers() -> int:
     else:
         cpus = os.cpu_count() or 1
     return min(2, cpus)
-
-
-def _split(n: int) -> int:
-    """First source of the parent's share of ``n`` sources.
-
-    Half way, or later where the parent's worst case of ``n`` pairs per
-    source would pass ``_PAIR_BUDGET``; ``n`` when not even one fits.
-    """
-    return max(n // 2, n - _PAIR_BUDGET // n)
 
 
 def _backbone(adj: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -236,53 +215,46 @@ def _source_delta(nbrs: Steps, source: int) -> tuple[list[int], list[float]]:
     return order, delta
 
 
-def _prefix_sum(nbrs: Steps, sources: range) -> list[float]:
-    """Scores from ``sources`` alone, added in source order from zero."""
-    bc = [0.0] * len(nbrs)
-    for source in sources:
-        order, delta = _source_delta(nbrs, source)
-        for i in range(1, len(order)):
-            u = order[i]
-            bc[u] += delta[u]
-    return bc
+def _prefix_sum(nbrs: Steps, sources: range, start: Sequence[float] | None = None) -> list[float]:
+    """Scores from ``sources``, added in source order onto ``start`` (zeros).
 
-
-def _sparse_deltas(nbrs: Steps, sources: range) -> tuple[array, array]:
-    """Every nonzero dependency of ``sources``, as (node, value) columns.
-
-    The pairs are in source order. Adding them with ``+=`` onto the scores
-    of all earlier sources repeats the serial additions exactly: within
-    one source each node occurs once, and a skipped zero adds nothing,
-    since a score is never ``-0.0``.
+    Chaining ``_prefix_sum(nbrs, range(cut, n), _prefix_sum(nbrs,
+    range(cut)))`` makes the float additions of one loop over all
+    sources. A zero dependency, most of them, is skipped: adding ``+0.0``
+    changes no bit, since no score is ``-0.0``.
     """
-    nodes = array("i")
-    values = array("d")
+    bc = [0.0] * len(nbrs) if start is None else list(start)
     for source in sources:
         order, delta = _source_delta(nbrs, source)
         for i in range(1, len(order)):
             u = order[i]
             d = delta[u]
             if d:
-                nodes.append(u)
-                values.append(d)
-    return nodes, values
+                bc[u] += d
+    return bc
 
 
 def _forked(
-    child: Callable[[], bytes],
-    here: Callable[[], T],
+    child: Callable[[], Iterator[object]],
+    here: Callable[[Callable[[], object]], T],
     failed: Callable[[int], Exception],
     fork: bool = True,
-) -> tuple[bytes, T]:
-    """Run ``child`` in a forked child process and ``here`` in this one.
+) -> T:
+    """Run generator ``child`` in a forked child process and ``here`` in this one.
 
-    Returns the bytes ``child`` returned, read from a pipe, and what
-    ``here`` returned. Where ``fork`` is false, ``_workers()`` is 1 or no
-    pipe or child can be made, both run in this process instead, ``here``
-    first. A child that raises prints its traceback and exits non-zero,
-    and ``failed(exit_code)`` is raised here. If ``here`` raises, the
-    child is killed. On every path the child is reaped before this
-    returns or raises, so it never outlives the files it writes to.
+    Each object ``child`` yields is pickled in turn onto one pipe; ``here``
+    gets ``receive``, which returns the next, and its result is returned.
+    Where ``fork`` is false, ``_workers()`` is 1 or no pipe or child can be
+    made, ``receive`` advances the generator here instead: ``here`` runs to
+    its first ``receive``, ``child`` to its first yield, and so on. A child
+    that raises prints its traceback and exits non-zero. A ``receive`` that
+    meets the pipe's end, or a non-zero exit after ``here`` returns, raises
+    ``failed(exit_code)``; if ``here`` raises, the child is killed. The
+    child is reaped before this returns or raises, so it never outlives the
+    files it writes to. A message larger than the pipe buffer (64 KiB on
+    Linux; a first message of about 7,000 nodes) makes the child wait until
+    it is received. That costs overlap, never a byte, and cannot deadlock:
+    the child waits for nothing else.
     """
     pid, fds = None, ()
     if fork and _workers() > 1:
@@ -293,40 +265,59 @@ def _forked(
             for fd in fds:
                 os.close(fd)
     if pid is None:
-        result = here()
-        return child(), result
+        return here(child().__next__)
     read_fd, write_fd = fds
     if pid == 0:
         _child(child, write_fd, read_fd)
     os.close(write_fd)
+    import pickle  # only here: importing it costs about 2 ms
+
+    status = None
+
+    def reap() -> int:
+        nonlocal status
+        if status is None:
+            status = os.waitpid(pid, 0)[1]
+        return os.waitstatus_to_exitcode(status)
+
+    def receive():
+        try:
+            return pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            # the child exited, or died mid-message
+            raise failed(reap()) from None
+
     finished = False
+    reader = open(read_fd, "rb")
     try:
-        result = here()
-        with open(read_fd, "rb", closefd=False) as fh:
-            payload = fh.read()
+        result = here(receive)
         finished = True
     finally:
-        if not finished:
+        if not finished and status is None:
             import signal  # only here: importing it costs about 1 ms
 
             os.kill(pid, signal.SIGKILL)
-        os.close(read_fd)
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        raise failed(os.waitstatus_to_exitcode(status))
-    return payload, result
+        reader.close()
+        code = reap()
+    if code != 0:
+        raise failed(code)
+    return result
 
 
-def _child(work: Callable[[], bytes], write_fd: int, read_fd: int) -> NoReturn:
-    """Body of the forked worker: write what ``work`` returns, then exit.
+def _child(work: Callable[[], Iterator[object]], write_fd: int, read_fd: int) -> NoReturn:
+    """Body of the forked worker: send each message of ``work`` at once, then exit.
 
     ``read_fd``, the parent's end of the pipe, is closed here.
     """
+    import pickle
+
     status = 1
     try:
         os.close(read_fd)
         with open(write_fd, "wb") as fh:
-            fh.write(work())
+            for message in work():
+                pickle.dump(message, fh)
+                fh.flush()
         status = 0
     except Exception:
         import traceback

@@ -16,12 +16,14 @@ from kcn.corpus import (
     load_corpus,
 )
 from kcn.errors import CorpusError
+from kcn.normalize import fold_case_hyphens
 
 from conftest import DATA
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> Path:
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", "utf-8")
+    # unescaped, so a keyword can carry U+2028 and the like as they are
+    path.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in rows) + "\n", "utf-8")
     return path
 
 
@@ -31,12 +33,17 @@ def test_load_jsonl_roundtrip(tmp_path):
         [
             {"id": "x1", "venue": "V", "year": 2021, "keywords": ["a", "b"]},
             {"id": "x2", "venue": "W", "year": 2020, "keywords": []},
+            # line boundaries of str.splitlines that JSON allows unescaped
+            {"id": "x3", "venue": "V", "year": 2021,
+             "keywords": ["machine\u2028learning", "a\u2029b", "c\x85d"]},
         ],
     )
     corpus = load_corpus(path, "jsonl")
-    assert len(corpus) == 2
+    assert len(corpus) == 3
     assert corpus.records[0] == ArticleRecord("x1", "V", 2021, ("a", "b"))
     assert corpus.records[1].keywords == ()
+    assert corpus.records[2].keywords == ("machine\u2028learning", "a\u2029b", "c\x85d")
+    assert fold_case_hyphens(corpus.records[2].keywords[0]) == "machine learning"
     assert corpus.years() == [2020, 2021]
 
 
@@ -72,12 +79,13 @@ def test_load_jsonl_rejects_bad_rows(tmp_path, row):
 def test_load_jsonl_reports_line_of_bad_json(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
-        '{"id": "x1", "venue": "V", "year": 2021, "keywords": ["a"]}\n{oops\n',
+        '{"id": "x1", "venue": "V", "year": 2021, "keywords": ["a"]}\n'
+        '{"id": "x2", "venue": "V", "year": 2021, "keywords": ["a\u2028b"]}\n{oops\n',
         "utf-8",
     )
     with pytest.raises(CorpusError) as err:
         load_corpus(path, "jsonl")
-    assert f"{path}:2:" in str(err.value)
+    assert f"{path}:3:" in str(err.value)
 
 
 def test_load_rejects_duplicate_ids(tmp_path):

@@ -582,7 +582,8 @@ def test_load_lexicon_parses_all_three_files(tmp_path):
     protected = tmp_path / "protected.tsv"
     protected.write_text("# comment\nAnalytics\n\nseries\n", "utf-8")
     abbrev = tmp_path / "abbrev.tsv"
-    abbrev.write_text("NLP\tNatural-Language Processing\n", "utf-8")
+    # U+2028 is no row boundary; folding turns it into a space
+    abbrev.write_text("NLP\tNatural-Language Processing\nM\u2028L\tMachine Learning\n", "utf-8")
     merges = tmp_path / "merges.tsv"
     merges.write_text(
         "AI in Education\tartificial intelligence in education\tallow\n"
@@ -592,7 +593,7 @@ def test_load_lexicon_parses_all_three_files(tmp_path):
     lex = load_lexicon(protected, abbrev, merges, synonym_threshold=85.0)
     assert lex.protected_tokens == {"analytics", "series"}
     # entries are folded so they hit pipeline-stage forms
-    assert lex.abbrev_map == {"nlp": "natural language processing"}
+    assert lex.abbrev_map == {"nlp": "natural language processing", "m l": "machine learning"}
     assert lex.allow_pairs == {
         frozenset(("ai in education", "artificial intelligence in education"))
     }

@@ -5,7 +5,8 @@ gives the child, and the first Brandes sources of the slice it keeps, to
 one forked child when there are two CPUs. These tests pin that the bundle
 does not depend on the split, that a failure reads as it would in the
 serial loop, that a run forks at most once and builds each slice graph
-once, and that no child or partial bundle outlives a run.
+once, that the child sends its sum before it analyses its slices, and
+that no child or partial bundle outlives a run.
 """
 
 from __future__ import annotations
@@ -524,7 +525,7 @@ def test_child_failure_under_force_keeps_old_bundle(tmp_path, monkeypatch, worke
 
 
 def _child_work(n: int) -> str:
-    cut = trends._split(n)
+    cut = n // 2
     return f"slices {', '.join(_labels()[1])} and sources 0-{cut - 1} of all"
 
 
@@ -563,25 +564,33 @@ def test_a_child_that_dies_in_the_prefix_is_an_error_naming_its_slices(tmp_path,
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("room", [3, 0], ids=["three-sources", "none"])
-def test_bytes_match_the_serial_bundle_when_the_budget_moves_the_cut(
-    tmp_path, monkeypatch, serial, workers, room
-):
-    # room for the dependencies of 3 of all's sources here, or of none:
-    # then the child sums every source
-    n = _all_nodes()
-    shares: list[range] = []
-    real = trends._sparse_deltas
+@needs_fork
+def test_the_child_sends_its_prefix_before_its_slices(tmp_path, monkeypatch):
+    # either process appends a line as each of its slices and each of all's
+    # source ranges starts and ends; the child sleeps before each slice
+    log = tmp_path / "events.txt"
+    parent = os.getpid()
 
-    def sparse_deltas(nbrs, sources):
-        if len(nbrs) == n:
-            shares.append(sources)
-        return real(nbrs, sources)
+    def logged(what, real):
+        def call(*args):
+            side = "here" if os.getpid() == parent else "child"
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(f"{side} {what} start\n")
+            result = real(*args)
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(f"{side} {what} end\n")
+            return result
 
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
-    monkeypatch.setattr(trends, "_PAIR_BUDGET", max(room * n, n - 1))
-    monkeypatch.setattr(pipeline, "_sparse_deltas", sparse_deltas)
+        return call
+
+    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    _fail(monkeypatch, {}, delay=0.3)
+    monkeypatch.setattr(pipeline, "_prefix_sum", logged("sources", pipeline._prefix_sum))
+    monkeypatch.setattr(pipeline, "_analyze_slice", logged("slice", pipeline._analyze_slice))
     run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
-    assert _tree(tmp_path / "out") == serial["macro-meso-micro"]
-    assert shares == [range(n - room, n)]
+    events = log.read_text("utf-8").splitlines()
+    theirs = [e for e in events if e.startswith("child ")]
+    assert theirs.index("child sources end") < theirs.index("child slice start")
+    # so this process sums its sources while the child analyses its slices
+    last = len(events) - 1 - events[::-1].index("child slice end")
+    assert events.index("here sources start") < last

@@ -5,7 +5,6 @@ import math
 import os
 import random
 import threading
-from array import array
 from itertools import combinations
 
 import pytest
@@ -260,32 +259,32 @@ def _tie_graph() -> WeightedGraph:
 
 def test_betweenness_bits_do_not_depend_on_the_cut():
     # the pipeline sums the sources before the cut in one process and adds
-    # the rest's dependencies in another, in source order
+    # the rest onto that sum in another, in source order
     for g in _graphs_with_ties() + _seeded_backbone_graphs():
         want = [(v, repr(x)) for v, x in weighted_betweenness(g).items()]
         steps = trends._steps(g)
         for cut in range(g.n + 1):
-            got = trends.betweenness_scores(
-                g,
-                trends._prefix_sum(steps, range(cut)),
-                trends._sparse_deltas(steps, range(cut, g.n)),
-            )
+            prefix = trends._prefix_sum(steps, range(cut))
+            got = trends.betweenness_scores(g, trends._prefix_sum(steps, range(cut, g.n), prefix))
             assert [(v, repr(x)) for v, x in got.items()] == want, (g.edges(), cut)
 
 
 def _forked_betweenness(g: WeightedGraph) -> dict[str, float]:
     """Betweenness as the pipeline splits it: the first sources summed in
-    ``_forked``'s child, the rest's dependencies kept here."""
+    ``_forked``'s child, the rest added onto that sum here."""
     steps = trends._steps(g)
-    cut = trends._split(g.n)
-    payload, suffix = trends._forked(
-        lambda: array("d", trends._prefix_sum(steps, range(cut))).tobytes(),
-        lambda: trends._sparse_deltas(steps, range(cut, g.n)),
-        lambda code: GraphError(f"sources 0-{cut - 1} failed with exit code {code}"),
+    cut = g.n // 2
+
+    def child():
+        yield trends._prefix_sum(steps, range(cut))
+
+    def here(receive):
+        return trends._prefix_sum(steps, range(cut, g.n), receive())
+
+    bc = trends._forked(
+        child, here, lambda code: GraphError(f"sources 0-{cut - 1} failed with exit code {code}")
     )
-    prefix = array("d")
-    prefix.frombytes(payload)
-    return trends.betweenness_scores(g, prefix, suffix)
+    return trends.betweenness_scores(g, bc)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -328,18 +327,6 @@ def test_betweenness_runs_serially_when_no_child_can_start(monkeypatch, fails):
             os.fstat(fd)
 
 
-def test_split_keeps_the_parents_pairs_within_budget(monkeypatch):
-    monkeypatch.setattr(trends, "_PAIR_BUDGET", 1 << 21)
-    assert [trends._split(n) for n in (1, 2, 3, 412)] == [0, 1, 1, 206]
-    assert trends._split(5000) == 5000 - (1 << 21) // 5000
-    monkeypatch.setattr(trends, "_PAIR_BUDGET", 100)
-    assert [trends._split(n) for n in (10, 11, 50, 100, 101)] == [5, 5, 48, 99, 101]
-    for n in range(1, 300):
-        split = trends._split(n)
-        assert n // 2 <= split <= n
-        assert (n - split) * n <= trends._PAIR_BUDGET
-
-
 def _failing_at(source_of, exc):
     real = trends._source_delta
 
@@ -364,7 +351,7 @@ def test_betweenness_child_failure_raises_and_leaves_no_child(monkeypatch, cycle
 
 @needs_fork
 def test_betweenness_interrupt_in_parent_reaps_every_child(monkeypatch, cycle4):
-    # the last source runs in this process, while the child still works
+    # the last source runs in this process, after the child's sum
     monkeypatch.setattr(trends, "_source_delta", _failing_at(lambda n: n - 1, KeyboardInterrupt))
     monkeypatch.setattr(trends, "_workers", lambda: 2)
     with pytest.raises(KeyboardInterrupt):
@@ -383,15 +370,66 @@ def test_forked_runs_here_then_child_when_it_does_not_fork(monkeypatch, workers,
     ran: list[str] = []
 
     def child():
-        ran.append("child")
-        return b"child"
+        ran.append("child 1")
+        yield 1
+        ran.append("child 2")
+        yield 2
 
-    def here():
-        ran.append("here")
-        return "here"
+    def here(receive):
+        ran.append("here 1")
+        first = receive()
+        ran.append("here 2")
+        second = receive()
+        ran.append("here 3")
+        return first, second
 
-    assert trends._forked(child, here, AssertionError, fork) == (b"child", "here")
-    assert ran == ["here", "child"]
+    assert trends._forked(child, here, AssertionError, fork) == (1, 2)
+    # each side runs up to the point where the other must go on
+    assert ran == ["here 1", "child 1", "here 2", "child 2", "here 3"]
+
+
+@needs_fork
+def test_forked_carries_messages_in_order_through_the_pipe(monkeypatch):
+    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    # a message larger than a pipe buffer waits until it is received
+    big = [float(i) for i in range(50_000)]
+
+    def child():
+        yield os.getpid()
+        yield big
+        yield None
+
+    pid, got, last = trends._forked(child, lambda receive: [receive() for _ in range(3)], AssertionError)
+    assert pid != os.getpid() and got == big and last is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("sent", [0, 1])
+@pytest.mark.parametrize("received", ["all", "sent"])
+def test_a_child_that_exits_is_failed_with_its_exit_code(monkeypatch, sent, received):
+    # the child exits after ``sent`` messages; this process asks for one
+    # more and gets failed(code) from receive, or returns once it has what
+    # was sent and gets it from _forked
+    monkeypatch.setattr(trends, "_workers", lambda: 2)
+
+    def child():
+        yield from range(sent)
+        os._exit(3)
+        yield "never"
+
+    def here(receive):
+        got = [receive() for _ in range(sent)]
+        if received == "all":
+            receive()
+            raise AssertionError("received past the child's exit")
+        return got
+
+    with pytest.raises(GraphError, match="^exit code 3$"):
+        trends._forked(child, here, lambda code: GraphError(f"exit code {code}"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork

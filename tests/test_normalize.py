@@ -582,8 +582,11 @@ def test_load_lexicon_parses_all_three_files(tmp_path):
     protected = tmp_path / "protected.tsv"
     protected.write_text("# comment\nAnalytics\n\nseries\n", "utf-8")
     abbrev = tmp_path / "abbrev.tsv"
-    # U+2028 is no row boundary; folding turns it into a space
-    abbrev.write_text("NLP\tNatural-Language Processing\nM\u2028L\tMachine Learning\n", "utf-8")
+    # U+2028 is no row boundary; folding turns it into a space. A byte
+    # order mark is no part of the first row
+    abbrev.write_text(
+        "NLP\tNatural-Language Processing\nM\u2028L\tMachine Learning\n", "utf-8-sig"
+    )
     merges = tmp_path / "merges.tsv"
     merges.write_text(
         "AI in Education\tartificial intelligence in education\tallow\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import gc
 import json
 import os
@@ -102,6 +103,17 @@ def test_load_config_rejections(tmp_path):
     p.write_bytes(b'{"inputs": ["caf\xe9.jsonl"]}')
     with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(p))}: 'utf-8' codec"):
         load_config(p)
+    # a path that is not a string, or holds NUL, is named by its key
+    for payload, key in [
+        ({"inputs": [{"path": 5}]}, "input path"),
+        ({"inputs": [{"path": None}]}, "input path"),
+        ({**base, "output_dir": True}, "output_dir"),
+        ({**base, "output_dir": "o\u0000x"}, "output_dir"),
+        ({**base, "lexicon": {"abbrev": 7}}, "lexicon abbrev"),
+    ]:
+        with pytest.raises(ConfigError, match=f"{key} must be a path string"):
+            load_config(write(payload))
+    assert load_config(write({**base, "output_dir": None})).output_dir is None
 
 
 @pytest.mark.parametrize(
@@ -547,6 +559,22 @@ def test_output_path_that_is_a_file_is_rejected(tmp_path, force):
     assert os.listdir(tmp_path) == ["results"]
 
 
+@pytest.mark.parametrize("case", ["under_a_file", "link_loop"])
+def test_output_path_that_cannot_be_made_is_one_error_line(tmp_path, capsys, case):
+    if case == "under_a_file":
+        (tmp_path / "results").write_text("not a bundle", "utf-8")
+        out = tmp_path / "results" / "sub"
+    else:
+        out = tmp_path / "results"
+        out.symlink_to(out)
+    assert cli.main(["run", "--config", str(CONFIG), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kcn: error: cannot write {out}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["results"]
+    if case == "under_a_file":
+        assert (tmp_path / "results").read_text("utf-8") == "not a bundle"
+
+
 def test_failure_removes_partial_bundle(tmp_path):
     bad_corpus = tmp_path / "bad.jsonl"
     bad_corpus.write_text(
@@ -604,6 +632,24 @@ def test_late_failure_under_force_keeps_old_bundle(tmp_path, bundle, monkeypatch
     assert written == ["2020"]  # the run failed after writing one slice
     assert _tree(old) == _tree(bundle)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "old"]
+
+
+def test_failed_move_into_place_under_force_keeps_old_bundle(tmp_path, bundle, monkeypatch):
+    old = tmp_path / "old"
+    shutil.copytree(bundle, old)
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        # only the move of the staging tree, .old.<hex>, onto the target
+        if re.fullmatch(r"\.old\.[0-9a-f]+", Path(src).name):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(old))}: "):
+        run_pipeline(load_config(CONFIG), out_dir=old, force=True)
+    assert _tree(old) == _tree(bundle)
+    assert os.listdir(tmp_path) == ["old"]
 
 
 def test_sigkilled_run_under_force_keeps_old_bundle(tmp_path, bundle):

@@ -421,13 +421,15 @@ def test_kept_slice_betweenness_failure_loses_to_a_year_slice_failure(
     tmp_path, monkeypatch, workers, beside
 ):
     # all, the kept slice, fails in its first source, which the child
-    # sums, or in its last, which this process runs; a year slice of
-    # either side fails in meso
+    # sums, in its last, which this process runs, or in its meso, which
+    # this process runs first; a year slice of either side fails in meso
     ours, theirs = _labels()
     year = {"ours": ours[0], "theirs": theirs[0]}.get(beside)
     monkeypatch.setattr(trends, "_workers", lambda: workers)
+    failures = {("all", "fast_greedy"): None}
     if beside is not None:
-        _fail(monkeypatch, {(year, "fast_greedy"): GraphError(f"{year} meso")})
+        failures[(year, "fast_greedy")] = GraphError(f"{year} meso")
+    _fail(monkeypatch, failures)
     failing = []
 
     def fail(source):
@@ -435,11 +437,14 @@ def test_kept_slice_betweenness_failure_loses_to_a_year_slice_failure(
             raise GraphError("all micro")
 
     n = _on_all_sources(monkeypatch, fail)
-    for source in (0, n - 1):
-        failing[:] = [source]
+    for where in (0, n - 1, "meso"):
+        failing[:] = [where]
+        failures[("all", "fast_greedy")] = GraphError("all meso") if where == "meso" else None
         with pytest.raises(StageError) as info:
             run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
-        if beside is None:
+        if beside is None and where == "meso":
+            assert str(info.value) == "[meso] all meso"
+        elif beside is None:
             assert str(info.value) == "[micro] all micro"
             assert info.value.stage == "micro"
         else:
@@ -449,8 +454,27 @@ def test_kept_slice_betweenness_failure_loses_to_a_year_slice_failure(
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_a_full_disk_under_edges_csv_is_a_build_error(tmp_path, monkeypatch, capsys, workers):
+    write_text = Path.write_text
+
+    def full(path, *args, **kwargs):
+        if path.name == "edges.csv":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(Path, "write_text", full)
+    assert cli.main(["run", "--config", str(CONFIG), "--out", str(tmp_path / "out")]) == 1
+    error = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"kcn: error: [build] {error}\n"
+    _assert_no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_a_failed_build_of_the_kept_slice_alone_is_raised(tmp_path, monkeypatch, workers):
-    # all is built before the split, and both shares report its failure
+    # all is built before the split; its failure is this process's outcome
+    # for all, which comes after every year slice
     monkeypatch.setattr(trends, "_workers", lambda: workers)
     _fail(monkeypatch, {("all", "build_kcn"): GraphError("all build")})
     with pytest.raises(StageError, match=r"^\[build\] all build$"):

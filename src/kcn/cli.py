@@ -36,8 +36,8 @@ from .normalize import load_lexicon, normalize_corpus
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except KcnError as exc:
         print(f"kcn: error: {exc}", file=sys.stderr)
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the full pipeline from a config file")
     run.add_argument("--config", required=True, type=Path)
     run.add_argument(
-        "--out", type=Path, default=None,
+        "--out", type=_out_path, default=None,
         help="output directory (overrides output_dir from the config)",
     )
     run.add_argument(
@@ -81,9 +81,16 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "--format", required=True, choices=("graphml", "dot", "csv")
     )
-    export.add_argument("--out", type=Path, default=None)
+    export.add_argument("--out", type=_out_path, default=None)
     export.set_defaults(handler=_cmd_export)
     return parser
+
+
+def _out_path(text: str) -> Path:
+    """The path of ``--out``; an empty one would name the working directory."""
+    if not text:
+        raise KcnError("--out must not be empty")
+    return Path(text)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

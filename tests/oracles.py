@@ -278,6 +278,50 @@ def modularity_bruteforce(g: WeightedGraph, assignment: dict[str, int]) -> float
     return float(q / two_w)
 
 
+def cnm_full_scan(g: WeightedGraph) -> list[tuple[int, int, float, float]]:
+    """CNM merge trace ``(a, b, delta_q, q_after)`` with no heap.
+
+    Each merge is picked by scanning every connected cluster pair: largest
+    gain, then the smallest ``(lo, hi)``. The gains start and change by the
+    textbook float operations of Clauset, Newman and Moore (2004), eq. 10,
+    so the trace is comparable bit for bit.
+    """
+    adj = g.adjacency()
+    w2 = 2.0 * g.total_weight
+    a = [sum(row.values()) / w2 for row in adj]
+    gain = {
+        (i, j): 2.0 * (w / w2 - a[i] * a[j])
+        for i, row in enumerate(adj)
+        for j, w in row.items()
+        if i < j
+    }
+    q = -sum(x * x for x in a)
+    trace = []
+    while gain:
+        (i, j), best = min(gain.items(), key=lambda kv: (-kv[1], kv[0]))
+        q += best
+        trace.append((i, j, best, q))
+        del gain[i, j]
+        near: dict[int, dict[int, float]] = {i: {}, j: {}}
+        for x, y in [p for p in gain if i in p or j in p]:
+            value = gain.pop((x, y))
+            if x in near:
+                near[x][y] = value
+            else:
+                near[y][x] = value
+        row_i, row_j = near[i], near[j]
+        for k in row_i.keys() | row_j.keys():
+            if k in row_i and k in row_j:
+                new = row_i[k] + row_j[k]
+            elif k in row_j:
+                new = row_j[k] - 2.0 * a[i] * a[k]
+            else:
+                new = row_i[k] - 2.0 * a[j] * a[k]
+            gain[min(i, k), max(i, k)] = new
+        a[i] += a[j]
+    return trace
+
+
 def set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
     """Every set partition of ``items`` (Bell-number many)."""
     if not items:

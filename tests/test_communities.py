@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import heapq
+import importlib.util
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from kcn import communities
+from kcn import cli, communities
 from kcn.communities import (
     cluster_profiles,
     fast_greedy,
@@ -17,6 +23,9 @@ from kcn.errors import GraphError
 from kcn.graph import WeightedGraph
 
 import oracles
+from conftest import DATA
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # --- modularity ----------------------------------------------------------------
 
@@ -295,6 +304,104 @@ def test_fast_greedy_trace_matches_rebuild_after_every_merge(monkeypatch):
         assert repr(lazy) == repr(eager)
         rebuilt += lazy_rebuilds
     assert rebuilt > 0  # the default rule compacts on the larger graphs
+
+
+def _hex_trace(part):
+    return [(s.a, s.b, s.delta_q.hex(), s.q_after.hex()) for s in part.merge_trace]
+
+
+def _full_scan_hex_trace(g):
+    return [(a, b, d.hex(), q.hex()) for a, b, d, q in oracles.cnm_full_scan(g)]
+
+
+@pytest.mark.parametrize("stale", [communities._heap_is_stale, _always, _never])
+def test_fast_greedy_trace_matches_the_full_scan_oracle(monkeypatch, stale):
+    # weights of at most 3 tie many gains, so the id-pair rule decides often
+    monkeypatch.setattr(communities, "_heap_is_stale", stale)
+    rng = random.Random(66)
+    for _ in range(200):
+        g = oracles.random_graph(
+            rng, n_max=rng.choice((6, 12, 30)), p=rng.uniform(0.1, 0.7),
+            max_weight=rng.randint(1, 3),
+        )
+        assert _hex_trace(fast_greedy(g)) == _full_scan_hex_trace(g)
+
+
+class _LoggedHeapq:
+    """The ``heapq`` module, logging each push and pop."""
+
+    def __init__(self):
+        self.log = []
+
+    def heappush(self, heap, item):
+        self.log.append(("push", item))
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        item = heapq.heappop(heap)
+        self.log.append(("pop", item))
+        return item
+
+    def __getattr__(self, name):
+        return getattr(heapq, name)
+
+
+def test_fast_greedy_pushes_a_pair_whose_gain_rises(monkeypatch, unit_triangle):
+    # merging (0, 1) raises the gain of (0, 2), which is merged next; its
+    # first entry is then below its gain and is dropped
+    logged = _LoggedHeapq()
+    monkeypatch.setattr(communities, "heapq", logged)
+    part = fast_greedy(unit_triangle)
+    g0 = 2.0 * (1 / 6.0 - (2 / 6.0) * (2 / 6.0))
+    assert [(s.a, s.b, s.delta_q) for s in part.merge_trace] == [(0, 1, g0), (0, 2, g0 + g0)]
+    assert [item for op, item in logged.log if op == "push"] == [(-(g0 + g0), 0, 2)]
+    assert _hex_trace(part) == _full_scan_hex_trace(unit_triangle)
+
+
+def test_fast_greedy_pushes_back_a_lowered_entry_that_wins_later(monkeypatch):
+    # on the path n0 -1- n1 -2- n2, merging (1, 2) lowers the gain of (0, 1);
+    # its entry is popped above that gain, pushed back at it and then wins
+    logged = _LoggedHeapq()
+    monkeypatch.setattr(communities, "heapq", logged)
+    g = WeightedGraph.from_edges([("n0", "n1", 1), ("n1", "n2", 2)])
+    part = fast_greedy(g)
+    a0, a1, a2 = 1 / 6.0, 3 / 6.0, 2 / 6.0
+    g01, g12 = 2.0 * (1 / 6.0 - a0 * a1), 2.0 * (2 / 6.0 - a1 * a2)
+    low = g01 - 2.0 * a2 * a0
+    assert low < g01
+    assert logged.log == [
+        ("pop", (-g12, 1, 2)),
+        ("pop", (-g01, 0, 1)),
+        ("push", (-low, 0, 1)),
+        ("pop", (-low, 0, 1)),
+    ]
+    assert [(s.a, s.b, s.delta_q) for s in part.merge_trace] == [(1, 2, g12), (0, 1, low)]
+    assert _hex_trace(part) == _full_scan_hex_trace(g)
+
+
+def test_meso_files_match_their_recorded_sha256(tmp_path):
+    # CNM uses only + - * /, so these bytes are the same on every CPU and OS;
+    # the hashes were recorded from the meso_vocab benchmark inputs
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    recorded = json.loads((DATA / "meso_sha256.json").read_text("utf-8"))
+    for seed, hashes in recorded.items():
+        config = workloads.write_inputs(
+            workloads.WORKLOADS["meso_vocab"], int(seed), tmp_path / seed
+        )
+        out = tmp_path / seed / "bundle"
+        assert cli.main(["run", "--config", str(config), "--out", str(out), "--only", "meso"]) == 0
+        written = {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*")
+            if p.name.split("_")[0] in ("clusters", "membership", "dendrogram")
+        }
+        assert written == hashes, seed
 
 
 # --- naming and profiles ----------------------------------------------------------

@@ -575,6 +575,22 @@ def test_output_path_that_cannot_be_made_is_one_error_line(tmp_path, capsys, cas
         assert (tmp_path / "results").read_text("utf-8") == "not a bundle"
 
 
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_empty_out_is_rejected_and_touches_nothing(tmp_path, monkeypatch, capsys, command):
+    # Path("") is ".", so an empty --out would name the working directory,
+    # which run --force would replace with a bundle
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "precious.txt").write_text("keep", "utf-8")
+    loaded = []
+    monkeypatch.setattr(cli, "load_config", loaded.append)
+    rest = {"run": ["--force"], "export": ["--format", "graphml"]}[command]
+    assert cli.main([command, "--config", str(CONFIG), "--out", "", *rest]) == 1
+    assert capsys.readouterr().err == "kcn: error: --out must not be empty\n"
+    assert loaded == []
+    assert os.listdir(tmp_path) == ["precious.txt"]
+    assert (tmp_path / "precious.txt").read_text("utf-8") == "keep"
+
+
 def test_failure_removes_partial_bundle(tmp_path):
     bad_corpus = tmp_path / "bad.jsonl"
     bad_corpus.write_text(

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import KcnError, NormalizationError
+from .errors import KcnError, NormalizationError, read_text
 from .graph import build_kcn, to_dot, to_edge_csv, to_graphml
 from .normalize import (
     RULE_ABBREV,
@@ -131,7 +131,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     manifest_path = bundle / "manifest.json"
     if not manifest_path.is_file():
         raise KcnError(f"{bundle} is not a finished bundle (no manifest.json)")
-    manifest = _load_json(_bundle_text(manifest_path), manifest_path)
+    manifest = _load_json(read_text(manifest_path, KcnError), manifest_path)
     if not isinstance(manifest, dict):
         raise KcnError(f"{manifest_path}: manifest must be a JSON object")
     slices = manifest.get("slices", [])
@@ -146,51 +146,60 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
     chain = _audit_chain(bundle, args.keyword)
     canonical = chain[-1][1] if chain else args.keyword
-
-    vocabulary = _bundle_vocabulary(bundle, slices)
-    if vocabulary and canonical not in vocabulary:
-        nearest = sorted(
-            vocabulary, key=lambda kw: (-similarity(canonical, kw), kw)
-        )[:5]
-        print(
-            f"kcn: error: keyword {args.keyword!r} not found; "
-            f"nearest canonical keywords: {', '.join(nearest)}",
-            file=sys.stderr,
-        )
-        return 1
-
-    print(f"keyword: {args.keyword}")
-    if chain:
-        for raw, out, rule in chain:
-            print(f"  {rule}: {raw} -> {out}")
-    print(f"canonical: {canonical}")
-
-    row = _row_of(bundle / "frequency.csv", canonical)
-    if row is not None:
-        print(f"articles: {row[1]}")
-
-    for label in slices:
-        parts = []
-        row = _row_of(slice_file(bundle, label, "membership", "csv"), canonical)
-        if row is not None:
-            parts.append(f"cluster {row[1]} ({row[2]})")
-        row = _row_of(slice_file(bundle, label, "betweenness", "csv"), canonical)
-        if row is not None:
-            parts.append(f"betweenness rank {row[2]} ({row[1]})")
-        print(f"  [{label}] " + ("; ".join(parts) if parts else "-"))
-
+    frequency = _table(bundle / "frequency.csv", 2)
+    tables = {
+        label: [
+            _table(slice_file(bundle, label, kind, "csv"), 3)
+            for kind in ("membership", "betweenness", "edges")
+        ]
+        for label in slices
+    }
     emerging = bundle / "emerging.json"
+    ego = None
     if emerging.is_file():
-        entries = _load_json(_bundle_text(emerging), emerging)
+        entries = _load_json(read_text(emerging, KcnError), emerging)
         if not isinstance(entries, list):
             raise KcnError(f"{emerging}: expected a JSON list of entries")
         keywords = [
             _entry(e, f"{emerging}: entry {i}", ("keyword",))["keyword"]
             for i, e in enumerate(entries, 1)
         ]
-        name = dict(zip(keywords, ego_file_names(keywords))).get(canonical)
-        if name is not None and (bundle / name).is_file():
-            print(f"ego network: {name}")
+        ego = dict(zip(keywords, ego_file_names(keywords))).get(canonical)
+
+    vocabulary = {row[0] for row in frequency}
+    for membership, _, edges in tables.values():
+        vocabulary.update(row[0] for row in membership)
+        vocabulary.update(kw for row in edges for kw in row[:2])
+    if vocabulary and canonical not in vocabulary:
+        nearest = sorted(
+            vocabulary, key=lambda kw: (-similarity(canonical, kw), kw)
+        )[:5]
+        raise KcnError(
+            f"keyword {args.keyword!r} not found; "
+            f"nearest canonical keywords: {', '.join(nearest)}"
+        )
+
+    def row_of(table: list[list[str]]) -> list[str] | None:
+        return next((row for row in table if row[0] == canonical), None)
+
+    print(f"keyword: {args.keyword}")
+    for raw, out, rule in chain:
+        print(f"  {rule}: {raw} -> {out}")
+    print(f"canonical: {canonical}")
+    row = row_of(frequency)
+    if row is not None:
+        print(f"articles: {row[1]}")
+    for label, (membership, betweenness, _) in tables.items():
+        parts = []
+        row = row_of(membership)
+        if row is not None:
+            parts.append(f"cluster {row[1]} ({row[2]})")
+        row = row_of(betweenness)
+        if row is not None:
+            parts.append(f"betweenness rank {row[2]} ({row[1]})")
+        print(f"  [{label}] " + ("; ".join(parts) if parts else "-"))
+    if ego is not None and (bundle / ego).is_file():
+        print(f"ego network: {ego}")
     return 0
 
 
@@ -199,7 +208,7 @@ def _audit_chain(bundle: Path, keyword: str) -> list[tuple[str, str, str]]:
     if not path.is_file():
         return []
     by_rule: dict[str, dict[str, str]] = {}
-    for lineno, line in enumerate(_bundle_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, KcnError).split("\n"), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
@@ -224,31 +233,6 @@ def _audit_chain(bundle: Path, keyword: str) -> list[tuple[str, str, str]]:
     return chain
 
 
-def _bundle_vocabulary(bundle: Path, slices: list[str]) -> set[str]:
-    vocab: set[str] = set()
-    freq = bundle / "frequency.csv"
-    if freq.is_file():
-        vocab.update(row[0] for row in _csv_rows(freq))
-    for label in slices:
-        member = slice_file(bundle, label, "membership", "csv")
-        if member.is_file():
-            vocab.update(row[0] for row in _csv_rows(member))
-        edges = slice_file(bundle, label, "edges", "csv")
-        if edges.is_file():
-            for row in _csv_rows(edges):
-                vocab.add(row[0])
-                vocab.add(row[1])
-    return vocab
-
-
-def _bundle_text(path: Path) -> str:
-    """The text of one bundle file, line ends as written; an error names ``path``."""
-    try:
-        return path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise KcnError(f"cannot read {path}: {exc}") from exc
-
-
 def _load_json(text: str, where: Path | str):
     """``json.loads`` of one bundle file's text; an error names ``where``."""
     try:
@@ -268,16 +252,19 @@ def _entry(value, where: str, fields: tuple[str, ...]) -> dict:
     return value
 
 
-def _row_of(path: Path, keyword: str) -> list[str] | None:
-    """The row of the CSV file at ``path`` whose first cell is ``keyword``."""
-    if path.is_file():
-        for row in _csv_rows(path):
-            if row[0] == keyword:
-                return row
-    return None
-
-
-def _csv_rows(path: Path) -> list[list[str]]:
-    reader = csv.reader(io.StringIO(_bundle_text(path), newline=""))
+def _table(path: Path, width: int) -> list[list[str]]:
+    """The non-empty rows after the header of the CSV file at ``path``, each
+    ``width`` cells wide; no rows when there is no such file."""
+    if not path.is_file():
+        return []
+    reader = csv.reader(io.StringIO(read_text(path, KcnError), newline=""))
     next(reader, None)  # header
-    return [row for row in reader if row]
+    rows = []
+    for row in reader:
+        if row and len(row) != width:
+            raise KcnError(
+                f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
+            )
+        if row:
+            rows.append(row)
+    return rows

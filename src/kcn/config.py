@@ -29,9 +29,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, GraphError
+from .errors import ConfigError, GraphError, read_text
 from .graph import SliceSpec
-from .normalize import DEFAULT_SYNONYM_THRESHOLD, default_lexicon_dir
+from .normalize import DEFAULT_SYNONYM_THRESHOLD, default_lexicon_dir, xml_can_hold
 
 _TOP_KEYS = {"inputs", "lexicon", "slices", "thresholds", "output_dir", "seed", "flags"}
 _LEXICON_KEYS = {"protected", "abbrev", "merges"}
@@ -73,9 +73,7 @@ class RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = json.loads(read_text(path, ConfigError, "config "))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -240,6 +238,10 @@ def _parse_slices(value: object, where: Path) -> tuple[SliceSpec, ...] | None:
         if not (isinstance(label, str) or _is_int(label)):
             raise ConfigError(
                 f"{where}: slice {shown}: label must be a string or an integer"
+            )
+        if isinstance(label, str) and not xml_can_hold(label):
+            raise ConfigError(
+                f"{where}: slice {shown}: label holds a character GraphML cannot hold"
             )
         years = entry.get("years", "all")
         if years == "all":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal
 
-from .errors import CorpusError
+from .errors import CorpusError, read_text
 
 REASON_NO_KEYWORDS = "no_keywords"
 REASON_TOO_MANY_KEYWORDS = "too_many_keywords"
@@ -133,11 +133,9 @@ def _check_unique_ids(records: Iterable[ArticleRecord], source: str) -> None:
 
 def _load_jsonl(path: Path) -> list[ArticleRecord]:
     records: list[ArticleRecord] = []
-    try:
-        # JSON strings may hold U+2028, which str.splitlines also splits at
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
+    # only "\n" ends a record: JSON strings may hold U+2028, which
+    # str.splitlines also splits at, and "\r" is JSON whitespace
+    lines = read_text(path, CorpusError).split("\n")
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -151,11 +149,7 @@ def _load_jsonl(path: Path) -> list[ArticleRecord]:
 
 def _load_csv(path: Path) -> list[ArticleRecord]:
     records: list[ArticleRecord] = []
-    try:
-        text = path.read_bytes().decode("utf-8")  # line ends as written, for csv
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path, CorpusError), newline=""))
     try:
         header = next(reader)
     except StopIteration:

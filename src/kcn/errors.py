@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``read_text``, the one
+reader of every file it reads: config, corpus, lexicon and bundle files."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class KcnError(Exception):
@@ -52,3 +55,12 @@ class StageError(KcnError):
         except Exception:
             cause = KcnError(str(cause))
         return type(self), (self.stage, cause)
+
+
+def read_text(path: str | Path, error: type[KcnError], what: str = "") -> str:
+    """The UTF-8 text of ``path`` with its line ends as written, so each caller
+    says where its records end; else ``error("cannot read <what><path>: ...")``."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}{path}: {exc}") from exc

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .corpus import ArticleRecord, Corpus
-from .errors import LexiconError, NormalizationError
+from .errors import LexiconError, NormalizationError, read_text
 
 RULE_FOLD = "fold"
 RULE_PAREN = "paren"
@@ -36,6 +36,10 @@ DEFAULT_SYNONYM_THRESHOLD = 90.0
 # ASCII hyphen-minus plus the Unicode hyphen/dash family
 _HYPHENS = "-‐‑‒–—―"
 _WS_RE = re.compile(r"\s+")
+# XML 1.0's non-Char characters that _WS_RE leaves: no GraphML file can hold
+# them, nor a UTF-8 file a lone surrogate. Left uncompiled: its 64K-entry
+# table costs a process about 0.2 MB, which printable ASCII never needs
+NOT_IN_XML = "[\x00-\x08\x0e-\x1b\ud800-\udfff\ufffe\uffff]"
 # trailing parenthetical over a paren-free full form, e.g. "explainable ai (xai)"
 _PAREN_RE = re.compile(r"^(?P<full>[^()]*\S)\s*\((?P<short>[^()]*)\)$")
 
@@ -114,7 +118,14 @@ def fold_case_hyphens(raw: str) -> str:
     folded = _WS_RE.sub(" ", folded).strip()
     if not folded:
         raise NormalizationError(f"keyword is empty after folding: {raw!r}")
+    if not xml_can_hold(folded):
+        raise NormalizationError(f"keyword holds a character GraphML cannot hold: {raw!r}")
     return folded
+
+
+def xml_can_hold(text: str) -> bool:
+    """Whether ``text`` holds no ``NOT_IN_XML`` character."""
+    return text.isascii() and text.isprintable() or not re.search(NOT_IN_XML, text)
 
 
 def singularize(keyword: str, protected: set[str] | frozenset[str]) -> str:
@@ -466,15 +477,15 @@ def _merge_stage_form(text: str, lexicon: NormalizationLexicon) -> str:
 
 
 def _tsv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    try:
-        # a byte order mark, as some editors save, is no part of the first
-        # row; dropped by hand, as the utf-8-sig codec costs an import
-        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
+    # a byte order mark, as some editors save, is no part of the first
+    # row; dropped by hand, as the utf-8-sig codec costs an import
+    text = read_text(path, LexiconError, "lexicon file ").removeprefix("\ufeff")
     rows: list[tuple[int, list[str]]] = []
-    # only "\n" ends a row, as in _load_jsonl
+    # only "\n" ends a row, as in _load_jsonl; a CRLF's "\r" is stripped
+    # with the last field, and any other "\r" would hide a row end
     for lineno, line in enumerate(text.split("\n"), 1):
+        if "\r" in line.removesuffix("\r"):
+            raise LexiconError(f"{path}:{lineno}: carriage return inside a row")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         rows.append((lineno, [f.strip() for f in line.split("\t")]))

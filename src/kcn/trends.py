@@ -14,7 +14,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .corpus import Corpus
 from .errors import GraphError
@@ -267,10 +267,27 @@ def _forked(
     if pid is None:
         return here(child().__next__)
     read_fd, write_fd = fds
-    if pid == 0:
-        _child(child, write_fd, read_fd)
-    os.close(write_fd)
     import pickle  # only here: importing it costs about 2 ms
+
+    if pid == 0:
+        # send each message at once; never return into the parent's code
+        # or run its exit hooks
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as fh:
+                for message in child():
+                    pickle.dump(message, fh)
+                    fh.flush()
+            code = 0
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(write_fd)
 
     status = None
 
@@ -302,31 +319,6 @@ def _forked(
     if code != 0:
         raise failed(code)
     return result
-
-
-def _child(work: Callable[[], Iterator[object]], write_fd: int, read_fd: int) -> NoReturn:
-    """Body of the forked worker: send each message of ``work`` at once, then exit.
-
-    ``read_fd``, the parent's end of the pipe, is closed here.
-    """
-    import pickle
-
-    status = 1
-    try:
-        os.close(read_fd)
-        with open(write_fd, "wb") as fh:
-            for message in work():
-                pickle.dump(message, fh)
-                fh.flush()
-        status = 0
-    except Exception:
-        import traceback
-
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        # never return into the parent's code or run its exit hooks
-        os._exit(status)
 
 
 def top_k_table(

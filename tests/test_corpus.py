@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,18 @@ def test_load_jsonl_reports_line_of_bad_json(tmp_path):
     with pytest.raises(CorpusError) as err:
         load_corpus(path, "jsonl")
     assert f"{path}:3:" in str(err.value)
+
+
+def test_load_jsonl_ends_records_only_at_line_feeds(tmp_path):
+    path = tmp_path / "c.jsonl"
+    rows = [b'{"id": "x1",\r"venue": "V", "year": 2021, "keywords": ["a"]}',
+            b'{"id": "x2", "venue": "V", "year": 2020, "keywords": ["b"]}']
+    # "\r" is JSON whitespace, between tokens or left at the end by CRLF
+    path.write_bytes(b"\r\n".join(rows) + b"\r\n")
+    assert [r.id for r in load_corpus(path, "jsonl").records] == ["x1", "x2"]
+    path.write_bytes(b"\r".join(rows) + b"\r")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:1: invalid JSON"):
+        load_corpus(path, "jsonl")
 
 
 def test_load_rejects_duplicate_ids(tmp_path):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import xml.dom.minidom
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from kcn.graph import WeightedGraph
+from kcn.errors import NormalizationError
+from kcn.graph import WeightedGraph, to_graphml
+from kcn.normalize import fold_case_hyphens
 
 
 @st.composite
@@ -81,3 +85,24 @@ def test_edges_are_the_adjacency_pairs_in_index_order(drawn):
         for j, w in nbrs.items()
         if i < j
     )
+
+
+@PROPERTY
+@given(
+    st.text(
+        st.one_of(
+            st.characters(max_codepoint=0x1F),
+            st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"]),
+            st.characters(max_codepoint=0xFFFF),
+        )
+    )
+)
+def test_a_folded_keyword_is_a_graphml_label(raw):
+    # a keyword either fails to fold, or its folded form reads back from GraphML
+    try:
+        label = fold_case_hyphens(raw)
+    except NormalizationError:
+        return
+    text = to_graphml(WeightedGraph.from_edges([], isolated=[label]))
+    data = xml.dom.minidom.parseString(text.encode("utf-8")).getElementsByTagName("data")[0]
+    assert "".join(node.data for node in data.childNodes) == label

@@ -54,6 +54,16 @@ def test_fold_rejects_empty_results(raw):
         fold_case_hyphens(raw)
 
 
+@pytest.mark.parametrize(
+    "raw", ["a\x00b", "a\x08", "\x0eb", "x\x1by", "x\ud800y", "\udfff", "a\ufffe", "a\uffff"]
+)
+def test_fold_rejects_characters_graphml_cannot_hold(raw):
+    with pytest.raises(NormalizationError, match="GraphML cannot hold"):
+        fold_case_hyphens(raw)
+    # the other controls XML lacks are whitespace, and fold into spaces
+    assert fold_case_hyphens("a\x0b\x0c\x1c\x1fb") == "a b"
+
+
 def test_fold_is_idempotent():
     rng = random.Random(7)
     alphabet = string.ascii_letters + " -–—\t"
@@ -633,6 +643,16 @@ def test_load_lexicon_rejects_malformed_rows(tmp_path, content, fragment):
     else:
         with pytest.raises(LexiconError):
             load_lexicon(merges_path=path)
+
+
+def test_load_lexicon_ends_rows_only_at_line_feeds(tmp_path):
+    path = tmp_path / "protected.tsv"
+    path.write_bytes(b"# tokens\r\nAnalytics\r\n\r\nethics\r\n")
+    assert load_lexicon(protected_path=path).protected_tokens == {"analytics", "ethics"}
+    # a lone "\r", as a file with CR-only line ends has, would hide a row end
+    path.write_bytes(b"series\nanalytics\rethics\n")
+    with pytest.raises(LexiconError, match=f"^{re.escape(str(path))}:2: carriage return"):
+        load_lexicon(protected_path=path)
 
 
 def test_load_lexicon_rejects_allow_deny_conflict(tmp_path):

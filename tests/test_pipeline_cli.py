@@ -95,6 +95,9 @@ def test_load_config_rejections(tmp_path):
         load_config(write({**base, "flags": {"ego_degree_scope": "both"}}))
     with pytest.raises(ConfigError, match="inputs"):
         load_config(write({}))
+    # summary.tsv, a UTF-8 file, cannot hold a lone surrogate
+    with pytest.raises(ConfigError, match=r'slice \{"label": "\\ud800", "years": "all"\}: label holds'):
+        load_config(write({**base, "slices": [{"label": "\ud800", "years": "all"}]}))
     with pytest.raises(ConfigError, match="invalid JSON"):
         p = tmp_path / "broken.json"
         p.write_text("{", "utf-8")
@@ -877,6 +880,36 @@ def test_cli_run_input_that_is_not_utf8_is_one_error_line_naming_it(tmp_path, ca
     assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize("bad", ["alpha\u0001beta", "x\ud800y"])
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_cli_keyword_graphml_cannot_hold_is_one_normalize_line(tmp_path, capsys, bad, command):
+    records = [("a", 2020, [bad, "gamma", "delta"]), ("b", 2021, ["gamma", "delta", "eps"]),
+               ("c", 2021, [bad, "eps"])]
+    (tmp_path / "c.jsonl").write_text("".join(
+        json.dumps({"id": i, "venue": "v", "year": y, "keywords": kws}) + "\n"
+        for i, y, kws in records
+    ), "utf-8")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"inputs": ["c.jsonl"]}), "utf-8")
+    out = tmp_path / "keep"
+    if command == "run":
+        out.mkdir()
+        (out / "x").write_text("old bundle", "utf-8")
+        args = ["--out", str(out), "--force"]
+    else:
+        out.write_text("old graph", "utf-8")
+        args = ["--format", "graphml", "--out", str(out)]
+    before = _tree(tmp_path)
+    assert cli.main([command, "--config", str(config), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"kcn: error: [normalize] record 'a': keyword holds a character GraphML "
+        f"cannot hold: {bad!r}\n"
+    )
+    assert _tree(tmp_path) == before
+
+
 def test_cli_inspect_known_keyword(bundle):
     res = _run_cli("inspect", "Neural Networks", "--bundle", str(bundle))
     assert res.returncode == 0, res.stderr
@@ -950,10 +983,42 @@ def test_cli_inspect_names_the_ego_file_written_for_the_keyword(tmp_path, keywor
     assert lines == ([] if ego is None else [f"ego network: {ego}"])
 
 
+@pytest.mark.filterwarnings("ignore:assortativity undefined")
+def test_cli_inspect_finds_a_keyword_that_is_only_a_later_edge_target(tmp_path, capsys):
+    # under --only macro the edge lists are the only vocabulary, and "y" is
+    # in no first cell and in no first row of "hub"
+    (tmp_path / "c.jsonl").write_text("".join(
+        json.dumps({"id": i, "venue": "v", "year": 2020, "keywords": ["hub", kw]}) + "\n"
+        for i, kw in (("r1", "x"), ("r2", "y"))
+    ), "utf-8")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"inputs": ["c.jsonl"]}), "utf-8")
+    out = tmp_path / "b"
+    assert cli.main(["run", "--config", str(config), "--out", str(out), "--only", "macro"]) == 0
+    assert (out / "slices" / "all" / "edges.csv").read_text("utf-8").endswith("hub,x,1\nhub,y,1\n")
+    capsys.readouterr()
+    assert cli.main(["inspect", "y", "--bundle", str(out)]) == 0
+    assert capsys.readouterr().out == "keyword: y\ncanonical: y\n  [2020] -\n  [all] -\n"
+
+
 def test_cli_inspect_needs_finished_bundle(tmp_path):
     res = _run_cli("inspect", "anything", "--bundle", str(tmp_path))
     assert res.returncode == 1
     assert "manifest.json" in res.stderr
+
+
+def _cut_row(first: str | None):
+    """A damage that cuts to its first cell the first CSV row after the header
+    whose first cell is ``first``, or whatever its first cell when ``first`` is None."""
+
+    def cut(text: str) -> str:
+        lines = text.split("\n")
+        i = next(i for i in range(1, len(lines))
+                 if first is None or lines[i].split(",")[0] == first)
+        lines[i] = lines[i].split(",")[0]
+        return "\n".join(lines)
+
+    return cut
 
 
 @pytest.mark.parametrize(
@@ -969,20 +1034,30 @@ def test_cli_inspect_needs_finished_bundle(tmp_path):
         ("audit.jsonl", b"\xff\n"),
         ("frequency.csv", b"keyword,count\n\xff,1\n"),
         ("slices/all/edges.csv", b"source,target,weight\n\xff,b,1\n"),
+        # a row of one cell: the inspected keyword's, or any edge
+        ("frequency.csv", _cut_row("neural network")),
+        ("slices/all/membership_all.csv", _cut_row("neural network")),
+        ("slices/2020/betweenness_2020.csv", _cut_row("neural network")),
+        ("slices/all/edges.csv", _cut_row(None)),
     ],
     ids=["manifest", "manifest-not-object", "emerging", "audit", "manifest-utf8",
-         "emerging-utf8", "audit-utf8", "frequency-utf8", "slice-csv-utf8"],
+         "emerging-utf8", "audit-utf8", "frequency-utf8", "slice-csv-utf8",
+         "frequency-row", "membership-row", "betweenness-row", "edges-row"],
 )
 def test_cli_inspect_damaged_bundle_file_is_one_error_line(tmp_path, bundle, name, text):
     damaged = tmp_path / "bundle"
     shutil.copytree(bundle, damaged)
-    (damaged / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    path = damaged / name
+    if callable(text):
+        text = text(path.read_text("utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     before = _tree(damaged)
     res = _run_cli("inspect", "neural network", "--bundle", str(damaged))
     assert res.returncode == 1
+    assert res.stdout == ""
     assert res.stderr.startswith("kcn: error:")
     assert len(res.stderr.splitlines()) == 1
-    assert str(damaged / name) in res.stderr
+    assert str(path) in res.stderr
     assert _tree(damaged) == before
 
 

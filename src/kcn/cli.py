@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .normalize import (
     fold_case_hyphens,
     similarity,
 )
-from .pipeline import STAGES, _safe_name, ego_file_names, prepare, run_pipeline, slice_file
+from .pipeline import STAGES, _safe_name, _unwritable, ego_file_names, prepare, run_pipeline, slice_file
 
 # unused since export goes through prepare(); kept bound because perfbench/tracer.py wraps them
 from .corpus import concat_corpora, filter_eligible, load_corpus
@@ -119,9 +120,17 @@ def _cmd_export(args: argparse.Namespace) -> int:
         "csv": to_edge_csv,
     }[args.format](g)
     try:
-        out.write_text(text, "utf-8")
-    except OSError as exc:
-        raise KcnError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        # written beside the old file, then renamed over it, so a failed
+        # write leaves it as it was; resolve() follows a link to it
+        final = out.resolve()
+        partial = final.with_name(f".{final.name}.{os.urandom(6).hex()}")
+        try:
+            partial.write_text(text, "utf-8")
+            os.replace(partial, final)
+        finally:
+            partial.unlink(missing_ok=True)
+    except (OSError, RuntimeError) as exc:  # RuntimeError: a link loop
+        raise _unwritable(out, exc) from exc
     print(f"wrote {out}")
     return 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -428,36 +429,30 @@ def load_lexicon(
     )
     if protected_path is not None:
         for lineno, fields in _tsv_rows(protected_path):
-            if len(fields) != 1:
-                raise LexiconError(
-                    f"{protected_path}:{lineno}: expected one token per line"
-                )
-            lexicon.protected_tokens.add(fold_case_hyphens(fields[0]))
+            with _row(protected_path, lineno):
+                if len(fields) != 1:
+                    raise LexiconError("expected one token per line")
+                lexicon.protected_tokens.add(fold_case_hyphens(fields[0]))
     if abbrev_path is not None:
         for lineno, fields in _tsv_rows(abbrev_path):
-            if len(fields) != 2:
-                raise LexiconError(
-                    f"{abbrev_path}:{lineno}: expected short<TAB>full"
+            with _row(abbrev_path, lineno):
+                if len(fields) != 2:
+                    raise LexiconError("expected short<TAB>full")
+                lexicon.register_abbrev(
+                    fold_case_hyphens(fields[0]), fold_case_hyphens(fields[1])
                 )
-            lexicon.register_abbrev(
-                fold_case_hyphens(fields[0]), fold_case_hyphens(fields[1])
-            )
     if merges_path is not None:
         for lineno, fields in _tsv_rows(merges_path):
-            if len(fields) != 3 or fields[2] not in ("allow", "deny"):
-                raise LexiconError(
-                    f"{merges_path}:{lineno}: expected variant<TAB>canonical"
-                    f"<TAB>allow|deny"
-                )
-            pair = frozenset(_merge_stage_form(text, lexicon) for text in fields[:2])
-            if len(pair) != 2:
-                raise LexiconError(
-                    f"{merges_path}:{lineno}: pair normalizes to a single form"
-                )
-            if fields[2] == "allow":
-                lexicon.allow_pairs.add(pair)
-            else:
-                lexicon.deny_pairs.add(pair)
+            with _row(merges_path, lineno):
+                if len(fields) != 3 or fields[2] not in ("allow", "deny"):
+                    raise LexiconError("expected variant<TAB>canonical<TAB>allow|deny")
+                pair = frozenset(_merge_stage_form(text, lexicon) for text in fields[:2])
+                if len(pair) != 2:
+                    raise LexiconError("pair normalizes to a single form")
+                if fields[2] == "allow":
+                    lexicon.allow_pairs.add(pair)
+                else:
+                    lexicon.deny_pairs.add(pair)
     conflict = lexicon.allow_pairs & lexicon.deny_pairs
     if conflict:
         listed = sorted(tuple(sorted(p)) for p in conflict)
@@ -474,6 +469,16 @@ def _merge_stage_form(text: str, lexicon: NormalizationLexicon) -> str:
     # merge runs after folding, abbreviation expansion, and singularization
     form = apply_abbrev_map(fold_case_hyphens(text), lexicon)
     return singularize(form, lexicon.protected_tokens)
+
+
+@contextmanager
+def _row(path: str | Path, lineno: int):
+    """Prefix ``<path>:<lineno>: `` to the error of a lexicon row, the
+    entry's folding included."""
+    try:
+        yield
+    except (LexiconError, NormalizationError) as exc:
+        raise LexiconError(f"{path}:{lineno}: {exc}") from exc
 
 
 def _tsv_rows(path: str | Path) -> list[tuple[int, list[str]]]:

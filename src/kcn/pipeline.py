@@ -78,12 +78,11 @@ _SAFE_RE = re.compile(r"[^\w.-]+")
 # in bytes; file systems commonly refuse names over 255 bytes
 _EGO_NAME_BYTES = 200
 
-# the fixed cost of a slice's files, in keyword pairs; see _schedule
-_SLICE_PAIRS = 100
-
-# distinct keywords times keyword pairs that cost as much betweenness as
-# one keyword pair costs build, files, macro and meso; see _schedule
-_BETWEENNESS_PAIRS = 50
+# keywords times keyword pairs of betweenness that cost as much CPU as one
+# keyword pair of build, files, macro and meso: the ratio of the two CPU
+# costs pooled over every slice of four seeded corpora (BENCH_balance.json);
+# see _schedule
+_BETWEENNESS_PAIRS = 96
 
 # per-slice files whose name repeats the slice label
 _LABELED_KINDS = frozenset({"clusters", "membership", "dendrogram", "betweenness"})
@@ -263,29 +262,32 @@ def _analyze_slices(
 
     Returns the ``_analyze_slice`` results in slice order and, when micro
     runs, the graph of the first whole-corpus slice, or None when there is
-    none. ``trends._forked`` runs two shares, in a forked child and here.
-    This process builds the kept slice before the fork. The child sums
-    the first half of that slice's Brandes sources and sends the sum
-    first, then analyses the slices ``_schedule`` gives it, writing their
-    files into ``out`` itself, and sends their outcomes. This process
-    analyses the kept slice and its other slices, receives the sum and
-    adds its own sources onto it in source order, then receives the
-    child's outcomes. So no byte depends on the split, and a run that
-    leaves the child no work forks none. Each slice ends as its result or
-    its ``StageError``, the kept slice's betweenness included, and the
-    first error in slice order is raised, as in the serial loop.
+    none. ``trends._forked`` runs two shares, in a forked child and here,
+    as ``_schedule`` prices them. This process builds the kept slice
+    before the fork. The child sums that slice's first ``cut`` Brandes
+    sources and sends the sum first, then analyses the slices
+    ``_schedule`` gives it, writing their files into ``out`` itself, and
+    sends their outcomes. This process analyses the kept slice and its
+    other slices and fits their power laws, receives the sum and adds its
+    own sources onto it in source order, then receives the child's
+    outcomes and fits theirs. So every fit, and numpy, which the fits
+    load, stays in this process, and numpy loads after this process's
+    slices. No byte depends on the split, and a run that leaves the child
+    no work forks none. Each slice ends as its result or its
+    ``StageError``, the kept slice's betweenness and each fit included,
+    and the first error in slice order is raised.
     """
-    keep, theirs = _schedule(normalized, slices, "micro" in stages)
+    keep, theirs, cut = _schedule(normalized, slices, "micro" in stages)
     mine = [i for i in range(len(slices)) if i not in theirs and i != keep]
-    g, cut, built = None, 0, {}
+    g, built = None, {}
     if keep is not None:
         mine.insert(0, keep)
         try:
             with _stage("build"):
                 built[keep] = g = build_kcn(normalized, slices[keep])
-            cut = g.n // 2
         except StageError as exc:
             built[keep] = exc
+            cut = 0
 
     def child():
         prefix = None  # without a cut
@@ -300,6 +302,7 @@ def _analyze_slices(
 
     def here(receive):
         outcomes = _slice_share(config, stages, normalized, slices, out, mine, built)
+        _fit_power_laws(config, outcomes)
         prefix = receive()
         # the kept slice's Dijkstra steps are derived after the slices, so
         # that no meso runs on top of them; a failure at or before that
@@ -317,16 +320,14 @@ def _analyze_slices(
                     )
             except StageError as exc:
                 outcomes[keep] = exc
-        outcomes.update(receive())
+        received = receive()
+        _fit_power_laws(config, received)
+        outcomes.update(received)
         return outcomes
 
     work = [f"slices {', '.join(slices[i].label for i in theirs)}"] if theirs else []
     if cut:
         work.append(f"sources 0-{cut - 1} of {slices[keep].label}")
-    if theirs and "macro" in stages:
-        # the fits need it; loaded once here, not in both processes
-        import numpy  # noqa: F401
-
     outcomes = _forked(
         child,
         here,
@@ -344,34 +345,57 @@ def _analyze_slices(
 
 def _schedule(
     normalized: Corpus, slices: list[SliceSpec], micro: bool
-) -> tuple[int | None, list[int]]:
-    """The slice this process keeps, and the slices a forked child analyses.
+) -> tuple[int | None, list[int], int]:
+    """The slice this process keeps, the slices a forked child analyses, and
+    the cut: how many of the kept slice's first Brandes sources the child sums.
 
-    A slice's phase (build, files, macro, meso) costs the keyword pairs of
-    its records plus ``_SLICE_PAIRS``; its betweenness costs its distinct
-    keywords times those pairs, over ``_BETWEENNESS_PAIRS``. This process
-    keeps the slice of highest total cost: a whole-corpus slice of equals,
-    then the first. With ``micro`` that slice is returned as ``keep``, and
-    its betweenness, whose sources both processes share after their
-    slices, is not counted; without, ``keep`` is None. Then by falling
-    load (phase cost plus, with ``micro``, betweenness cost), ties in
-    slice order, each other slice goes to the side with the lower total
-    so far, ties to this process. The child's slices are returned
+    Prices are ints from one pass over the records. A slice's phase (build,
+    files, macro, meso) costs its distinct keyword pairs, which is its
+    graph's edge count m, times ``_BETWEENNESS_PAIRS``. Its betweenness
+    costs its distinct keywords, which is its node count n, times m: each
+    source's Dijkstra relaxes each edge at most once. This process keeps
+    the slice of highest total price: a whole-corpus slice of equals, then
+    the first. With ``micro`` that slice is returned as ``keep``, and its
+    betweenness, whose sources both processes share after their slices, is
+    not counted; without, ``keep`` is None. Then by falling load (phase
+    price plus, with ``micro``, betweenness price), ties in slice order,
+    each other slice goes to the side with the lower total so far, ties to
+    this process: LPT scheduling (Graham 1969). With ``micro`` the cut is
+    the number of the kept slice's sources, at m each, that evens the two
+    totals, within 0 to n; else 0. The child's slices are returned
     ascending. The rule reads only the inputs.
     """
-    pairs: dict[int, int] = {}  # by year
-    keywords: dict[int, set[str]] = {}
+    # keyword ids in order of first use; the pair of ids a < b is the int
+    # base[b] + a, with base[b] = b(b - 1)/2: ints and plain loops keep
+    # this pass leaner than tuples of keywords would (BENCH_balance.json)
+    index: dict[str, int] = {}
+    base: list[int] = []
+    keywords: dict[int, set[str]] = {}  # by year
+    pairs: dict[int, set[int]] = {}  # by year
     for r in normalized.records:
-        k = len(r.keywords)
-        pairs[r.year] = pairs.get(r.year, 0) + k * (k - 1) // 2
+        ids = []
+        for kw in r.keywords:  # each once, as normalized
+            i = index.get(kw)
+            if i is None:
+                i = index[kw] = len(base)
+                base.append(i * (i - 1) // 2)
+            ids.append(i)
+        ids.sort()
         keywords.setdefault(r.year, set()).update(r.keywords)
-    phase, betweenness = [], []
+        add = pairs.setdefault(r.year, set()).add
+        for j in range(1, len(ids)):
+            b = base[ids[j]]
+            for a in ids[:j]:
+                add(b + a)
+    sizes = []  # (n, m) by slice
     for spec in slices:
         years = [year for year in pairs if spec.contains(year)]
-        p = sum(pairs[year] for year in years)
-        distinct = len(set().union(*(keywords[year] for year in years)))
-        phase.append(_SLICE_PAIRS + p)
-        betweenness.append(distinct * p // _BETWEENNESS_PAIRS)
+        sizes.append((
+            len(set().union(*(keywords[year] for year in years))),
+            len(set().union(*(pairs[year] for year in years))),
+        ))
+    phase = [m * _BETWEENNESS_PAIRS for _, m in sizes]
+    betweenness = [n * m for n, m in sizes]
     kept = max(
         range(len(slices)),
         key=lambda i: (phase[i] + betweenness[i], slices[i].years is None, -i),
@@ -386,7 +410,12 @@ def _schedule(
         totals[side] += loads[i]
         if side:
             theirs.append(i)
-    return (kept if micro else None), sorted(theirs)
+    if not micro:
+        return None, sorted(theirs), 0
+    n, m = sizes[kept]
+    # the child's total plus cut * m is this process's plus (n - cut) * m
+    cut = (totals[0] - totals[1] + n * m) // (2 * m) if m else 0
+    return kept, sorted(theirs), min(max(cut, 0), n)
 
 
 def _slice_share(
@@ -405,8 +434,9 @@ def _slice_share(
     micro, so that its meso, the peak of the phase, starts from the
     smallest base; every other graph is dropped before the next is built.
     Returns each slice's outcome by index: its result or its
-    ``StageError``. Once a slice fails, the slices after it in slice order
-    do not run; those before it still do.
+    ``StageError``. With macro a result holds its power-law fit's input,
+    ``positive``, for ``_fit_power_laws``. Once a slice fails, the slices
+    after it in slice order do not run; those before it still do.
     """
     outcomes: dict[int, dict | StageError] = {}
     first = len(slices)  # the first failed slice so far
@@ -449,17 +479,10 @@ def _analyze_slice(
                 (sum(row.values()) if config.power_law_on == "strength" else len(row))
                 for row in g.adjacency()
             )
-            positive = [v for v in values if v > 0]
-            fit = None
-            fit_error = None
-            try:
-                fit = fit_power_law(positive, discrete=config.discrete_power_law)
-            except FitError as exc:
-                fit_error = str(exc)
             result["summary"] = summary
             result["c_unweighted"] = average_clustering(g, weighted=False)
-            result["fit"] = fit
-            result["fit_error"] = fit_error
+            # the power-law fit's input; _fit_power_laws fits it
+            result["positive"] = [v for v in values if v > 0]
             _write_tsv(
                 slice_file(out, spec.label, "ccdf", "tsv"),
                 ["value", "ccdf"],
@@ -533,6 +556,27 @@ def _analyze_slice(
             result["table"] = _write_betweenness(config, g, spec, out, weighted_betweenness(g))
 
     return result
+
+
+def _fit_power_laws(config: RunConfig, outcomes: dict[int, dict | StageError]) -> None:
+    """Fit the power-law tail of each result that holds ``positive`` values.
+
+    Sets the result's ``fit`` and ``fit_error``, the message of a
+    ``FitError``. Any other error becomes the slice's outcome, tagged macro.
+    """
+    for i, result in outcomes.items():
+        if isinstance(result, StageError) or "positive" not in result:
+            continue
+        positive = result.pop("positive")
+        try:
+            with _stage("macro"):
+                try:
+                    fit = fit_power_law(positive, discrete=config.discrete_power_law)
+                    result["fit"], result["fit_error"] = fit, None
+                except FitError as exc:
+                    result["fit"], result["fit_error"] = None, str(exc)
+        except StageError as exc:
+            outcomes[i] = exc
 
 
 def _write_betweenness(

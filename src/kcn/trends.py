@@ -109,9 +109,10 @@ def _workers() -> int:
     run forks once, and only one child plus this process has been
     measured. 1 where ``os.fork`` is missing or another Python thread is
     running, since a forked child inherits only the forking thread and
-    any lock another thread holds stays locked. Native threads Python
-    does not start, such as numpy's BLAS pool, are not counted; OpenBLAS
-    shuts its pool down around a fork.
+    any lock another thread holds stays locked. kcn loads numpy only after
+    its fork, so its run has no native thread pool to count. A caller that
+    loaded numpy first may hold one, such as numpy's BLAS pool, which is
+    not counted either; OpenBLAS shuts its pool down around a fork.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1

@@ -86,3 +86,39 @@ def test_graph_loads_only_corpus_and_errors(tmp_path):
                          text=True, env=env, cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == ["kcn", "kcn.corpus", "kcn.errors", "kcn.graph"]
+
+
+# a kcn run on two CPUs; each process appends a line as it ends its share
+# of the slices, saying whether it holds numpy, then this process prints
+# whether it holds numpy at the end as its last line
+SHARES = f"""
+import json, os, sys
+from kcn import pipeline, trends
+from kcn.cli import main
+trends._workers = lambda: 2
+parent = os.getpid()
+share = pipeline._slice_share
+
+def logged(*args):
+    outcomes = share(*args)
+    with open("shares.txt", "a", encoding="utf-8") as fh:
+        side = "here" if os.getpid() == parent else "child"
+        fh.write(f"{{side}} {{'numpy' in sys.modules}}\\n")
+    return outcomes
+
+pipeline._slice_share = logged
+code = main(["run", "--config", {str(CONFIG)!r}, "--out", "bundle"])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_only_this_process_loads_numpy_after_its_slices(tmp_path):
+    # the child's fits run here, so the child never loads numpy
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", SHARES], capture_output=True,
+                         text=True, env=env, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [0, True]
+    shares = (tmp_path / "shares.txt").read_text("utf-8").splitlines()
+    assert sorted(shares) == ["child False", "here False"]

@@ -655,6 +655,22 @@ def test_load_lexicon_ends_rows_only_at_line_feeds(tmp_path):
         load_lexicon(protected_path=path)
 
 
+@pytest.mark.parametrize("which", ["protected", "abbrev", "merges"])
+@pytest.mark.parametrize(
+    "entry, reason",
+    [("---", "keyword is empty after folding: '---'"),
+     ("a\x01b", "keyword holds a character GraphML cannot hold: 'a\\x01b'")],
+    ids=["empty", "control"],
+)
+def test_load_lexicon_names_the_line_of_an_entry_that_cannot_be_folded(tmp_path, which, entry, reason):
+    path = tmp_path / f"{which}.tsv"
+    row = {"protected": entry, "abbrev": f"x\t{entry}", "merges": f"{entry}\tx\tallow"}[which]
+    path.write_text(f"# first\n{row}\n", "utf-8")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(**{f"{which}_path": path})
+    assert str(info.value) == f"{path}:2: {reason}"
+
+
 def test_load_lexicon_rejects_allow_deny_conflict(tmp_path):
     merges = tmp_path / "merges.tsv"
     merges.write_text("a b\tc d\tallow\nc d\ta b\tdeny\n", "utf-8")

@@ -1123,6 +1123,28 @@ def test_cli_export_to_an_unwritable_path_is_one_error_line(tmp_path, where):
     assert _tree(tmp_path) == {}
 
 
+def test_cli_export_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "keep.graphml"
+    out.write_bytes(b"old bytes\n")
+    write_text = Path.write_text
+
+    def full(path, text, *args, **kwargs):
+        # half the text reaches the disk, then the disk is full
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full)
+    args = ["export", "--config", str(CONFIG), "--slice", "all", "--format", "graphml"]
+    assert cli.main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"kcn: error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert out.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["keep.graphml"]
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"<?xml")
+    assert os.listdir(tmp_path) == ["keep.graphml"]
+
+
 def test_cli_export_formats(tmp_path):
     for fmt, ext in (("graphml", "graphml"), ("dot", "dot"), ("csv", "csv")):
         out = tmp_path / f"g.{ext}"

@@ -1,11 +1,12 @@
 """The slice phase of ``kcn run`` split between this process and a child.
 
 ``pipeline._analyze_slices`` hands the slices ``pipeline._schedule``
-gives the child, and the first Brandes sources of the slice it keeps, to
-one forked child when there are two CPUs. These tests pin that the bundle
-does not depend on the split, that a failure reads as it would in the
-serial loop, that a run forks at most once and builds each slice graph
-once, that the child sends its sum before it analyses its slices, and
+gives the child, and the first Brandes sources of the slice it keeps, up
+to the schedule's cut, to one forked child when there are two CPUs. These
+tests pin that the bundle does not depend on the split, that a failure
+reads as it would in the serial loop, that a run forks at most once and
+builds each slice graph once, that the child sends its sum before it
+analyses its slices, that every power-law fit runs in this process, and
 that no child or partial bundle outlives a run.
 """
 
@@ -28,7 +29,9 @@ from kcn.pipeline import STAGES, run_pipeline
 from conftest import DATA
 from test_trends import WORKER_COUNTS, needs_fork
 
-CONFIG = DATA / "config.json"
+# tests/data's slices, listed so that the two shares interleave in slice
+# order: the child's slices come before, between and after this process's
+CONFIG = DATA / "split_config.json"
 SUBSETS = [set(c) for k in (1, 2, 3) for c in combinations(STAGES, k)]
 
 
@@ -107,7 +110,34 @@ def test_child_share_repeats_and_leaves_a_lone_slice_here():
     prepared = pipeline.prepare(load_config(CONFIG))
     assert pipeline._schedule(prepared.normalized, prepared.slices, True)[1] == _slices()[1]
     for spec in prepared.slices:
-        assert pipeline._schedule(prepared.normalized, [spec], True) == (0, [])
+        g = pipeline.build_kcn(prepared.normalized, spec)
+        # this process's phase against the sources: n·m of betweenness, at m each
+        cut = min((pipeline._BETWEENNESS_PAIRS + g.n) // 2, g.n)
+        assert pipeline._schedule(prepared.normalized, [spec], True) == (0, [], cut)
+        assert pipeline._schedule(prepared.normalized, [spec], False) == (None, [], 0)
+
+
+@pytest.mark.parametrize("micro", [True, False])
+def test_the_price_counts_each_slice_graph_and_the_cut_evens_the_shares(tmp_path, micro):
+    slices = RANGES
+    prepared = pipeline.prepare(load_config(_slices_config(tmp_path, slices)))
+    sizes = [(g.n, g.m) for g in (pipeline.build_kcn(prepared.normalized, s) for s in prepared.slices)]
+    phase = [m * pipeline._BETWEENNESS_PAIRS for _, m in sizes]
+    loads = [a + n * m * micro for a, (n, m) in zip(phase, sizes)]
+    keep, theirs, cut = pipeline._schedule(prepared.normalized, prepared.slices, micro)
+    kept = len(slices) - 1  # all, the costliest
+    assert max(range(len(slices)), key=lambda i: phase[i] + sizes[i][0] * sizes[i][1]) == kept
+    assert keep == (kept if micro else None) and kept not in theirs
+    here = phase[kept] + sum(loads[i] for i in range(kept) if i not in theirs)
+    child = sum(loads[i] for i in theirs)
+    if not micro:
+        assert cut == 0
+        return
+    # each of the kept slice's n sources costs m; the cut evens the two
+    # totals to within one source either way, rounding down
+    n, m = sizes[kept]
+    assert 0 < cut < n and cut != n // 2
+    assert 0 <= (here + (n - cut) * m) - (child + cut * m) < 2 * m
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -186,6 +216,28 @@ def _slices_config(
 
 
 YEARS = [{"label": str(y), "years": [y, y]} for y in range(2020, 2025)]
+ALL = {"label": "all", "years": "all"}
+# tests/data's years, two year ranges whose records repeat keyword pairs,
+# and all
+RANGES = [*YEARS, {"label": "2020-2022", "years": [2020, 2022]},
+          {"label": "2022-2024", "years": [2022, 2024]}, ALL]
+
+
+@needs_fork
+@pytest.mark.parametrize("slices", [[ALL], RANGES], ids=["lone-all", "ranges"])
+def test_bytes_match_where_the_cut_is_far_from_half_the_sources(tmp_path, monkeypatch, slices):
+    # alone, all's phase outweighs its sources and the child sums them all
+    config = load_config(_slices_config(tmp_path, slices))
+    prepared = pipeline.prepare(config)
+    keep, _, cut = pipeline._schedule(prepared.normalized, prepared.slices, True)
+    n = pipeline.build_kcn(prepared.normalized, prepared.slices[keep]).n
+    assert abs(cut - n // 2) > n // 4
+    trees = []
+    for workers in (1, 2):
+        monkeypatch.setattr(trends, "_workers", lambda: workers)
+        run_pipeline(config, out_dir=tmp_path / str(workers))
+        trees.append(_tree(tmp_path / str(workers)))
+    assert trees[0] == trees[1]
 
 
 @needs_fork
@@ -195,7 +247,7 @@ def test_bytes_match_when_the_costliest_slice_is_a_year_range_and_there_is_no_al
     slices = [YEARS[0], {"label": "2021-2023", "years": [2021, 2023]}, *YEARS[3:]]
     config = load_config(_slices_config(tmp_path, slices))
     prepared = pipeline.prepare(config)
-    keep, theirs = pipeline._schedule(prepared.normalized, prepared.slices, True)
+    keep, theirs, _ = pipeline._schedule(prepared.normalized, prepared.slices, True)
     assert prepared.slices[keep].label == "2021-2023"
     assert theirs
     trees = []
@@ -241,7 +293,7 @@ def test_ego_networks_come_from_all_when_a_year_range_ties_with_it(tmp_path, mon
         inside = {kw for r in records if within(r.year) for kw in r.keywords}
         assert all(len(r.keywords) == 1 and r.keywords[0] in inside
                    for r in records if not within(r.year))
-        keep, _ = pipeline._schedule(prepared.normalized, prepared.slices, True)
+        keep, _, _ = pipeline._schedule(prepared.normalized, prepared.slices, True)
         assert prepared.slices[keep].label == "all"
         log.write_text("", "utf-8")
         run_pipeline(config, out_dir=tmp_path / name)
@@ -288,8 +340,8 @@ def test_a_run_forks_one_child_at_a_time(tmp_path, monkeypatch, only, forks):
 @needs_fork
 @pytest.mark.parametrize(("only", "forks"), [(None, 1), ({"macro", "meso"}, 0)])
 def test_a_lone_slice_forks_only_for_its_sources(tmp_path, monkeypatch, only, forks):
-    # with micro the child sums the first half of the sources; without,
-    # it would have no work
+    # with micro the child sums the sources before the schedule's cut;
+    # without, it would have no work
     config = load_config(_slices_config(tmp_path, [{"label": "all", "years": "all"}]))
     assert _forks(tmp_path, monkeypatch, config, only) == [f"{os.getpid()} 0"] * forks
 
@@ -511,6 +563,56 @@ def test_child_betweenness_failure_wins_over_a_later_meso_failure(
     assert os.listdir(tmp_path) == []
 
 
+def _fail_fit(monkeypatch, label: str, exc: Exception) -> None:
+    """Make ``pipeline.fit_power_law`` raise ``exc`` on slice ``label``'s
+    values. A share fits its slices after it has analysed them all, so a
+    fit is told its slice by its input; call this before ``_fail``."""
+    prepared = pipeline.prepare(load_config(CONFIG))
+    inputs = {}
+    for spec in prepared.slices:
+        g = pipeline.build_kcn(prepared.normalized, spec)
+        # the config fits the positive strengths
+        inputs[spec.label] = sorted(s for s in (sum(row.values()) for row in g.adjacency()) if s)
+    assert len({tuple(v) for v in inputs.values()}) == len(inputs)
+    fit = pipeline.fit_power_law
+
+    def failing(values, **kwargs):
+        if list(values) == inputs[label]:
+            raise exc
+        return fit(values, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_power_law", failing)
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("other", ["earlier_ours", "earlier_theirs", "later_ours", "later_theirs"])
+def test_a_child_slice_fit_error_is_that_slice_outcome(tmp_path, monkeypatch, workers, other):
+    # this process fits the child's slices once their outcomes arrive; an
+    # error other than FitError is the macro failure of that slice, and
+    # the first failing slice in slice order is raised
+    ours, theirs = _labels()
+    slices = [s.label for s in _slices()[0]]
+    fitted = theirs[1]
+    when, side = other.split("_")
+    other_label = next(
+        label for label in (ours if side == "ours" else theirs)
+        if (slices.index(label) < slices.index(fitted)) == (when == "earlier")
+        and label != fitted
+    )
+    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    _fail_fit(monkeypatch, fitted, ValueError(f"{fitted} fit"))
+    _fail(monkeypatch, {(other_label, "fast_greedy"): GraphError(f"{other_label} meso")})
+    with pytest.raises(StageError) as info:
+        run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
+    if when == "earlier":
+        assert str(info.value) == f"[meso] {other_label} meso"
+    else:
+        assert str(info.value) == f"[macro] {fitted} fit"
+        assert type(info.value.cause) is ValueError
+    _assert_no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
 @needs_fork
 @pytest.mark.parametrize(
     ("error", "raised"),
@@ -548,9 +650,11 @@ def test_child_failure_under_force_keeps_old_bundle(tmp_path, monkeypatch, worke
     assert os.listdir(tmp_path) == ["old"]
 
 
-def _child_work(n: int) -> str:
-    cut = n // 2
-    return f"slices {', '.join(_labels()[1])} and sources 0-{cut - 1} of all"
+def _child_work() -> str:
+    prepared = pipeline.prepare(load_config(CONFIG))
+    _, theirs, cut = pipeline._schedule(prepared.normalized, prepared.slices, True)
+    labels = ", ".join(prepared.slices[i].label for i in theirs)
+    return f"slices {labels} and sources 0-{cut - 1} of all"
 
 
 @needs_fork
@@ -563,7 +667,7 @@ def test_a_child_that_dies_is_an_error_naming_its_slices(tmp_path, monkeypatch):
             os._exit(3)
         return build(corpus, spec)
 
-    work = _child_work(_all_nodes())
+    work = _child_work()
     monkeypatch.setattr(trends, "_workers", lambda: 2)
     monkeypatch.setattr(pipeline, "build_kcn", dying)
     with pytest.raises(KcnError, match=f"^worker for {work} failed with exit code 3$"):
@@ -580,9 +684,9 @@ def test_a_child_that_dies_in_the_prefix_is_an_error_naming_its_slices(tmp_path,
         if os.getpid() != parent:
             os._exit(3)
 
-    n = _on_all_sources(monkeypatch, dying)
+    _on_all_sources(monkeypatch, dying)
     monkeypatch.setattr(trends, "_workers", lambda: 2)
-    with pytest.raises(KcnError, match=f"^worker for {_child_work(n)} failed with exit code 3$"):
+    with pytest.raises(KcnError, match=f"^worker for {_child_work()} failed with exit code 3$"):
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     _assert_no_child_left()
     assert os.listdir(tmp_path) == []

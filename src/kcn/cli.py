@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import KcnError, NormalizationError, read_text
-from .graph import build_kcn, to_dot, to_edge_csv, to_graphml
+from .errors import GraphError, KcnError, NormalizationError, read_text
+from .graph import SliceSpec, _safe_name, build_kcn, to_dot, to_edge_csv, to_graphml
 from .normalize import (
     RULE_ABBREV,
     RULE_FOLD,
@@ -28,7 +28,7 @@ from .normalize import (
     fold_case_hyphens,
     similarity,
 )
-from .pipeline import STAGES, _safe_name, _unwritable, ego_file_names, prepare, run_pipeline, slice_file
+from .pipeline import STAGES, _stage, _unwritable, ego_file_names, prepare, run_pipeline, slice_file
 
 # unused since export goes through prepare(); kept bound because perfbench/tracer.py wraps them
 from .corpus import concat_corpora, filter_eligible, load_corpus
@@ -112,7 +112,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
         raise KcnError(
             f"unknown slice {args.slice_label!r}; defined: {sorted(by_label)}"
         )
-    g = build_kcn(prepared.normalized, by_label[args.slice_label])
+    with _stage("build"):
+        g = build_kcn(prepared.normalized, by_label[args.slice_label])
     out = args.out or Path(f"kcn_{_safe_name(args.slice_label)}.{args.format}")
     text = {
         "graphml": to_graphml,
@@ -147,11 +148,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if not isinstance(slices, list) or not all(isinstance(s, str) for s in slices):
         raise KcnError(f"{manifest_path}: 'slices' must be a list of strings")
     for label in slices:
-        # slices/. and slices/.. would be the slices directory and the bundle root
-        if _safe_name(label) in (".", ".."):
-            raise KcnError(
-                f"{manifest_path}: slice label {label!r} cannot name a slice directory"
-            )
+        try:
+            SliceSpec(label)
+        except GraphError as exc:
+            raise KcnError(f"{manifest_path}: {exc}") from exc
 
     chain = _audit_chain(bundle, args.keyword)
     canonical = chain[-1][1] if chain else args.keyword

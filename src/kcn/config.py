@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, GraphError, read_text
-from .graph import SliceSpec
-from .normalize import DEFAULT_SYNONYM_THRESHOLD, default_lexicon_dir, xml_can_hold
+from .graph import SliceSpec, _safe_name
+from .normalize import DEFAULT_SYNONYM_THRESHOLD, default_lexicon_dir
 
 _TOP_KEYS = {"inputs", "lexicon", "slices", "thresholds", "output_dir", "seed", "flags"}
 _LEXICON_KEYS = {"protected", "abbrev", "merges"}
@@ -239,10 +239,6 @@ def _parse_slices(value: object, where: Path) -> tuple[SliceSpec, ...] | None:
             raise ConfigError(
                 f"{where}: slice {shown}: label must be a string or an integer"
             )
-        if isinstance(label, str) and not xml_can_hold(label):
-            raise ConfigError(
-                f"{where}: slice {shown}: label holds a character GraphML cannot hold"
-            )
         years = entry.get("years", "all")
         if years == "all":
             span = None
@@ -255,9 +251,14 @@ def _parse_slices(value: object, where: Path) -> tuple[SliceSpec, ...] | None:
             )
         try:
             specs.append(SliceSpec(label=str(label), years=span))
-        except GraphError as exc:  # an empty label or year range
+        except GraphError as exc:  # a label or year range SliceSpec rejects
             raise ConfigError(f"{where}: slice {shown}: {exc}") from exc
-    labels = [s.label for s in specs]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(f"{where}: slice labels must be unique")
+    # each label names its own directory, and some file systems ignore case
+    names = [_safe_name(s.label).casefold() for s in specs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(
+                f"{where}: slice labels must be unique as directory names, ignoring "
+                f"case: {specs[names.index(name)].label!r} and {specs[i].label!r}"
+            )
     return tuple(specs)

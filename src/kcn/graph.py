@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -19,6 +20,19 @@ from typing import Iterable, Mapping
 
 from .corpus import Corpus
 from .errors import GraphError
+
+# XML 1.0's non-Char characters, less the whitespace that keyword folding
+# turns into spaces: no GraphML file can hold them, nor a UTF-8 file a lone
+# surrogate. Left uncompiled: its 64K-entry table costs a process about
+# 0.2 MB, which printable ASCII never needs
+NOT_IN_XML = "[\x00-\x08\x0e-\x1b\ud800-\udfff\ufffe\uffff]"
+
+# safe names keep letters and digits of any script; \w is [A-Za-z0-9_] on ASCII
+_SAFE_RE = re.compile(r"[^\w.-]+")
+
+# longest safe slice label and ego file name (suffix and ".graphml"
+# included), in bytes; file systems commonly refuse names over 255 bytes
+_NAME_BYTES = 200
 
 
 @dataclass(frozen=True)
@@ -31,6 +45,15 @@ class SliceSpec:
     def __post_init__(self) -> None:
         if not self.label:
             raise GraphError("slice label must be non-empty")
+        if not xml_can_hold(self.label):
+            raise GraphError(f"label holds a character GraphML cannot hold: {self.label!r}")
+        # the label names its own directory in a bundle, slices/<safe>/;
+        # slices/. and slices/.. would be the slices directory and the bundle root
+        safe = _safe_name(self.label)
+        if safe in (".", ".."):
+            raise GraphError(f"slice label {self.label!r} cannot name a slice directory")
+        if len(safe.encode()) > _NAME_BYTES:
+            raise GraphError(f"slice label {self.label!r} is over {_NAME_BYTES} bytes as a file name")
         if self.years is not None and self.years[0] > self.years[1]:
             raise GraphError(
                 f"slice {self.label!r}: empty year range {self.years}"
@@ -311,6 +334,15 @@ def to_graphml(g: WeightedGraph, labeled: Iterable[str] | None = None) -> str:
             )
     out.write("  </graph>\n</graphml>\n")
     return out.getvalue()
+
+
+def xml_can_hold(text: str) -> bool:
+    """Whether ``text`` holds no ``NOT_IN_XML`` character."""
+    return text.isascii() and text.isprintable() or not re.search(NOT_IN_XML, text)
+
+
+def _safe_name(text: str) -> str:
+    return _SAFE_RE.sub("_", text)
 
 
 def _escape(text: str) -> str:

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .corpus import ArticleRecord, Corpus
 from .errors import LexiconError, NormalizationError, read_text
+from .graph import xml_can_hold
 
 RULE_FOLD = "fold"
 RULE_PAREN = "paren"
@@ -37,10 +38,6 @@ DEFAULT_SYNONYM_THRESHOLD = 90.0
 # ASCII hyphen-minus plus the Unicode hyphen/dash family
 _HYPHENS = "-‐‑‒–—―"
 _WS_RE = re.compile(r"\s+")
-# XML 1.0's non-Char characters that _WS_RE leaves: no GraphML file can hold
-# them, nor a UTF-8 file a lone surrogate. Left uncompiled: its 64K-entry
-# table costs a process about 0.2 MB, which printable ASCII never needs
-NOT_IN_XML = "[\x00-\x08\x0e-\x1b\ud800-\udfff\ufffe\uffff]"
 # trailing parenthetical over a paren-free full form, e.g. "explainable ai (xai)"
 _PAREN_RE = re.compile(r"^(?P<full>[^()]*\S)\s*\((?P<short>[^()]*)\)$")
 
@@ -122,11 +119,6 @@ def fold_case_hyphens(raw: str) -> str:
     if not xml_can_hold(folded):
         raise NormalizationError(f"keyword holds a character GraphML cannot hold: {raw!r}")
     return folded
-
-
-def xml_can_hold(text: str) -> bool:
-    """Whether ``text`` holds no ``NOT_IN_XML`` character."""
-    return text.isascii() and text.isprintable() or not re.search(NOT_IN_XML, text)
 
 
 def singularize(keyword: str, protected: set[str] | frozenset[str]) -> str:

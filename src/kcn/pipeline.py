@@ -32,7 +32,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import shutil
 from contextlib import contextmanager
 from pathlib import Path
@@ -44,8 +43,10 @@ from .config import FLAG_KEYS, THRESHOLD_KEYS, RunConfig
 from .corpus import Corpus, FilterReport, concat_corpora, filter_eligible, load_corpus
 from .errors import ConfigError, FitError, KcnError, StageError
 from .graph import (
+    _NAME_BYTES,
     SliceSpec,
     WeightedGraph,
+    _safe_name,
     build_kcn,
     largest_component,
     to_edge_csv,
@@ -70,13 +71,6 @@ from .trends import (
 from .communities import name_clusters
 
 STAGES = ("macro", "meso", "micro")
-
-# safe names keep letters and digits of any script; \w is [A-Za-z0-9_] on ASCII
-_SAFE_RE = re.compile(r"[^\w.-]+")
-
-# longest ego file name (suffix and ".graphml" included) and safe slice label,
-# in bytes; file systems commonly refuse names over 255 bytes
-_EGO_NAME_BYTES = 200
 
 # keywords times keyword pairs of betweenness that cost as much CPU as one
 # keyword pair of build, files, macro and meso: the ratio of the two CPU
@@ -176,11 +170,10 @@ class Prepared(NamedTuple):
 def prepare(config: RunConfig) -> Prepared:
     """Ingest, filter and normalize the inputs and resolve the slices.
 
-    Configured slice labels are checked before any input is read; the
-    default slices are each year of the normalized corpus plus ``all``.
+    The default slices are each year of the normalized corpus plus
+    ``all``; configured ones were checked as the config was loaded.
     Failures are tagged with their stage.
     """
-    _check_slice_labels(config)
     with _stage("ingest"):
         corpus = concat_corpora(
             load_corpus(spec.path, spec.format) for spec in config.inputs
@@ -263,12 +256,14 @@ def _analyze_slices(
     Returns the ``_analyze_slice`` results in slice order and, when micro
     runs, the graph of the first whole-corpus slice, or None when there is
     none. ``trends._forked`` runs two shares, in a forked child and here,
-    as ``_schedule`` prices them. This process builds the kept slice
-    before the fork. The child sums that slice's first ``cut`` Brandes
-    sources and sends the sum first, then analyses the slices
-    ``_schedule`` gives it, writing their files into ``out`` itself, and
-    sends their outcomes. This process analyses the kept slice and its
-    other slices and fits their power laws, receives the sum and adds its
+    as ``_schedule`` prices them. When micro runs, this process builds the
+    kept slice before the fork, and the child sums that slice's first
+    ``cut`` Brandes sources and sends the sum first; without micro the cut
+    is 0 and the kept slice is built in its turn, so that no graph is held
+    through the share. The child then analyses the slices ``_schedule``
+    gives it, writing their files into ``out`` itself, and sends their
+    outcomes. This process analyses the kept slice first, then its other
+    slices, and fits their power laws, receives the sum and adds its
     own sources onto it in source order, then receives the child's
     outcomes and fits theirs. So every fit, and numpy, which the fits
     load, stays in this process, and numpy loads after this process's
@@ -278,10 +273,9 @@ def _analyze_slices(
     and the first error in slice order is raised.
     """
     keep, theirs, cut = _schedule(normalized, slices, "micro" in stages)
-    mine = [i for i in range(len(slices)) if i not in theirs and i != keep]
+    mine = [keep, *(i for i in range(len(slices)) if i not in theirs and i != keep)]
     g, built = None, {}
-    if keep is not None:
-        mine.insert(0, keep)
+    if "micro" in stages:
         try:
             with _stage("build"):
                 built[keep] = g = build_kcn(normalized, slices[keep])
@@ -340,12 +334,12 @@ def _analyze_slices(
         if isinstance(outcomes[i], StageError):
             raise outcomes[i]
         results.append(outcomes[i])
-    return results, (g if keep is not None and slices[keep].years is None else None)
+    return results, (g if slices[keep].years is None else None)
 
 
 def _schedule(
     normalized: Corpus, slices: list[SliceSpec], micro: bool
-) -> tuple[int | None, list[int], int]:
+) -> tuple[int, list[int], int]:
     """The slice this process keeps, the slices a forked child analyses, and
     the cut: how many of the kept slice's first Brandes sources the child sums.
 
@@ -355,9 +349,9 @@ def _schedule(
     costs its distinct keywords, which is its node count n, times m: each
     source's Dijkstra relaxes each edge at most once. This process keeps
     the slice of highest total price: a whole-corpus slice of equals, then
-    the first. With ``micro`` that slice is returned as ``keep``, and its
-    betweenness, whose sources both processes share after their slices, is
-    not counted; without, ``keep`` is None. Then by falling load (phase
+    the first, returned as ``keep``, which this process analyses first.
+    With ``micro`` its betweenness, whose sources both processes share
+    after their slices, is not counted. Then by falling load (phase
     price plus, with ``micro``, betweenness price), ties in slice order,
     each other slice goes to the side with the lower total so far, ties to
     this process: LPT scheduling (Graham 1969). With ``micro`` the cut is
@@ -410,11 +404,9 @@ def _schedule(
         totals[side] += loads[i]
         if side:
             theirs.append(i)
-    if not micro:
-        return None, sorted(theirs), 0
     n, m = sizes[kept]
     # the child's total plus cut * m is this process's plus (n - cut) * m
-    cut = (totals[0] - totals[1] + n * m) // (2 * m) if m else 0
+    cut = (totals[0] - totals[1] + n * m) // (2 * m) if micro and m else 0
     return kept, sorted(theirs), min(max(cut, 0), n)
 
 
@@ -654,10 +646,10 @@ def ego_file_names(keywords: list[str]) -> list[str]:
     The name is ``ego_<keyword>`` made filename-safe, plus ``.graphml``.
     When an earlier keyword holds it already, a ``_<n>`` suffix is added,
     with ``n`` the first free number from the count of earlier keywords.
-    A name is cut to ``_EGO_NAME_BYTES`` bytes, suffix and extension
+    A name is cut to ``_NAME_BYTES`` bytes, suffix and extension
     included, by dropping the end of the keyword part.
     """
-    room = _EGO_NAME_BYTES - len(".graphml")
+    room = _NAME_BYTES - len(".graphml")
     used: set[str] = set()
     names = []
     for keyword in keywords:
@@ -730,21 +722,6 @@ def _manifest(
     }
 
 
-def _check_slice_labels(config: RunConfig) -> None:
-    """Reject configured slice labels that cannot each name a slice directory."""
-    # each label names its own directory under slices/, inside the bundle
-    safe = {s.label: _safe_name(s.label) for s in config.slices or ()}
-    for label, name in safe.items():
-        if name in (".", ".."):
-            raise ConfigError(f"slice label {label!r} cannot name a slice directory")
-        if len(name.encode()) > _EGO_NAME_BYTES:
-            raise ConfigError(
-                f"slice label {label!r} is over {_EGO_NAME_BYTES} bytes as a file name"
-            )
-    if len(set(safe.values())) != len(safe):
-        raise ConfigError(f"slice labels collide after sanitizing: {sorted(safe)}")
-
-
 def _default_slices(corpus: Corpus) -> list[SliceSpec]:
     return [SliceSpec.year(y) for y in corpus.years()] + [SliceSpec.all()]
 
@@ -757,10 +734,6 @@ def _stage(name: str):
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
-
-
-def _safe_name(text: str) -> str:
-    return _SAFE_RE.sub("_", text)
 
 
 def _clip(text: str, size: int) -> str:

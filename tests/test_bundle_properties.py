@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -10,12 +11,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kcn.config import load_config
 from kcn.corpus import ArticleRecord, Corpus
+from kcn.errors import GraphError
+from kcn.graph import SliceSpec
 from kcn.normalize import default_lexicon_dir, load_lexicon, normalize_corpus
-from kcn.pipeline import run_pipeline
+from kcn.pipeline import run_pipeline, slice_file
 
 # packaged short forms ("its", "llm"), protected and plural-looking words
 # ("analysis", "studies") and near-spellings ("modle") all take part
@@ -114,3 +117,38 @@ def test_bundle_does_not_depend_on_record_order(data):
     assert sorted(given_order) == sorted(other_order)
     for name, data_given in given_order.items():
         assert _order_free(name, data_given) == _order_free(name, other_order[name]), name
+
+
+# the kind and extension of every file a slice writes under slices/<label>/
+SLICE_FILES = [
+    ("edges", "csv"), ("ccdf", "tsv"), ("clustering_vs_degree", "tsv"),
+    ("knn_ratio_vs_degree", "tsv"), ("clusters", "json"), ("membership", "csv"),
+    ("dendrogram", "csv"), ("betweenness", "csv"),
+]
+# dots, separators, a character GraphML cannot hold, and letters of one to
+# four UTF-8 bytes
+LABEL_CHARS = st.sampled_from([".", "/", " ", "-", "_", "a", "A", "\u00e9", "\u5b66", "\U0001f600", "\x01"])
+
+
+@st.composite
+def labels(draw) -> str:
+    """A run of one character, long enough to cross the 200-byte limit, then drawn text."""
+    run = draw(LABEL_CHARS) * draw(st.integers(0, 210))
+    return run + draw(st.text(LABEL_CHARS, max_size=8) | st.text(max_size=8))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(labels())
+@example(".")
+@example("..")
+def test_each_label_slice_spec_accepts_names_one_directory_under_slices(label):
+    try:
+        SliceSpec(label)
+    except GraphError:
+        assume(False)
+    bundle = Path("bundle")
+    for kind, ext in SLICE_FILES:
+        path = slice_file(bundle, label, kind, ext)
+        # normpath drops a "." and resolves a ".." as the file system would
+        assert Path(os.path.normpath(path)).parent.parent == bundle / "slices"
+        assert max(len(part.encode()) for part in path.parts) <= 255

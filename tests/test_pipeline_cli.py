@@ -180,6 +180,19 @@ def test_load_config_slice_forms(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize(("labels", "named"), [(["AI", "ai"], "'AI' and 'ai'"),
+                                               (["2020", "a/b", "a b"], "'a/b' and 'a b'")],
+                         ids=["case", "sanitized"])
+def test_load_config_rejects_labels_that_name_one_directory(tmp_path, labels, named):
+    # on a file system that ignores case, as macOS's does by default,
+    # slices/AI and slices/ai are one directory
+    p = tmp_path / "c.json"
+    slices = [{"label": label, "years": "all"} for label in labels]
+    p.write_text(json.dumps({"inputs": ["c.jsonl"], "slices": slices}), "utf-8")
+    with pytest.raises(ConfigError, match=f"unique.*{re.escape(named)}$"):
+        load_config(p)
+
+
 @pytest.mark.parametrize(
     ("entry", "named"),
     [
@@ -1093,8 +1106,9 @@ def test_cli_inspect_bundle_entry_of_the_wrong_shape_is_one_error_line(
         ([2020, "all"], "'slices' must be a list of strings"),
         (["2020", "."], "slice label '.' cannot name a slice directory"),
         ([".."], "slice label '..' cannot name a slice directory"),
+        (["x" * 300], f"slice label '{'x' * 300}' is over 200 bytes as a file name"),
     ],
-    ids=["int", "int-label", "dot", "dot-dot"],
+    ids=["int", "int-label", "dot", "dot-dot", "long"],
 )
 def test_cli_inspect_bad_manifest_slices_is_one_error_line(tmp_path, bundle, slices, message):
     damaged = tmp_path / "bundle"
@@ -1167,6 +1181,20 @@ def test_cli_export_csv_matches_run_edges(tmp_path, bundle, label):
     )
     assert res.returncode == 0, res.stderr
     assert out.read_bytes() == (bundle / "slices" / label / "edges.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_cli_slice_that_selects_no_records_is_one_build_line(tmp_path, capsys, command):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"inputs": [str(DATA / "synthetic_corpus.jsonl")],
+                                  "slices": [2019]}), "utf-8")
+    args = {"run": ["--out", str(tmp_path / "out")],
+            "export": ["--slice", "2019", "--format", "csv", "--out", str(tmp_path / "x.csv")]}
+    assert cli.main([command, "--config", str(config), *args[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "kcn: error: [build] slice '2019' selects no records\n"
+    assert _tree(tmp_path) == {"c.json": config.read_bytes()}
 
 
 def test_cli_export_unknown_slice(tmp_path):

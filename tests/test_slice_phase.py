@@ -68,9 +68,9 @@ def serial(tmp_path_factory):
     return trees
 
 
-def _slices():
+def _slices(micro: bool = True):
     prepared = pipeline.prepare(load_config(CONFIG))
-    return prepared.slices, pipeline._schedule(prepared.normalized, prepared.slices, True)[1]
+    return prepared.slices, pipeline._schedule(prepared.normalized, prepared.slices, micro)[1]
 
 
 def _all_nodes() -> int:
@@ -114,7 +114,7 @@ def test_child_share_repeats_and_leaves_a_lone_slice_here():
         # this process's phase against the sources: n·m of betweenness, at m each
         cut = min((pipeline._BETWEENNESS_PAIRS + g.n) // 2, g.n)
         assert pipeline._schedule(prepared.normalized, [spec], True) == (0, [], cut)
-        assert pipeline._schedule(prepared.normalized, [spec], False) == (None, [], 0)
+        assert pipeline._schedule(prepared.normalized, [spec], False) == (0, [], 0)
 
 
 @pytest.mark.parametrize("micro", [True, False])
@@ -127,7 +127,7 @@ def test_the_price_counts_each_slice_graph_and_the_cut_evens_the_shares(tmp_path
     keep, theirs, cut = pipeline._schedule(prepared.normalized, prepared.slices, micro)
     kept = len(slices) - 1  # all, the costliest
     assert max(range(len(slices)), key=lambda i: phase[i] + sizes[i][0] * sizes[i][1]) == kept
-    assert keep == (kept if micro else None) and kept not in theirs
+    assert keep == kept and kept not in theirs
     here = phase[kept] + sum(loads[i] for i in range(kept) if i not in theirs)
     child = sum(loads[i] for i in theirs)
     if not micro:
@@ -346,8 +346,9 @@ def test_a_lone_slice_forks_only_for_its_sources(tmp_path, monkeypatch, only, fo
     assert _forks(tmp_path, monkeypatch, config, only) == [f"{os.getpid()} 0"] * forks
 
 
+@pytest.mark.parametrize("only", [None, {"macro", "meso"}], ids=["all-stages", "macro-meso"])
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_this_process_builds_the_costliest_slice_first(tmp_path, monkeypatch, workers):
+def test_this_process_builds_the_costliest_slice_first(tmp_path, monkeypatch, workers, only):
     built: list[str] = []  # a forked child appends to its own copy
     build = pipeline.build_kcn
 
@@ -357,10 +358,10 @@ def test_this_process_builds_the_costliest_slice_first(tmp_path, monkeypatch, wo
 
     monkeypatch.setattr(trends, "_workers", lambda: workers)
     monkeypatch.setattr(pipeline, "build_kcn", building)
-    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
+    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out", only=only)
     # all, the costliest, then the rest of this process's share in order,
-    # then, on one CPU, the child's share
-    here, theirs = _labels()
+    # then, on one CPU, the child's share; with micro or without
+    here, theirs = _labels(only is None)
     assert built == ["all", *(label for label in here if label != "all"),
                      *(theirs if workers == 1 else [])]
 
@@ -401,8 +402,8 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _labels():
-    slices, theirs = _slices()
+def _labels(micro: bool = True):
+    slices, theirs = _slices(micro)
     ours = [i for i in range(len(slices)) if i not in theirs]
     return [slices[i].label for i in ours], [slices[i].label for i in theirs]
 

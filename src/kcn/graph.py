@@ -21,11 +21,11 @@ from typing import Iterable, Mapping
 from .corpus import Corpus
 from .errors import GraphError
 
-# XML 1.0's non-Char characters, less the whitespace that keyword folding
-# turns into spaces: no GraphML file can hold them, nor a UTF-8 file a lone
-# surrogate. Left uncompiled: its 64K-entry table costs a process about
-# 0.2 MB, which printable ASCII never needs
-NOT_IN_XML = "[\x00-\x08\x0e-\x1b\ud800-\udfff\ufffe\uffff]"
+# C0 controls and XML 1.0's other non-Char characters: tab, LF and CR would
+# split a row of summary.tsv, GraphML holds none of the rest, nor UTF-8 a lone
+# surrogate; keyword folding makes whitespace a space first. Left uncompiled:
+# its 64K-entry table costs a process 0.2 MB, which printable ASCII never needs
+NOT_IN_XML = "[\x00-\x1f\ud800-\udfff\ufffe\uffff]"
 
 # safe names keep letters and digits of any script; \w is [A-Za-z0-9_] on ASCII
 _SAFE_RE = re.compile(r"[^\w.-]+")
@@ -46,7 +46,7 @@ class SliceSpec:
         if not self.label:
             raise GraphError("slice label must be non-empty")
         if not xml_can_hold(self.label):
-            raise GraphError(f"label holds a character GraphML cannot hold: {self.label!r}")
+            raise GraphError(f"label holds a control or non-XML character: {self.label!r}")
         # the label names its own directory in a bundle, slices/<safe>/;
         # slices/. and slices/.. would be the slices directory and the bundle root
         safe = _safe_name(self.label)

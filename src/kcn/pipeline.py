@@ -33,9 +33,11 @@ import io
 import json
 import os
 import shutil
+import sys
+import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from . import __version__
 from .communities import cluster_profiles, fast_greedy
@@ -56,10 +58,8 @@ from .normalize import NormalizationLexicon, default_lexicon_dir, load_lexicon, 
 from .structure import average_clustering, ccdf, fit_power_law, profile_nodes, summarize
 from .trends import (
     CentralityTable,
-    _forked,
-    _prefix_sum,
-    _steps,
     betweenness_scores,
+    betweenness_sum,
     detect_emerging,
     ego_network,
     frequency_table,
@@ -71,6 +71,8 @@ from .trends import (
 from .communities import name_clusters
 
 STAGES = ("macro", "meso", "micro")
+
+T = TypeVar("T")
 
 # keywords times keyword pairs of betweenness that cost as much CPU as one
 # keyword pair of build, files, macro and meso: the ratio of the two CPU
@@ -255,22 +257,23 @@ def _analyze_slices(
 
     Returns the ``_analyze_slice`` results in slice order and, when micro
     runs, the graph of the first whole-corpus slice, or None when there is
-    none. ``trends._forked`` runs two shares, in a forked child and here,
-    as ``_schedule`` prices them. When micro runs, this process builds the
-    kept slice before the fork, and the child sums that slice's first
-    ``cut`` Brandes sources and sends the sum first; without micro the cut
-    is 0 and the kept slice is built in its turn, so that no graph is held
-    through the share. The child then analyses the slices ``_schedule``
-    gives it, writing their files into ``out`` itself, and sends their
-    outcomes. This process analyses the kept slice first, then its other
-    slices, and fits their power laws, receives the sum and adds its
-    own sources onto it in source order, then receives the child's
-    outcomes and fits theirs. So every fit, and numpy, which the fits
-    load, stays in this process, and numpy loads after this process's
-    slices. No byte depends on the split, and a run that leaves the child
-    no work forks none. Each slice ends as its result or its
-    ``StageError``, the kept slice's betweenness and each fit included,
-    and the first error in slice order is raised.
+    none. ``_forked`` runs two shares, in a forked child and here, as
+    ``_schedule`` prices them. When micro runs, this process builds the
+    kept slice before the fork; when there is also a cut, the child sums
+    that slice's first ``cut`` Brandes sources with ``betweenness_sum``
+    and sends the sum first. Without micro the cut is 0 and the kept slice
+    is built in its turn, so that no graph is held through the share. The
+    child then analyses the slices ``_schedule`` gives it, writing their
+    files into ``out`` itself, and sends their outcomes. This process
+    analyses the kept slice first, then its other slices, and fits their
+    power laws, then sums the kept slice's sources from the cut on, in
+    source order onto the sum it receives when there is a cut; then it
+    receives the child's outcomes and fits theirs. So every fit, and
+    numpy, which the fits load, stays in this process, and numpy loads
+    after this process's slices. No byte depends on the split, and a run
+    that leaves the child no work forks none. Each slice ends as its
+    result or its ``StageError``, the kept slice's betweenness and each
+    fit included, and the first error in slice order is raised.
     """
     keep, theirs, cut = _schedule(normalized, slices, "micro" in stages)
     mine = [keep, *(i for i in range(len(slices)) if i not in theirs and i != keep)]
@@ -284,23 +287,22 @@ def _analyze_slices(
             cut = 0
 
     def child():
-        prefix = None  # without a cut
         if cut:
             try:
                 with _stage("micro"):
-                    prefix = _prefix_sum(_steps(g), range(cut))
+                    prefix = betweenness_sum(g, range(cut))
             except StageError as exc:
                 prefix = exc
-        yield prefix
+            yield prefix
         yield _slice_share(config, stages, normalized, slices, out, theirs, {})
 
     def here(receive):
         outcomes = _slice_share(config, stages, normalized, slices, out, mine, built)
         _fit_power_laws(config, outcomes)
-        prefix = receive()
-        # the kept slice's Dijkstra steps are derived after the slices, so
-        # that no meso runs on top of them; a failure at or before that
-        # slice comes first in slice order, so its sources are not summed
+        prefix = receive() if cut else None
+        # the kept slice's sources are summed after the slices, so that no
+        # meso runs on top of its Dijkstra steps; a failure at or before
+        # that slice comes first in slice order, so its sources are not summed
         if g is not None and not any(
             isinstance(outcomes[i], StageError) for i in outcomes if i <= keep
         ):
@@ -308,7 +310,7 @@ def _analyze_slices(
                 if isinstance(prefix, StageError):
                     raise prefix
                 with _stage("micro"):
-                    values = betweenness_scores(g, _prefix_sum(_steps(g), range(cut, g.n), prefix))
+                    values = betweenness_scores(g, betweenness_sum(g, range(cut, g.n), prefix))
                     outcomes[keep]["table"] = _write_betweenness(
                         config, g, slices[keep], out, values
                     )
@@ -322,12 +324,7 @@ def _analyze_slices(
     work = [f"slices {', '.join(slices[i].label for i in theirs)}"] if theirs else []
     if cut:
         work.append(f"sources 0-{cut - 1} of {slices[keep].label}")
-    outcomes = _forked(
-        child,
-        here,
-        lambda code: KcnError(f"worker for {' and '.join(work)} failed with exit code {code}"),
-        bool(work),
-    )
+    outcomes = _forked(child, here, " and ".join(work))
     results = []
     # a slice a share skipped comes after one that failed
     for i in range(len(slices)):
@@ -408,6 +405,118 @@ def _schedule(
     # the child's total plus cut * m is this process's plus (n - cut) * m
     cut = (totals[0] - totals[1] + n * m) // (2 * m) if micro and m else 0
     return kept, sorted(theirs), min(max(cut, 0), n)
+
+
+def _workers() -> int:
+    """Processes ``_forked`` may use: 2 with two CPUs or more, else 1.
+
+    With 1, ``_forked`` runs the child's share here, as it is received. A
+    run forks once, and only one child plus this process has been
+    measured. 1 where ``os.fork`` is missing or another Python thread is
+    running, since a forked child inherits only the forking thread and
+    any lock another thread holds stays locked. kcn loads numpy only after
+    its fork, so its run has no native thread pool to count. A caller that
+    loaded numpy first may hold one, such as numpy's BLAS pool, which is
+    not counted either; OpenBLAS shuts its pool down around a fork.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _forked(
+    child: Callable[[], Iterator[object]],
+    here: Callable[[Callable[[], object]], T],
+    work: str,
+) -> T:
+    """Run generator ``child`` in a forked child process and ``here`` in this one.
+
+    Each object ``child`` yields is pickled in turn onto one pipe; ``here``
+    gets ``receive``, which returns the next, and its result is returned.
+    Where ``work``, the child's share as an error names it, is empty,
+    ``_workers()`` is 1 or no pipe or child can be made, ``receive``
+    advances the generator here instead: ``here`` runs to its first
+    ``receive``, ``child`` to its first yield, and so on. A child that
+    raises prints its traceback and exits non-zero. A ``receive`` that
+    meets the pipe's end, or a non-zero exit after ``here`` returns, raises
+    ``KcnError("worker for <work> failed with exit code <code>")``; if
+    ``here`` raises, the child is killed. The child is reaped before this
+    returns or raises, so it never outlives the files it writes to. A
+    message larger than the pipe buffer (64 KiB on Linux; a first message
+    of about 7,000 nodes) makes the child wait until it is received. That
+    costs overlap, never a byte, and cannot deadlock: the child waits for
+    nothing else.
+    """
+    pid, fds = None, ()
+    if work and _workers() > 1:
+        try:
+            fds = os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
+        return here(child().__next__)
+    read_fd, write_fd = fds
+    import pickle  # only here: importing it costs about 2 ms
+
+    if pid == 0:
+        # send each message at once; never return into the parent's code
+        # or run its exit hooks
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as fh:
+                for message in child():
+                    pickle.dump(message, fh)
+                    fh.flush()
+            code = 0
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+
+    status = None
+
+    def reap() -> int:
+        nonlocal status
+        if status is None:
+            status = os.waitpid(pid, 0)[1]
+        return os.waitstatus_to_exitcode(status)
+
+    def failed(code: int) -> KcnError:
+        return KcnError(f"worker for {work} failed with exit code {code}")
+
+    def receive():
+        try:
+            return pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            # the child exited, or died mid-message
+            raise failed(reap()) from None
+
+    finished = False
+    reader = open(read_fd, "rb")
+    try:
+        result = here(receive)
+        finished = True
+    finally:
+        if not finished and status is None:
+            import signal  # only here: importing it costs about 1 ms
+
+            os.kill(pid, signal.SIGKILL)
+        reader.close()
+        code = reap()
+    if code != 0:
+        raise failed(code)
+    return result
 
 
 def _slice_share(

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
-import sys
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Sequence
 
 from .corpus import Corpus
 from .errors import GraphError
@@ -25,8 +22,6 @@ from .graph import WeightedGraph
 # lcm of all weights divided by the edge's weight, shifted left by
 # _node_bits(n) so that a heap key is one int, (distance << bits) | node
 Steps = list[tuple[tuple[int, int], ...]]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -74,53 +69,51 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     and predecessor list, and so every float addition and every bit of
     the result, is as on the whole graph.
     """
-    return betweenness_scores(g, _prefix_sum(_steps(g), range(g.n)))
+    return betweenness_scores(g, betweenness_sum(g, range(g.n)))
 
 
 def betweenness_scores(g: WeightedGraph, bc: Sequence[float]) -> dict[str, float]:
-    """Scores by label from the ``_prefix_sum`` of all of ``g``'s sources.
+    """Scores by label from the ``betweenness_sum`` of all of ``g``'s sources.
 
-    The sum may be taken in two parts, ``[cut, n)`` added onto ``[0,
-    cut)``: every bit is then that of ``weighted_betweenness`` at any cut.
+    The sum may be taken in parts, as ``betweenness_sum`` says: every bit
+    is then that of ``weighted_betweenness`` at any cut.
     """
     labels = g.labels()
     # each unordered pair was visited from both endpoints
     return {labels[i]: bc[i] / 2.0 for i in range(g.n)}
 
 
-def _steps(g: WeightedGraph) -> Steps:
-    """The Dijkstra steps of ``g``'s distance backbone, by node index."""
+def betweenness_sum(
+    g: WeightedGraph, sources: range, start: Sequence[float] | None = None
+) -> list[float]:
+    """Twice the scores from ``sources``, by node index, added in source
+    order onto ``start`` (zeros).
+
+    The way to split a slice's sources: ``betweenness_sum(g, range(cut,
+    n), betweenness_sum(g, range(cut)))`` makes the float additions of one
+    loop over all sources, so its ``betweenness_scores`` are those of
+    ``weighted_betweenness`` at any cut. A zero dependency, most of them,
+    is skipped: adding ``+0.0`` changes no bit, since no score is ``-0.0``.
+    """
     n = g.n
     if n == 0:
         raise GraphError("betweenness of an empty graph is undefined")
     adj = g.adjacency()
     scale = math.lcm(*(w for row in adj for w in row.values()))
     bits = _node_bits(n)
-    return [
+    nbrs = [
         tuple((j, (scale // w) << bits) for j, w in row.items())
         for row in _backbone(adj)
     ]
-
-
-def _workers() -> int:
-    """Processes ``_forked`` may use: 2 with two CPUs or more, else 1.
-
-    With 1, ``_forked`` runs the child's share here, as it is received. A
-    run forks once, and only one child plus this process has been
-    measured. 1 where ``os.fork`` is missing or another Python thread is
-    running, since a forked child inherits only the forking thread and
-    any lock another thread holds stays locked. kcn loads numpy only after
-    its fork, so its run has no native thread pool to count. A caller that
-    loaded numpy first may hold one, such as numpy's BLAS pool, which is
-    not counted either; OpenBLAS shuts its pool down around a fork.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
+    bc = [0.0] * n if start is None else list(start)
+    for source in sources:
+        order, delta = _source_delta(nbrs, source)
+        for i in range(1, len(order)):
+            u = order[i]
+            d = delta[u]
+            if d:
+                bc[u] += d
+    return bc
 
 
 def _backbone(adj: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -214,112 +207,6 @@ def _source_delta(nbrs: Steps, source: int) -> tuple[list[int], list[float]]:
         for p in preds[u]:
             delta[p] += sigma[p] * coeff
     return order, delta
-
-
-def _prefix_sum(nbrs: Steps, sources: range, start: Sequence[float] | None = None) -> list[float]:
-    """Scores from ``sources``, added in source order onto ``start`` (zeros).
-
-    Chaining ``_prefix_sum(nbrs, range(cut, n), _prefix_sum(nbrs,
-    range(cut)))`` makes the float additions of one loop over all
-    sources. A zero dependency, most of them, is skipped: adding ``+0.0``
-    changes no bit, since no score is ``-0.0``.
-    """
-    bc = [0.0] * len(nbrs) if start is None else list(start)
-    for source in sources:
-        order, delta = _source_delta(nbrs, source)
-        for i in range(1, len(order)):
-            u = order[i]
-            d = delta[u]
-            if d:
-                bc[u] += d
-    return bc
-
-
-def _forked(
-    child: Callable[[], Iterator[object]],
-    here: Callable[[Callable[[], object]], T],
-    failed: Callable[[int], Exception],
-    fork: bool = True,
-) -> T:
-    """Run generator ``child`` in a forked child process and ``here`` in this one.
-
-    Each object ``child`` yields is pickled in turn onto one pipe; ``here``
-    gets ``receive``, which returns the next, and its result is returned.
-    Where ``fork`` is false, ``_workers()`` is 1 or no pipe or child can be
-    made, ``receive`` advances the generator here instead: ``here`` runs to
-    its first ``receive``, ``child`` to its first yield, and so on. A child
-    that raises prints its traceback and exits non-zero. A ``receive`` that
-    meets the pipe's end, or a non-zero exit after ``here`` returns, raises
-    ``failed(exit_code)``; if ``here`` raises, the child is killed. The
-    child is reaped before this returns or raises, so it never outlives the
-    files it writes to. A message larger than the pipe buffer (64 KiB on
-    Linux; a first message of about 7,000 nodes) makes the child wait until
-    it is received. That costs overlap, never a byte, and cannot deadlock:
-    the child waits for nothing else.
-    """
-    pid, fds = None, ()
-    if fork and _workers() > 1:
-        try:
-            fds = os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-    if pid is None:
-        return here(child().__next__)
-    read_fd, write_fd = fds
-    import pickle  # only here: importing it costs about 2 ms
-
-    if pid == 0:
-        # send each message at once; never return into the parent's code
-        # or run its exit hooks
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as fh:
-                for message in child():
-                    pickle.dump(message, fh)
-                    fh.flush()
-            code = 0
-        except Exception:
-            import traceback
-
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-
-    status = None
-
-    def reap() -> int:
-        nonlocal status
-        if status is None:
-            status = os.waitpid(pid, 0)[1]
-        return os.waitstatus_to_exitcode(status)
-
-    def receive():
-        try:
-            return pickle.load(reader)
-        except (EOFError, pickle.UnpicklingError):
-            # the child exited, or died mid-message
-            raise failed(reap()) from None
-
-    finished = False
-    reader = open(read_fd, "rb")
-    try:
-        result = here(receive)
-        finished = True
-    finally:
-        if not finished and status is None:
-            import signal  # only here: importing it costs about 1 ms
-
-            os.kill(pid, signal.SIGKILL)
-        reader.close()
-        code = reap()
-    if code != 0:
-        raise failed(code)
-    return result
 
 
 def top_k_table(

@@ -141,11 +141,16 @@ def labels(draw) -> str:
 @given(labels())
 @example(".")
 @example("..")
+@example("a\tb")
+@example("x\ny")
+@example("\r")
 def test_each_label_slice_spec_accepts_names_one_directory_under_slices(label):
     try:
         SliceSpec(label)
     except GraphError:
         assume(False)
+    # nor splits a row of summary.tsv
+    assert not {"\t", "\n", "\r"} & set(label)
     bundle = Path("bundle")
     for kind, ext in SLICE_FILES:
         path = slice_file(bundle, label, kind, ext)

@@ -3,11 +3,13 @@
 numpy loads only for the macro power-law fit and scipy only for the
 discrete one; GraphML escaping needs no ``xml.sax``, whose ``saxutils``
 pulls in ``urllib.request``, ``http.client`` and ``ssl``. Each probe is a
-fresh interpreter with only ``src`` on its path.
+fresh interpreter with only ``src`` on its path. Only ``pipeline``, which
+schedules the slices, imports the modules that run processes.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -93,9 +95,9 @@ def test_graph_loads_only_corpus_and_errors(tmp_path):
 # whether it holds numpy at the end as its last line
 SHARES = f"""
 import json, os, sys
-from kcn import pipeline, trends
+from kcn import pipeline
 from kcn.cli import main
-trends._workers = lambda: 2
+pipeline._workers = lambda: 2
 parent = os.getpid()
 share = pipeline._slice_share
 
@@ -122,3 +124,25 @@ def test_only_this_process_loads_numpy_after_its_slices(tmp_path):
     assert json.loads(res.stdout.splitlines()[-1]) == [0, True]
     shares = (tmp_path / "shares.txt").read_text("utf-8").splitlines()
     assert sorted(shares) == ["child False", "here False"]
+
+
+def test_only_pipeline_runs_processes():
+    # trends holds analysis only: the fork and the CPU rule live beside the
+    # schedule in pipeline, which takes only public names from trends
+    pipeline = ast.parse((SRC / "kcn" / "pipeline.py").read_text("utf-8"))
+    from_trends = [
+        alias.name
+        for node in ast.walk(pipeline)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "trends"
+        for alias in node.names
+    ]
+    assert "betweenness_sum" in from_trends
+    assert [name for name in from_trends if name.startswith("_")] == []
+    trends = ast.parse((SRC / "kcn" / "trends.py").read_text("utf-8"))
+    defined = {node.name for node in trends.body if isinstance(node, ast.FunctionDef)}
+    assert "betweenness_sum" in defined and not defined & {"_forked", "_workers"}
+    imported = {
+        alias.name for node in ast.walk(trends) if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    assert "heapq" in imported and not imported & {"os", "sys", "threading"}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from kcn import cli, pipeline, trends
+from kcn import cli, pipeline
 from kcn.config import load_config
 from kcn.errors import ConfigError, StageError
 from kcn.graph import WeightedGraph
@@ -491,7 +491,7 @@ def test_only_subset_is_byte_identical_with_full_run(tmp_path, bundle):
 def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(
     tmp_path, monkeypatch, workers
 ):
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     # either process appends a line per build and per check, so the slices
     # a forked worker analyses are checked too
     seen = tmp_path / "seen.jsonl"
@@ -499,7 +499,7 @@ def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(
     build = pipeline.build_kcn
     analyze = pipeline._analyze_slice
     betweenness = pipeline.weighted_betweenness
-    steps = pipeline._steps
+    betweenness_sum = pipeline.betweenness_sum
 
     def record(kind, label, alive):
         with seen.open("a", encoding="utf-8") as fh:
@@ -527,15 +527,15 @@ def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(
         record("betweenness", None, alive_besides(g))
         return betweenness(g)
 
-    def checking_steps(g):
+    def checking_sum(g, *args):
         # the kept slice's sources, which each process takes after its slices
-        record("steps", None, alive_besides(g))
-        return steps(g)
+        record("sources", None, alive_besides(g))
+        return betweenness_sum(g, *args)
 
     monkeypatch.setattr(pipeline, "build_kcn", tracking_build)
     monkeypatch.setattr(pipeline, "_analyze_slice", checking_analyze)
     monkeypatch.setattr(pipeline, "weighted_betweenness", checking_betweenness)
-    monkeypatch.setattr(pipeline, "_steps", checking_steps)
+    monkeypatch.setattr(pipeline, "betweenness_sum", checking_sum)
     result = run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     lines = [json.loads(line) for line in seen.read_text("utf-8").splitlines()]
     builds = [line for line in lines if line[0] == "build"]
@@ -544,7 +544,7 @@ def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(
     # ranked by betweenness once; the kept slice's sources are split in two
     assert len(builds) == len(result["slices"]) > 1
     assert [kind for kind, _, _ in checks].count("betweenness") == len(builds) - 1
-    assert [kind for kind, _, _ in checks].count("steps") == 2
+    assert [kind for kind, _, _ in checks].count("sources") == 2
     assert sorted(label for _, label, _ in builds) == sorted(result["slices"])
     assert sorted(label for kind, label, _ in checks if kind == "analyze") == sorted(
         result["slices"]
@@ -737,9 +737,10 @@ def test_empty_slice_fails_with_stage_error(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("label", [".", ".."])
-def test_dot_slice_labels_rejected(tmp_path, label):
-    # slices/. and slices/.. would be the slices directory and the bundle root
+@pytest.mark.parametrize("label", [".", "..", "a\tb", "x\ny"])
+def test_dot_and_control_character_slice_labels_rejected(tmp_path, label):
+    # slices/. and slices/.. would be the slices directory and the bundle
+    # root; a tab or a line end would split the label's row of summary.tsv
     cfg = tmp_path / "c.json"
     cfg.write_text(
         json.dumps(
@@ -1107,8 +1108,9 @@ def test_cli_inspect_bundle_entry_of_the_wrong_shape_is_one_error_line(
         (["2020", "."], "slice label '.' cannot name a slice directory"),
         ([".."], "slice label '..' cannot name a slice directory"),
         (["x" * 300], f"slice label '{'x' * 300}' is over 200 bytes as a file name"),
+        (["v\x0bw"], "label holds a control or non-XML character: 'v\\x0bw'"),
     ],
-    ids=["int", "int-label", "dot", "dot-dot", "long"],
+    ids=["int", "int-label", "dot", "dot-dot", "long", "control"],
 )
 def test_cli_inspect_bad_manifest_slices_is_one_error_line(tmp_path, bundle, slices, message):
     damaged = tmp_path / "bundle"

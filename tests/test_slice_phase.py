@@ -5,9 +5,9 @@ gives the child, and the first Brandes sources of the slice it keeps, up
 to the schedule's cut, to one forked child when there are two CPUs. These
 tests pin that the bundle does not depend on the split, that a failure
 reads as it would in the serial loop, that a run forks at most once and
-builds each slice graph once, that the child sends its sum before it
-analyses its slices, that every power-law fit runs in this process, and
-that no child or partial bundle outlives a run.
+builds each slice graph once, that the child sends its sum, only when
+there is a cut, before it analyses its slices, that every power-law fit
+runs in this process, and that no child or partial bundle outlives a run.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import pickle
 import time
 from itertools import combinations
 from pathlib import Path
@@ -57,7 +58,7 @@ def serial(tmp_path_factory):
     """Bundles of the serial loop: one per ``only`` subset, plus discrete."""
     root = tmp_path_factory.mktemp("serial")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trends, "_workers", lambda: 1)
+        mp.setattr(pipeline, "_workers", lambda: 1)
         trees = {}
         for only in SUBSETS:
             name = "-".join(sorted(only))
@@ -143,14 +144,14 @@ def test_the_price_counts_each_slice_graph_and_the_cut_evens_the_shares(tmp_path
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("only", SUBSETS, ids=lambda s: "-".join(sorted(s)))
 def test_bundle_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, serial, workers, only):
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out", only=only)
     assert _tree(tmp_path / "out") == serial["-".join(sorted(only))]
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_discrete_fit_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, serial, workers):
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     run_pipeline(load_config(_discrete_config(tmp_path)), out_dir=tmp_path / "out")
     assert _tree(tmp_path / "out") == serial["discrete"]
 
@@ -173,7 +174,7 @@ def test_run_is_serial_when_no_child_can_start(tmp_path, monkeypatch, serial, fa
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
         raise AssertionError("forked after a failed pipe")
 
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", fork)
     run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
@@ -234,7 +235,7 @@ def test_bytes_match_where_the_cut_is_far_from_half_the_sources(tmp_path, monkey
     assert abs(cut - n // 2) > n // 4
     trees = []
     for workers in (1, 2):
-        monkeypatch.setattr(trends, "_workers", lambda: workers)
+        monkeypatch.setattr(pipeline, "_workers", lambda: workers)
         run_pipeline(config, out_dir=tmp_path / str(workers))
         trees.append(_tree(tmp_path / str(workers)))
     assert trees[0] == trees[1]
@@ -252,7 +253,7 @@ def test_bytes_match_when_the_costliest_slice_is_a_year_range_and_there_is_no_al
     assert theirs
     trees = []
     for workers in (1, 2):
-        monkeypatch.setattr(trends, "_workers", lambda: workers)
+        monkeypatch.setattr(pipeline, "_workers", lambda: workers)
         run_pipeline(config, out_dir=tmp_path / str(workers))
         trees.append(_tree(tmp_path / str(workers)))
     assert trees[0] == trees[1]
@@ -278,7 +279,7 @@ def test_ego_networks_come_from_all_when_a_year_range_ties_with_it(tmp_path, mon
             fh.write(f"{spec.label}\n")
         return build(corpus, spec)
 
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     monkeypatch.setattr(pipeline, "build_kcn", building)
     egos = []
     # all is kept in both orders, so its graph gives the ego networks and
@@ -323,7 +324,7 @@ def _forks(tmp_path, monkeypatch, config, only) -> list[str]:
         alive.discard(pid)
         return result
 
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "waitpid", waitpid)
     run_pipeline(config, out_dir=tmp_path / "out", only=only)
@@ -356,7 +357,7 @@ def test_this_process_builds_the_costliest_slice_first(tmp_path, monkeypatch, wo
         built.append(spec.label)
         return build(corpus, spec)
 
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     monkeypatch.setattr(pipeline, "build_kcn", building)
     run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out", only=only)
     # all, the costliest, then the rest of this process's share in order,
@@ -411,7 +412,7 @@ def _labels(micro: bool = True):
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_child_stage_error_reads_as_in_the_serial_loop(tmp_path, monkeypatch, workers):
     _, theirs = _labels()
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     _fail(monkeypatch, {(theirs[-1], "fast_greedy"): GraphError("no clusters")})
     with pytest.raises(StageError) as info:
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
@@ -431,7 +432,7 @@ class _TwoArgError(Exception):
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_child_error_that_does_not_unpickle_keeps_its_message(tmp_path, monkeypatch, workers):
     _, theirs = _labels()
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     _fail(monkeypatch, {(theirs[0], "summarize"): _TwoArgError("odd", "here")})
     with pytest.raises(KcnError, match=r"^\[macro\] odd at here$"):
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
@@ -452,7 +453,7 @@ def test_first_failing_slice_wins_then_first_failing_stage(tmp_path, monkeypatch
         "before_keep": (ours[0], "all"),
     }[first]
     assert slices.index(early) < slices.index(late)
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     _fail(
         monkeypatch,
         {
@@ -478,7 +479,7 @@ def test_kept_slice_betweenness_failure_loses_to_a_year_slice_failure(
     # this process runs first; a year slice of either side fails in meso
     ours, theirs = _labels()
     year = {"ours": ours[0], "theirs": theirs[0]}.get(beside)
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     failures = {("all", "fast_greedy"): None}
     if beside is not None:
         failures[(year, "fast_greedy")] = GraphError(f"{year} meso")
@@ -515,7 +516,7 @@ def test_a_full_disk_under_edges_csv_is_a_build_error(tmp_path, monkeypatch, cap
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return write_text(path, *args, **kwargs)
 
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     monkeypatch.setattr(Path, "write_text", full)
     assert cli.main(["run", "--config", str(CONFIG), "--out", str(tmp_path / "out")]) == 1
     error = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
@@ -528,7 +529,7 @@ def test_a_full_disk_under_edges_csv_is_a_build_error(tmp_path, monkeypatch, cap
 def test_a_failed_build_of_the_kept_slice_alone_is_raised(tmp_path, monkeypatch, workers):
     # all is built before the split; its failure is this process's outcome
     # for all, which comes after every year slice
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     _fail(monkeypatch, {("all", "build_kcn"): GraphError("all build")})
     with pytest.raises(StageError, match=r"^\[build\] all build$"):
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
@@ -548,7 +549,7 @@ def test_child_betweenness_failure_wins_over_a_later_meso_failure(
         label for label in (ours if late_side == "ours" else theirs)
         if slices.index(label) > slices.index(early)
     )
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     _fail(
         monkeypatch,
         {
@@ -600,7 +601,7 @@ def test_a_child_slice_fit_error_is_that_slice_outcome(tmp_path, monkeypatch, wo
         if (slices.index(label) < slices.index(fitted)) == (when == "earlier")
         and label != fitted
     )
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     _fail_fit(monkeypatch, fitted, ValueError(f"{fitted} fit"))
     _fail(monkeypatch, {(other_label, "fast_greedy"): GraphError(f"{other_label} meso")})
     with pytest.raises(StageError) as info:
@@ -624,7 +625,7 @@ def test_parent_failure_while_the_child_writes_leaves_no_sibling(
     tmp_path, monkeypatch, error, raised
 ):
     ours, theirs = _labels()
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     # the child sleeps before each of its slices, so this process fails first
     _fail(monkeypatch, {(ours[0], "build_kcn"): error}, delay=0.2)
     with pytest.raises(raised):
@@ -642,7 +643,7 @@ def test_child_failure_under_force_keeps_old_bundle(tmp_path, monkeypatch, worke
     old = tmp_path / "old"
     run_pipeline(load_config(CONFIG), out_dir=old)
     before = _tree(old)
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     _fail(monkeypatch, {(theirs[-1], "summarize"): GraphError("late")})
     with pytest.raises(StageError, match=r"^\[macro\] late$"):
         run_pipeline(load_config(CONFIG), out_dir=old, force=True)
@@ -669,7 +670,7 @@ def test_a_child_that_dies_is_an_error_naming_its_slices(tmp_path, monkeypatch):
         return build(corpus, spec)
 
     work = _child_work()
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     monkeypatch.setattr(pipeline, "build_kcn", dying)
     with pytest.raises(KcnError, match=f"^worker for {work} failed with exit code 3$"):
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
@@ -686,7 +687,7 @@ def test_a_child_that_dies_in_the_prefix_is_an_error_naming_its_slices(tmp_path,
             os._exit(3)
 
     _on_all_sources(monkeypatch, dying)
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     with pytest.raises(KcnError, match=f"^worker for {_child_work()} failed with exit code 3$"):
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     _assert_no_child_left()
@@ -712,9 +713,9 @@ def test_the_child_sends_its_prefix_before_its_slices(tmp_path, monkeypatch):
 
         return call
 
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     _fail(monkeypatch, {}, delay=0.3)
-    monkeypatch.setattr(pipeline, "_prefix_sum", logged("sources", pipeline._prefix_sum))
+    monkeypatch.setattr(pipeline, "betweenness_sum", logged("sources", pipeline.betweenness_sum))
     monkeypatch.setattr(pipeline, "_analyze_slice", logged("slice", pipeline._analyze_slice))
     run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     events = log.read_text("utf-8").splitlines()
@@ -723,3 +724,28 @@ def test_the_child_sends_its_prefix_before_its_slices(tmp_path, monkeypatch):
     # so this process sums its sources while the child analyses its slices
     last = len(events) - 1 - events[::-1].index("child slice end")
     assert events.index("here sources start") < last
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    ("only", "sent"), [(None, ["list", "dict"]), ({"macro", "meso"}, ["dict"])],
+    ids=["cut", "no-cut"],
+)
+def test_the_child_sends_a_prefix_only_with_a_cut(tmp_path, monkeypatch, only, sent):
+    # the child appends the type of each message it sends: all's first
+    # sources' sum when micro gives a cut, then its slices' outcomes
+    log = tmp_path / "messages.txt"
+    parent = os.getpid()
+    dump = pickle.dump
+
+    def logged(message, fh):
+        if os.getpid() != parent:
+            with log.open("a", encoding="utf-8") as out:
+                out.write(f"{type(message).__name__}\n")
+        return dump(message, fh)
+
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
+    monkeypatch.setattr(pickle, "dump", logged)
+    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out", only=only)
+    assert log.read_text("utf-8").splitlines() == sent
+    _assert_no_child_left()

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kcn import trends
+from kcn import pipeline
 from kcn.config import load_config
 from kcn.errors import FitError, GraphError
 from kcn.graph import WeightedGraph
@@ -153,7 +153,7 @@ def test_clustering_is_the_same_in_every_call_order():
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_macro_stage_walks_each_slice_graph_once(tmp_path, monkeypatch, workers):
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     # either process appends a line per walk, so a forked slice worker's
     # walks are counted too; built keeps each walked graph alive, so no id
     # is reused within a process

@@ -9,9 +9,9 @@ from itertools import combinations
 
 import pytest
 
-from kcn import trends
+from kcn import pipeline, trends
 from kcn.corpus import ArticleRecord, Corpus
-from kcn.errors import GraphError
+from kcn.errors import GraphError, KcnError
 from kcn.graph import WeightedGraph
 from kcn.trends import (
     CentralityTable,
@@ -216,6 +216,8 @@ def test_heap_keys_match_tuple_keys_on_exact_ties():
 
 
 # --- betweenness across worker processes ---------------------------------------
+# betweenness_sum split as pipeline._forked runs it, and _forked and _workers
+# themselves, which pipeline holds: kept here under their earlier test ids
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 WORKER_COUNTS = [1, pytest.param(2, marks=needs_fork)]
@@ -262,34 +264,30 @@ def test_betweenness_bits_do_not_depend_on_the_cut():
     # the rest onto that sum in another, in source order
     for g in _graphs_with_ties() + _seeded_backbone_graphs():
         want = [(v, repr(x)) for v, x in weighted_betweenness(g).items()]
-        steps = trends._steps(g)
         for cut in range(g.n + 1):
-            prefix = trends._prefix_sum(steps, range(cut))
-            got = trends.betweenness_scores(g, trends._prefix_sum(steps, range(cut, g.n), prefix))
+            prefix = trends.betweenness_sum(g, range(cut))
+            got = trends.betweenness_scores(g, trends.betweenness_sum(g, range(cut, g.n), prefix))
             assert [(v, repr(x)) for v, x in got.items()] == want, (g.edges(), cut)
 
 
 def _forked_betweenness(g: WeightedGraph) -> dict[str, float]:
     """Betweenness as the pipeline splits it: the first sources summed in
-    ``_forked``'s child, the rest added onto that sum here."""
-    steps = trends._steps(g)
+    ``pipeline._forked``'s child, the rest added onto that sum here."""
     cut = g.n // 2
 
     def child():
-        yield trends._prefix_sum(steps, range(cut))
+        yield trends.betweenness_sum(g, range(cut))
 
     def here(receive):
-        return trends._prefix_sum(steps, range(cut, g.n), receive())
+        return trends.betweenness_sum(g, range(cut, g.n), receive())
 
-    bc = trends._forked(
-        child, here, lambda code: GraphError(f"sources 0-{cut - 1} failed with exit code {code}")
-    )
+    bc = pipeline._forked(child, here, f"sources 0-{cut - 1}")
     return trends.betweenness_scores(g, bc)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_betweenness_bits_match_serial_loop_for_every_worker_count(monkeypatch, workers):
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     for g in _graphs_with_ties():
         want = [(v, repr(x)) for v, x in oracles.betweenness_brandes_serial(g)]
         assert [(v, repr(x)) for v, x in _forked_betweenness(g).items()] == want
@@ -314,7 +312,7 @@ def test_betweenness_runs_serially_when_no_child_can_start(monkeypatch, fails):
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
         raise AssertionError("forked after a failed pipe")
 
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", fork)
     graphs = _graphs_with_ties()
@@ -342,8 +340,8 @@ def _failing_at(source_of, exc):
 def test_betweenness_child_failure_raises_and_leaves_no_child(monkeypatch, cycle4):
     # source 0 is before the cut, so it runs in the child
     monkeypatch.setattr(trends, "_source_delta", _failing_at(lambda n: 0, RuntimeError("boom")))
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
-    with pytest.raises(GraphError, match="sources 0-1 failed with exit code 1"):
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
+    with pytest.raises(KcnError, match="^worker for sources 0-1 failed with exit code 1$"):
         _forked_betweenness(cycle4)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -353,19 +351,19 @@ def test_betweenness_child_failure_raises_and_leaves_no_child(monkeypatch, cycle
 def test_betweenness_interrupt_in_parent_reaps_every_child(monkeypatch, cycle4):
     # the last source runs in this process, after the child's sum
     monkeypatch.setattr(trends, "_source_delta", _failing_at(lambda n: n - 1, KeyboardInterrupt))
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     with pytest.raises(KeyboardInterrupt):
         _forked_betweenness(cycle4)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize(("workers", "fork"), [(1, True), (2, False)], ids=["one-cpu", "no-fork"])
-def test_forked_runs_here_then_child_when_it_does_not_fork(monkeypatch, workers, fork):
+@pytest.mark.parametrize(("workers", "work"), [(1, "work"), (2, "")], ids=["one-cpu", "no-fork"])
+def test_forked_runs_here_then_child_when_it_does_not_fork(monkeypatch, workers, work):
     def forking():
         raise AssertionError("forked")
 
-    monkeypatch.setattr(trends, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     monkeypatch.setattr(os, "fork", forking, raising=False)
     ran: list[str] = []
 
@@ -383,14 +381,15 @@ def test_forked_runs_here_then_child_when_it_does_not_fork(monkeypatch, workers,
         ran.append("here 3")
         return first, second
 
-    assert trends._forked(child, here, AssertionError, fork) == (1, 2)
+    # with no work to name, nothing forks
+    assert pipeline._forked(child, here, work) == (1, 2)
     # each side runs up to the point where the other must go on
     assert ran == ["here 1", "child 1", "here 2", "child 2", "here 3"]
 
 
 @needs_fork
 def test_forked_carries_messages_in_order_through_the_pipe(monkeypatch):
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     # a message larger than a pipe buffer waits until it is received
     big = [float(i) for i in range(50_000)]
 
@@ -399,7 +398,7 @@ def test_forked_carries_messages_in_order_through_the_pipe(monkeypatch):
         yield big
         yield None
 
-    pid, got, last = trends._forked(child, lambda receive: [receive() for _ in range(3)], AssertionError)
+    pid, got, last = pipeline._forked(child, lambda receive: [receive() for _ in range(3)], "work")
     assert pid != os.getpid() and got == big and last is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -410,9 +409,9 @@ def test_forked_carries_messages_in_order_through_the_pipe(monkeypatch):
 @pytest.mark.parametrize("received", ["all", "sent"])
 def test_a_child_that_exits_is_failed_with_its_exit_code(monkeypatch, sent, received):
     # the child exits after ``sent`` messages; this process asks for one
-    # more and gets failed(code) from receive, or returns once it has what
+    # more and gets the error from receive, or returns once it has what
     # was sent and gets it from _forked
-    monkeypatch.setattr(trends, "_workers", lambda: 2)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
 
     def child():
         yield from range(sent)
@@ -426,8 +425,8 @@ def test_a_child_that_exits_is_failed_with_its_exit_code(monkeypatch, sent, rece
             raise AssertionError("received past the child's exit")
         return got
 
-    with pytest.raises(GraphError, match="^exit code 3$"):
-        trends._forked(child, here, lambda code: GraphError(f"exit code {code}"))
+    with pytest.raises(KcnError, match="^worker for work failed with exit code 3$"):
+        pipeline._forked(child, here, "work")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -437,15 +436,15 @@ def test_a_child_that_exits_is_failed_with_its_exit_code(monkeypatch, sent, rece
 def test_workers_is_capped_at_two(monkeypatch, cpus, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert trends._workers() == workers
+    assert pipeline._workers() == workers
     # without sched_getaffinity, as on macOS, cpu_count decides
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert trends._workers() == workers
+    assert pipeline._workers() == workers
 
 
 def test_workers_is_one_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork", raising=False)
-    assert trends._workers() == 1
+    assert pipeline._workers() == 1
 
 
 def test_workers_is_one_while_another_thread_runs():
@@ -453,7 +452,7 @@ def test_workers_is_one_while_another_thread_runs():
     thread = threading.Thread(target=release.wait, args=(10,))
     thread.start()
     try:
-        assert trends._workers() == 1
+        assert pipeline._workers() == 1
     finally:
         release.set()
         thread.join(10)

@@ -270,7 +270,8 @@ def _analyze_slices(
     source order onto the sum it receives when there is a cut; then it
     receives the child's outcomes and fits theirs. So every fit, and
     numpy, which the fits load, stays in this process, and numpy loads
-    after this process's slices. No byte depends on the split, and a run
+    after this process's slices, with one BLAS thread so that no worker
+    spins on the child's CPU. No byte depends on the split, and a run
     that leaves the child no work forks none. Each slice ends as its
     result or its ``StageError``, the kept slice's betweenness and each
     fit included, and the first error in slice order is raised.
@@ -415,9 +416,10 @@ def _workers() -> int:
     measured. 1 where ``os.fork`` is missing or another Python thread is
     running, since a forked child inherits only the forking thread and
     any lock another thread holds stays locked. kcn loads numpy only after
-    its fork, so its run has no native thread pool to count. A caller that
-    loaded numpy first may hold one, such as numpy's BLAS pool, which is
-    not counted either; OpenBLAS shuts its pool down around a fork.
+    its fork, so it forks with no native pool, and numpy's BLAS pool then
+    has one thread unless the caller set ``OPENBLAS_NUM_THREADS``. A caller
+    that loaded numpy first may hold a BLAS pool, which is not counted;
+    OpenBLAS shuts its pool down around a fork.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1

@@ -10,6 +10,7 @@ Kolmogorov-Smirnov cutoff scan.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -219,6 +220,23 @@ def ccdf(values: Iterable[float]) -> list[tuple[float, float]]:
     ]
 
 
+def _load_fit_modules(discrete: bool) -> None:
+    """Load numpy, and scipy for a discrete fit, with one BLAS thread: kcn
+    makes no BLAS call, and a BLAS worker spins on the CPU a forked child
+    uses. A size the caller set is kept; OpenBLAS reads it only at load."""
+    unset = "OPENBLAS_NUM_THREADS" not in os.environ
+    if unset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+        if discrete:
+            import scipy.optimize
+            import scipy.special
+    finally:
+        if unset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def fit_power_law(
     values: Sequence[float], discrete: bool = False, min_tail: int = 10
 ) -> PowerLawFit:
@@ -236,6 +254,7 @@ def fit_power_law(
     With ``discrete=True`` the values must be positive integers and the
     exponent maximizes the zeta-normalized discrete likelihood instead.
     """
+    _load_fit_modules(discrete)
     import numpy as np
 
     xs = np.asarray(sorted(float(v) for v in values), dtype=float)

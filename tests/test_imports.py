@@ -1,10 +1,12 @@
 """Each ``kcn`` command loads only the modules it runs.
 
 numpy loads only for the macro power-law fit and scipy only for the
-discrete one; GraphML escaping needs no ``xml.sax``, whose ``saxutils``
-pulls in ``urllib.request``, ``http.client`` and ``ssl``. Each probe is a
-fresh interpreter with only ``src`` on its path. Only ``pipeline``, which
-schedules the slices, imports the modules that run processes.
+discrete one, both with one BLAS thread unless the caller sets
+``OPENBLAS_NUM_THREADS``; GraphML escaping needs no ``xml.sax``, whose
+``saxutils`` pulls in ``urllib.request``, ``http.client`` and ``ssl``. Each
+probe is a fresh interpreter with only ``src`` on its path. Only
+``pipeline``, which schedules the slices, imports the modules that run
+processes.
 """
 
 from __future__ import annotations
@@ -39,15 +41,22 @@ print(json.dumps([code, [m for m in {HEAVY!r} if m in sys.modules]]))
 """
 
 
-def _loaded(tmp_path: Path, *args: str) -> list[str]:
+def _probe(tmp_path: Path, code: str, blas: str | None, *args: str) -> list:
+    """Run ``code`` in a fresh interpreter with ``OPENBLAS_NUM_THREADS``
+    set to ``blas`` (unset for None); return its last line, parsed."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    res = subprocess.run(
-        [sys.executable, "-c", PROBE, *args],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
-    )
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, env=env, cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    code, loaded = json.loads(res.stdout.splitlines()[-1])
-    assert code == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def _loaded(tmp_path: Path, *args: str) -> list[str]:
+    code, loaded = _probe(tmp_path, PROBE, None, *args)
+    assert code == 0
     return loaded
 
 
@@ -124,6 +133,57 @@ def test_only_this_process_loads_numpy_after_its_slices(tmp_path):
     assert json.loads(res.stdout.splitlines()[-1]) == [0, True]
     shares = (tmp_path / "shares.txt").read_text("utf-8").splitlines()
     assert sorted(shares) == ["child False", "here False"]
+
+
+# runs ``kcn`` with the given arguments, then prints its exit code, the
+# OS threads this process holds and OPENBLAS_NUM_THREADS as its last line
+THREADS = """
+import json, os, sys
+from kcn.cli import main
+code = main(sys.argv[1:])
+threads = len(os.listdir("/proc/self/task"))
+print(json.dumps([code, threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+# loads what a discrete fit loads, then prints the OS threads it holds
+PLAIN = """
+import os
+import numpy, scipy.optimize, scipy.special
+print(len(os.listdir("/proc/self/task")))
+"""
+
+needs_tasks = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task"
+)
+
+
+def _discrete_config(tmp_path: Path) -> Path:
+    raw = json.loads(CONFIG.read_text("utf-8"))
+    raw["inputs"] = [str(DATA / "synthetic_corpus.jsonl")]
+    raw["flags"]["discrete_power_law"] = True
+    path = tmp_path / "discrete.json"
+    path.write_text(json.dumps(raw), "utf-8")
+    return path
+
+
+@needs_tasks
+@pytest.mark.parametrize("discrete", [False, True], ids=["continuous", "discrete"])
+def test_fit_loads_blas_with_one_thread_and_leaves_the_environment(tmp_path, discrete):
+    # kcn makes no BLAS call, so numpy and scipy start no BLAS worker, and
+    # the variable that sizes the pool at load is gone again afterwards
+    config = _discrete_config(tmp_path) if discrete else CONFIG
+    args = ("run", "--config", str(config), "--out", "bundle")
+    assert _probe(tmp_path, THREADS, None, *args) == [0, 1, None]
+
+
+@needs_tasks
+def test_fit_keeps_the_callers_blas_threads(tmp_path):
+    # a pool size the caller sets is kept, and the pools hold the threads a
+    # plain import of numpy and scipy gives under the same setting
+    args = ("run", "--config", str(_discrete_config(tmp_path)), "--out", "bundle")
+    code, threads, blas = _probe(tmp_path, THREADS, "2", *args)
+    assert [code, blas] == [0, "2"]
+    assert threads == _probe(tmp_path, PLAIN, "2")
 
 
 def test_only_pipeline_runs_processes():

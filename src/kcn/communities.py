@@ -10,15 +10,13 @@ kept so the agglomeration can be audited and exported as a dendrogram.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import GraphError
 from .graph import WeightedGraph
 
 
-@dataclass(frozen=True)
-class MergeStep:
+class MergeStep(NamedTuple):
     """One agglomeration step: cluster ``b`` was merged into cluster ``a``."""
 
     a: int
@@ -27,8 +25,7 @@ class MergeStep:
     q_after: float
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """A node-to-cluster assignment with its modularity and merge history."""
 
     assignment: dict[str, int]
@@ -43,8 +40,7 @@ class Partition:
         return out
 
 
-@dataclass(frozen=True)
-class ClusterProfile:
+class ClusterProfile(NamedTuple):
     """Top members of one cluster, ranked by in-cluster weighted degree."""
 
     cluster_id: int
@@ -123,7 +119,11 @@ def fast_greedy(g: WeightedGraph) -> Partition:
     heap = _pair_heap(dq)
     live = len(heap)  # connected cluster pairs
 
-    q = -sum(x * x for x in a)
+    # from Python 3.12 on, sum() compensates float additions; a loop adds
+    # left to right, so q has the same bits on every version
+    q = 0.0
+    for x in a:
+        q -= x * x
     q_trace = [q]
     trace: list[MergeStep] = []
     alive = n

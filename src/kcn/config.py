@@ -26,8 +26,8 @@ Recognized keys::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, GraphError, read_text
 from .graph import SliceSpec, _safe_name
@@ -42,14 +42,12 @@ FLAG_KEYS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class InputSpec:
+class InputSpec(NamedTuple):
     path: Path
     format: str
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run settings plus the raw config for manifest echoing."""
 
     inputs: tuple[InputSpec, ...]

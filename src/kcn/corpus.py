@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .errors import CorpusError, read_text
 
@@ -25,8 +24,7 @@ DEFAULT_MAX_KEYWORDS = 10
 _CSV_COLUMNS = ("id", "venue", "year", "keywords")
 
 
-@dataclass(frozen=True)
-class ArticleRecord:
+class ArticleRecord(NamedTuple):
     """One article: unique id, venue, publication year, ordered keywords."""
 
     id: str
@@ -35,11 +33,17 @@ class ArticleRecord:
     keywords: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """An immutable collection of article records."""
+    """A collection of article records, treated as immutable.
 
-    records: tuple[ArticleRecord, ...]
+    Not a NamedTuple: its length is its record count, which a NamedTuple's
+    ``_make`` and ``_replace`` would take for its field count.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: tuple[ArticleRecord, ...]) -> None:
+        self.records = records
 
     def __len__(self) -> int:
         return len(self.records)
@@ -49,24 +53,19 @@ class Corpus:
         return sorted({r.year for r in self.records})
 
 
-@dataclass(frozen=True)
-class Exclusion:
+class Exclusion(NamedTuple):
     id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class FilterReport:
+class FilterReport(NamedTuple):
     """Which records the eligibility filter removed, and why."""
 
     excluded: tuple[Exclusion, ...]
     retained: int
 
     def to_json(self) -> dict:
-        return {
-            "excluded": [{"id": e.id, "reason": e.reason} for e in self.excluded],
-            "retained": self.retained,
-        }
+        return {"excluded": [e._asdict() for e in self.excluded], "retained": self.retained}
 
 
 def load_corpus(path: str | Path, format: Literal["jsonl", "csv"]) -> Corpus:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -35,29 +35,39 @@ _SAFE_RE = re.compile(r"[^\w.-]+")
 _NAME_BYTES = 200
 
 
-@dataclass(frozen=True)
-class SliceSpec:
-    """A corpus slice: a label plus an inclusive year range (None = all)."""
+class SliceSpec(tuple):
+    """A corpus slice: a label plus an inclusive year range (None = all).
 
-    label: str
-    years: tuple[int, int] | None = None
+    An immutable pair with no ``_make`` or ``_replace``: every way of
+    building one, unpickling and copying included, goes through
+    ``__new__``, which checks the label and the range.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    __slots__ = ()
+    label = property(itemgetter(0))
+    years = property(itemgetter(1))
+
+    def __new__(cls, label: str, years: tuple[int, int] | None = None) -> "SliceSpec":
+        if not label:
             raise GraphError("slice label must be non-empty")
-        if not xml_can_hold(self.label):
-            raise GraphError(f"label holds a control or non-XML character: {self.label!r}")
+        if not xml_can_hold(label):
+            raise GraphError(f"label holds a control or non-XML character: {label!r}")
         # the label names its own directory in a bundle, slices/<safe>/;
         # slices/. and slices/.. would be the slices directory and the bundle root
-        safe = _safe_name(self.label)
+        safe = _safe_name(label)
         if safe in (".", ".."):
-            raise GraphError(f"slice label {self.label!r} cannot name a slice directory")
+            raise GraphError(f"slice label {label!r} cannot name a slice directory")
         if len(safe.encode()) > _NAME_BYTES:
-            raise GraphError(f"slice label {self.label!r} is over {_NAME_BYTES} bytes as a file name")
-        if self.years is not None and self.years[0] > self.years[1]:
-            raise GraphError(
-                f"slice {self.label!r}: empty year range {self.years}"
-            )
+            raise GraphError(f"slice label {label!r} is over {_NAME_BYTES} bytes as a file name")
+        if years is not None and years[0] > years[1]:
+            raise GraphError(f"slice {label!r}: empty year range {years}")
+        return tuple.__new__(cls, (label, years))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"SliceSpec(label={self.label!r}, years={self.years!r})"
 
     @classmethod
     def all(cls, label: str = "all") -> "SliceSpec":

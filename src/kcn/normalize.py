@@ -19,7 +19,6 @@ import json
 import re
 from collections import Counter, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -50,7 +49,6 @@ _IRREGULAR_SINGULARS = {
 }
 
 
-@dataclass
 class NormalizationLexicon:
     """Mutable state threaded through a normalization run.
 
@@ -59,20 +57,30 @@ class NormalizationLexicon:
     holds the variant-to-canonical rewrites produced by synonym merging.
     ``allow_pairs`` force a merge regardless of score; ``deny_pairs``
     suppress the direct pairing (groups may still join through a third
-    form, since merging is transitively closed).
+    form, since merging is transitively closed). The run fills
+    ``merge_map`` and ``audit``. Each instance holds its own sets and
+    dicts, copies of those it is given.
     """
 
-    protected_tokens: set[str] = field(default_factory=set)
-    abbrev_map: dict[str, str] = field(default_factory=dict)
-    synonym_threshold: float = DEFAULT_SYNONYM_THRESHOLD
-    merge_map: dict[str, str] = field(default_factory=dict)
-    audit: list[tuple[str, str, str]] = field(default_factory=list)
-    allow_pairs: set[frozenset[str]] = field(default_factory=set)
-    deny_pairs: set[frozenset[str]] = field(default_factory=set)
-    exhaustive_pairing: bool = False
-    _seen: set[tuple[str, str, str]] = field(
-        default_factory=set, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        protected_tokens: Iterable[str] = (),
+        abbrev_map: Mapping[str, str] | None = None,
+        synonym_threshold: float = DEFAULT_SYNONYM_THRESHOLD,
+        *,
+        allow_pairs: Iterable[frozenset[str]] = (),
+        deny_pairs: Iterable[frozenset[str]] = (),
+        exhaustive_pairing: bool = False,
+    ) -> None:
+        self.protected_tokens = set(protected_tokens)
+        self.abbrev_map = dict(abbrev_map or {})
+        self.synonym_threshold = synonym_threshold
+        self.allow_pairs = set(allow_pairs)
+        self.deny_pairs = set(deny_pairs)
+        self.exhaustive_pairing = exhaustive_pairing
+        self.merge_map: dict[str, str] = {}
+        self.audit: list[tuple[str, str, str]] = []
+        self._seen: set[tuple[str, str, str]] = set()
 
     def record(self, raw: str, canonical: str, rule: str) -> None:
         """Append an audit entry, once per distinct rewrite."""

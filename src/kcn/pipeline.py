@@ -28,7 +28,6 @@ reruns produce identical bundles.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -220,14 +219,7 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
             )
             if len(year_results) >= 2:
                 emerging = detect_emerging([r["table"] for r in year_results])
-            _write_json(
-                out / "emerging.json",
-                [
-                    {"keyword": e.keyword, "first_year": e.first_year,
-                     "value": e.value}
-                    for e in emerging
-                ],
-            )
+            _write_json(out / "emerging.json", [e._asdict() for e in emerging])
             if whole is not None:
                 # the first whole-corpus graph keeps every record, so every
                 # emerging keyword is one of its nodes
@@ -712,21 +704,9 @@ def _write_summary_files(out: Path, results: list[dict]) -> None:
         json_rows.append(
             {
                 "slice": r["label"],
-                "n": s.n,
-                "m": s.m,
-                "d": s.d,
-                "c": s.c,
+                **s._asdict(),
                 "c_unweighted": r["c_unweighted"],
-                "z": s.z,
-                "s": s.s,
-                "lc": s.lc,
-                "r": s.r,
-                "power_law": None if fit is None else {
-                    "alpha": fit.alpha,
-                    "xmin": fit.xmin,
-                    "ks_stat": fit.ks_stat,
-                    "n_tail": fit.n_tail,
-                },
+                "power_law": None if fit is None else fit._asdict(),
                 "power_law_error": r["fit_error"],
             }
         )
@@ -857,6 +837,8 @@ def _given_path(entry: object) -> str:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # only here: it loads OpenSSL, which only the manifest needs
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

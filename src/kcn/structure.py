@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import FitError, GraphError
 from .graph import WeightedGraph
@@ -22,8 +21,7 @@ if TYPE_CHECKING:  # numpy loads only when a fit runs
     import numpy as np
 
 
-@dataclass(frozen=True)
-class StructuralSummary:
+class StructuralSummary(NamedTuple):
     """Whole-graph metrics.
 
     ``n`` nodes, ``m`` edges, density ``d``, mean weighted local clustering
@@ -41,8 +39,7 @@ class StructuralSummary:
     r: float | None
 
 
-@dataclass(frozen=True)
-class NodeProfile:
+class NodeProfile(NamedTuple):
     """Local view of one non-isolated node."""
 
     node: str
@@ -52,8 +49,7 @@ class NodeProfile:
     knn_ratio: float
 
 
-@dataclass(frozen=True)
-class DegreeBin:
+class DegreeBin(NamedTuple):
     """Averages over all profiled nodes sharing one degree."""
 
     degree: int
@@ -61,8 +57,7 @@ class DegreeBin:
     mean_knn_ratio: float
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     """Continuous (or discrete) power-law tail fit."""
 
     alpha: float
@@ -133,7 +128,12 @@ def average_clustering(g: WeightedGraph, weighted: bool = True) -> float:
     if g.n == 0:
         raise GraphError("cannot average clustering of an empty graph")
     pick = 0 if weighted else 1
-    return sum(_local_clustering(g, i)[pick] for i in range(g.n)) / g.n
+    # from Python 3.12 on, sum() compensates float additions; a loop adds
+    # left to right, so the mean has the same bits on every version
+    total = 0.0
+    for i in range(g.n):
+        total += _local_clustering(g, i)[pick]
+    return total / g.n
 
 
 def _local_clustering(g: WeightedGraph, i: int) -> tuple[float, float]:
@@ -193,14 +193,13 @@ def profile_nodes(
     by_degree: dict[int, list[NodeProfile]] = {}
     for p in profiles:
         by_degree.setdefault(p.degree, []).append(p)
-    bins = [
-        DegreeBin(
-            degree=k,
-            mean_clustering_w=sum(p.clustering_w for p in ps) / len(ps),
-            mean_knn_ratio=sum(p.knn_ratio for p in ps) / len(ps),
-        )
-        for k, ps in sorted(by_degree.items())
-    ]
+    bins = []
+    for k, ps in sorted(by_degree.items()):
+        c = r = 0.0  # summed left to right, as in average_clustering
+        for p in ps:
+            c += p.clustering_w
+            r += p.knn_ratio
+        bins.append(DegreeBin(degree=k, mean_clustering_w=c / len(ps), mean_knn_ratio=r / len(ps)))
     return profiles, bins
 
 

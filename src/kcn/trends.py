@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import Corpus
 from .errors import GraphError
@@ -24,8 +23,7 @@ from .graph import WeightedGraph
 Steps = list[tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
-class CentralityTable:
+class CentralityTable(NamedTuple):
     """Top-``k`` betweenness ranking for one slice."""
 
     label: str
@@ -33,8 +31,7 @@ class CentralityTable:
     rows: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class EmergingKeyword:
+class EmergingKeyword(NamedTuple):
     """A keyword first entering the top ranks in ``first_year``."""
 
     keyword: str
@@ -42,8 +39,7 @@ class EmergingKeyword:
     value: float
 
 
-@dataclass(frozen=True)
-class EgoView:
+class EgoView(NamedTuple):
     """A keyword's neighborhood: the induced subgraph on ego plus alters."""
 
     ego: str

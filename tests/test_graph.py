@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import csv
 import io
+import pickle
 import random
 import xml.etree.ElementTree as ET
 
@@ -46,6 +48,34 @@ def test_slice_spec_validation():
         SliceSpec("", None)
     with pytest.raises(GraphError, match="empty year range"):
         SliceSpec("bad", (2022, 2021))
+
+
+@pytest.mark.parametrize("label", ["", "a\tb", "..", "x" * 201])
+def test_slice_spec_rejects_a_bad_label_however_it_is_built(label):
+    forged = tuple.__new__(SliceSpec, (label, None))  # skips the checks
+    builds = [
+        lambda: SliceSpec(label),
+        lambda: SliceSpec(label=label, years=(2020, 2021)),
+        lambda: SliceSpec.all(label),
+        lambda: pickle.loads(pickle.dumps(forged)),
+        lambda: copy.copy(forged),
+        lambda: copy.deepcopy(forged),
+    ]
+    for build in builds:
+        with pytest.raises(GraphError):
+            build()
+    # a NamedTuple's _make and _replace would build one without the checks
+    assert not hasattr(SliceSpec, "_make") and not hasattr(SliceSpec, "_replace")
+
+
+def test_slice_spec_is_an_immutable_pair_that_pickles():
+    spec = SliceSpec("early", (2019, 2021))
+    assert tuple(spec) == ("early", (2019, 2021))
+    assert repr(spec) == "SliceSpec(label='early', years=(2019, 2021))"
+    back = pickle.loads(pickle.dumps(spec))
+    assert type(back) is SliceSpec and back == spec and hash(back) == hash(spec)
+    with pytest.raises(AttributeError):
+        spec.label = "late"
 
 
 # --- construction -----------------------------------------------------------

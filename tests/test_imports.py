@@ -3,7 +3,9 @@
 numpy loads only for the macro power-law fit and scipy only for the
 discrete one, both with one BLAS thread unless the caller sets
 ``OPENBLAS_NUM_THREADS``; GraphML escaping needs no ``xml.sax``, whose
-``saxutils`` pulls in ``urllib.request``, ``http.client`` and ``ssl``. Each
+``saxutils`` pulls in ``urllib.request``, ``http.client`` and ``ssl``. No
+command loads ``dataclasses``, which costs a third of the start-up, and
+only ``kcn run`` loads ``_hashlib`` (OpenSSL), for its manifest. Each
 probe is a fresh interpreter with only ``src`` on its path. Only
 ``pipeline``, which schedules the slices, imports the modules that run
 processes.
@@ -24,7 +26,7 @@ from conftest import DATA
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CONFIG = DATA / "config.json"
-HEAVY = ("numpy", "scipy", "xml.sax", "urllib.request")
+HEAVY = ("numpy", "scipy", "xml.sax", "urllib.request", "dataclasses", "_hashlib")
 
 # runs ``kcn`` with the given arguments (or only loads the config), then
 # prints which of HEAVY the interpreter holds as its last line
@@ -61,18 +63,19 @@ def _loaded(tmp_path: Path, *args: str) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, loads",
     [
-        (),
-        ("export", "--config", str(CONFIG), "--slice", "all", "--format", "graphml",
-         "--out", "all.graphml"),
-        ("run", "--config", str(CONFIG), "--out", "bundle", "--only", "meso",
-         "--only", "micro"),
+        ((), []),
+        (("export", "--config", str(CONFIG), "--slice", "all", "--format", "graphml",
+          "--out", "all.graphml"), []),
+        # shows the probe sees _hashlib: the manifest holds sha256 digests
+        (("run", "--config", str(CONFIG), "--out", "bundle", "--only", "meso",
+          "--only", "micro"), ["_hashlib"]),
     ],
     ids=["config", "export-graphml", "run-meso-micro"],
 )
-def test_command_loads_no_numpy_scipy_or_xml_sax(tmp_path, args):
-    assert _loaded(tmp_path, *args) == []
+def test_command_loads_no_numpy_scipy_or_xml_sax(tmp_path, args, loads):
+    assert _loaded(tmp_path, *args) == loads
 
 
 def test_full_run_loads_numpy_for_the_fit(tmp_path):
@@ -86,6 +89,19 @@ def test_inspect_loads_no_numpy_scipy_or_xml_sax(tmp_path):
     _loaded(tmp_path, "run", "--config", str(CONFIG), "--out", "bundle",
             "--only", "meso", "--only", "micro")
     assert _loaded(tmp_path, "inspect", "Neural Networks", "--bundle", "bundle") == []
+
+
+def test_no_module_imports_dataclasses():
+    # the record types are NamedTuples: dataclasses loads inspect and ast,
+    # and @dataclass compiles each type's methods as the module loads
+    importers = [
+        path.name
+        for path in sorted((SRC / "kcn").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert importers == []
 
 
 def test_graph_loads_only_corpus_and_errors(tmp_path):

@@ -120,6 +120,24 @@ def test_singularize_touches_final_token_only():
     assert singularize("systems of systems", frozenset()) == "systems of system"
 
 
+# --- lexicon -------------------------------------------------------------------
+
+
+def test_lexicons_share_no_set_dict_or_list():
+    given = {"ses"}
+    a, b = NormalizationLexicon(), NormalizationLexicon(protected_tokens=given)
+    containers = {
+        name for name, value in vars(a).items() if isinstance(value, (set, dict, list))
+    }
+    assert {"protected_tokens", "abbrev_map", "merge_map", "audit", "allow_pairs",
+            "deny_pairs"} <= containers
+    for name in containers:
+        assert getattr(a, name) is not getattr(b, name), name
+    b.protected_tokens.add("llm")
+    a.record("x", "y", RULE_FOLD)
+    assert given == {"ses"} and b.audit == [] and a.protected_tokens == set()
+
+
 # --- parenthetical expansion -----------------------------------------------------
 
 

@@ -25,7 +25,10 @@ import pytest
 from kcn import cli, pipeline, trends
 from kcn.config import load_config
 from kcn.errors import GraphError, KcnError, StageError
+from kcn.graph import SliceSpec
 from kcn.pipeline import STAGES, run_pipeline
+from kcn.structure import StructuralSummary
+from kcn.trends import CentralityTable
 
 from conftest import DATA
 from test_trends import WORKER_COUNTS, needs_fork
@@ -105,6 +108,25 @@ def test_the_test_config_gives_both_processes_slices():
     assert slices[-1].label == "all" and len(slices) - 1 not in theirs
     ours = [i for i in range(len(slices)) if i not in theirs]
     assert min(theirs) < min(ours) < max(theirs)
+
+
+def test_the_outcomes_a_child_sends_survive_a_pickle_round_trip(tmp_path):
+    # each slice's result crosses the fork pipe with its record types
+    config = load_config(CONFIG)
+    prepared = pipeline.prepare(config)
+    indices = list(range(len(prepared.slices)))
+    outcomes = pipeline._slice_share(
+        config, set(STAGES), prepared.normalized, prepared.slices, tmp_path, indices, {}
+    )
+    back = pickle.loads(pickle.dumps(outcomes))
+    assert back == outcomes
+
+    def types(results):
+        return [(i, key, type(value)) for i, r in results.items() for key, value in r.items()]
+
+    assert types(back) == types(outcomes)
+    sent = {t for _, _, t in types(outcomes)}
+    assert {SliceSpec, StructuralSummary, CentralityTable} <= sent
 
 
 def test_child_share_repeats_and_leaves_a_lone_slice_here():

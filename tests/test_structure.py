@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import random
 import warnings
@@ -11,10 +12,12 @@ import pytest
 
 from kcn import pipeline
 from kcn.config import load_config
+from kcn.communities import fast_greedy
 from kcn.errors import FitError, GraphError
-from kcn.graph import WeightedGraph
+from kcn.graph import SliceSpec, WeightedGraph, build_kcn, largest_component
 from kcn.pipeline import run_pipeline
 from kcn.structure import (
+    _local_clustering,
     assortativity,
     average_clustering,
     ccdf,
@@ -309,6 +312,32 @@ def test_profile_nodes_skips_isolated_nodes():
     profiles, bins = profile_nodes(g)
     assert [p.node for p in profiles] == ["a", "b"]
     assert 0 not in {b.degree for b in bins}
+
+
+def test_float_sums_that_reach_a_byte_add_left_to_right():
+    # from Python 3.12 on, sum() compensates float additions, which moved
+    # bundle bytes; the clustering means, the degree-bin means and CNM's
+    # starting modularity add left to right on every version
+    def plain(values):
+        return functools.reduce(operator.add, values, 0.0)
+
+    prepared = pipeline.prepare(load_config(DATA / "config.json"))
+    g = build_kcn(prepared.normalized, SliceSpec.year(2022))
+    for pick, weighted in enumerate((True, False)):
+        local = [_local_clustering(g, i)[pick] for i in range(g.n)]
+        assert plain(local) != math.fsum(local)  # this slice tells the two apart
+        assert average_clustering(g, weighted=weighted) == plain(local) / g.n
+    profiles, bins = profile_nodes(g)
+    for b in bins:
+        ps = [p for p in profiles if p.degree == b.degree]
+        assert b.mean_clustering_w == plain(p.clustering_w for p in ps) / len(ps)
+        assert b.mean_knn_ratio == plain(p.knn_ratio for p in ps) / len(ps)
+    core = largest_component(g)
+    w2 = 2.0 * core.total_weight
+    squares = [x * x for x in (sum(row.values()) / w2 for row in core.adjacency())]
+    assert plain(squares) != math.fsum(squares)
+    first = fast_greedy(core).merge_trace[0]
+    assert first.q_after == -plain(squares) + first.delta_q
 
 
 # --- ccdf ------------------------------------------------------------------------------

@@ -9,16 +9,13 @@ diagnostic to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
-import os
 import sys
 from pathlib import Path
 
+from .bundle import read_bundle, replacing
 from .config import load_config
-from .errors import GraphError, KcnError, NormalizationError, read_text
-from .graph import SliceSpec, _safe_name, build_kcn, to_dot, to_edge_csv, to_graphml
+from .errors import KcnError, NormalizationError, stage
+from .graph import build_kcn, safe_name, to_dot, to_edge_csv, to_graphml
 from .normalize import (
     RULE_ABBREV,
     RULE_FOLD,
@@ -28,7 +25,7 @@ from .normalize import (
     fold_case_hyphens,
     similarity,
 )
-from .pipeline import STAGES, _stage, _unwritable, ego_file_names, prepare, run_pipeline, slice_file
+from .pipeline import STAGES, prepare, run_pipeline
 
 # unused since export goes through prepare(); kept bound because perfbench/tracer.py wraps them
 from .corpus import concat_corpora, filter_eligible, load_corpus
@@ -106,74 +103,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    prepared = prepare(load_config(args.config))
+    config = load_config(args.config)
+    prepared = prepare(config)
     by_label = {s.label: s for s in prepared.slices}
     if args.slice_label not in by_label:
         raise KcnError(
             f"unknown slice {args.slice_label!r}; defined: {sorted(by_label)}"
         )
-    with _stage("build"):
+    with stage("build"):
         g = build_kcn(prepared.normalized, by_label[args.slice_label])
-    out = args.out or Path(f"kcn_{_safe_name(args.slice_label)}.{args.format}")
+    out = args.out or Path(f"kcn_{safe_name(args.slice_label)}.{args.format}")
     text = {
         "graphml": to_graphml,
         "dot": to_dot,
         "csv": to_edge_csv,
     }[args.format](g)
-    try:
-        # written beside the old file, then renamed over it, so a failed
-        # write leaves it as it was; resolve() follows a link to it
-        final = out.resolve()
-        partial = final.with_name(f".{final.name}.{os.urandom(6).hex()}")
-        try:
-            partial.write_text(text, "utf-8")
-            os.replace(partial, final)
-        finally:
-            partial.unlink(missing_ok=True)
-    except (OSError, RuntimeError) as exc:  # RuntimeError: a link loop
-        raise _unwritable(out, exc) from exc
+    with replacing(out, config) as partial:
+        partial.write_text(text, "utf-8")
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     bundle: Path = args.bundle
-    manifest_path = bundle / "manifest.json"
-    if not manifest_path.is_file():
-        raise KcnError(f"{bundle} is not a finished bundle (no manifest.json)")
-    manifest = _load_json(read_text(manifest_path, KcnError), manifest_path)
-    if not isinstance(manifest, dict):
-        raise KcnError(f"{manifest_path}: manifest must be a JSON object")
-    slices = manifest.get("slices", [])
-    if not isinstance(slices, list) or not all(isinstance(s, str) for s in slices):
-        raise KcnError(f"{manifest_path}: 'slices' must be a list of strings")
-    for label in slices:
-        try:
-            SliceSpec(label)
-        except GraphError as exc:
-            raise KcnError(f"{manifest_path}: {exc}") from exc
-
-    chain = _audit_chain(bundle, args.keyword)
+    audit, frequency, tables, ego_files = read_bundle(bundle)
+    chain = _audit_chain(audit, args.keyword)
     canonical = chain[-1][1] if chain else args.keyword
-    frequency = _table(bundle / "frequency.csv", 2)
-    tables = {
-        label: [
-            _table(slice_file(bundle, label, kind, "csv"), 3)
-            for kind in ("membership", "betweenness", "edges")
-        ]
-        for label in slices
-    }
-    emerging = bundle / "emerging.json"
-    ego = None
-    if emerging.is_file():
-        entries = _load_json(read_text(emerging, KcnError), emerging)
-        if not isinstance(entries, list):
-            raise KcnError(f"{emerging}: expected a JSON list of entries")
-        keywords = [
-            _entry(e, f"{emerging}: entry {i}", ("keyword",))["keyword"]
-            for i, e in enumerate(entries, 1)
-        ]
-        ego = dict(zip(keywords, ego_file_names(keywords))).get(canonical)
+    ego = ego_files.get(canonical)
 
     vocabulary = {row[0] for row in frequency}
     for membership, _, edges in tables.values():
@@ -212,17 +168,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _audit_chain(bundle: Path, keyword: str) -> list[tuple[str, str, str]]:
-    path = bundle / "audit.jsonl"
-    if not path.is_file():
-        return []
-    by_rule: dict[str, dict[str, str]] = {}
-    for lineno, line in enumerate(read_text(path, KcnError).split("\n"), 1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        entry = _entry(_load_json(line, where), where, ("rule", "raw", "canonical"))
-        by_rule.setdefault(entry["rule"], {})[entry["raw"]] = entry["canonical"]
+def _audit_chain(by_rule: dict, keyword: str) -> list[tuple[str, str, str]]:
     chain = []
     current = keyword
     # fold live so case and hyphen variants resolve even when the exact
@@ -240,40 +186,3 @@ def _audit_chain(bundle: Path, keyword: str) -> list[tuple[str, str, str]]:
             chain.append((current, nxt, rule))
             current = nxt
     return chain
-
-
-def _load_json(text: str, where: Path | str):
-    """``json.loads`` of one bundle file's text; an error names ``where``."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise KcnError(f"{where}: invalid JSON: {exc}") from exc
-
-
-def _entry(value, where: str, fields: tuple[str, ...]) -> dict:
-    """``value`` if it is a JSON object whose ``fields`` are all strings;
-    otherwise an error naming ``where``."""
-    if not isinstance(value, dict):
-        raise KcnError(f"{where}: expected a JSON object")
-    for name in fields:
-        if not isinstance(value.get(name), str):
-            raise KcnError(f"{where}: {name!r} must be a string")
-    return value
-
-
-def _table(path: Path, width: int) -> list[list[str]]:
-    """The non-empty rows after the header of the CSV file at ``path``, each
-    ``width`` cells wide; no rows when there is no such file."""
-    if not path.is_file():
-        return []
-    reader = csv.reader(io.StringIO(read_text(path, KcnError), newline=""))
-    next(reader, None)  # header
-    rows = []
-    for row in reader:
-        if row and len(row) != width:
-            raise KcnError(
-                f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
-            )
-        if row:
-            rows.append(row)
-    return rows

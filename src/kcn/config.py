@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, GraphError, read_text
-from .graph import SliceSpec, _safe_name
+from .graph import SliceSpec, safe_name
 from .normalize import DEFAULT_SYNONYM_THRESHOLD, default_lexicon_dir
 
 _TOP_KEYS = {"inputs", "lexicon", "slices", "thresholds", "output_dir", "seed", "flags"}
@@ -252,7 +252,7 @@ def _parse_slices(value: object, where: Path) -> tuple[SliceSpec, ...] | None:
         except GraphError as exc:  # a label or year range SliceSpec rejects
             raise ConfigError(f"{where}: slice {shown}: {exc}") from exc
     # each label names its own directory, and some file systems ignore case
-    names = [_safe_name(s.label).casefold() for s in specs]
+    names = [safe_name(s.label).casefold() for s in specs]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError(

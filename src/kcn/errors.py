@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and ``read_text``, the one
-reader of every file it reads: config, corpus, lexicon and bundle files."""
+"""Exception types shared across the package, ``stage``, which tags a
+failure with its pipeline stage, and ``read_text``, the one reader of every
+file it reads: config, corpus, lexicon and bundle files."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -55,6 +57,18 @@ class StageError(KcnError):
         except Exception:
             cause = KcnError(str(cause))
         return type(self), (self.stage, cause)
+
+
+@contextmanager
+def stage(name: str):
+    """Re-raise a failure in the block as ``StageError(name, ...)``, unless
+    it is one already."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def read_text(path: str | Path, error: type[KcnError], what: str = "") -> str:

@@ -32,7 +32,7 @@ _SAFE_RE = re.compile(r"[^\w.-]+")
 
 # longest safe slice label and ego file name (suffix and ".graphml"
 # included), in bytes; file systems commonly refuse names over 255 bytes
-_NAME_BYTES = 200
+NAME_BYTES = 200
 
 
 class SliceSpec(tuple):
@@ -54,11 +54,11 @@ class SliceSpec(tuple):
             raise GraphError(f"label holds a control or non-XML character: {label!r}")
         # the label names its own directory in a bundle, slices/<safe>/;
         # slices/. and slices/.. would be the slices directory and the bundle root
-        safe = _safe_name(label)
+        safe = safe_name(label)
         if safe in (".", ".."):
             raise GraphError(f"slice label {label!r} cannot name a slice directory")
-        if len(safe.encode()) > _NAME_BYTES:
-            raise GraphError(f"slice label {label!r} is over {_NAME_BYTES} bytes as a file name")
+        if len(safe.encode()) > NAME_BYTES:
+            raise GraphError(f"slice label {label!r} is over {NAME_BYTES} bytes as a file name")
         if years is not None and years[0] > years[1]:
             raise GraphError(f"slice {label!r}: empty year range {years}")
         return tuple.__new__(cls, (label, years))
@@ -351,7 +351,8 @@ def xml_can_hold(text: str) -> bool:
     return text.isascii() and text.isprintable() or not re.search(NOT_IN_XML, text)
 
 
-def _safe_name(text: str) -> str:
+def safe_name(text: str) -> str:
+    """``text`` as a file name: each run of characters outside ``[\\w.-]`` is one ``_``."""
     return _SAFE_RE.sub("_", text)
 
 

@@ -15,7 +15,6 @@ frequent member.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter, deque
 from contextlib import contextmanager
@@ -106,13 +105,6 @@ class NormalizationLexicon:
 
     def canonical(self, keyword: str) -> str:
         return self.merge_map.get(keyword, keyword)
-
-    def write_audit_jsonl(self, path: str | Path) -> None:
-        lines = [
-            json.dumps({"raw": raw, "canonical": canonical, "rule": rule})
-            for raw, canonical, rule in self.audit
-        ]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
 
 
 def fold_case_hyphens(raw: str) -> str:

@@ -4,56 +4,28 @@ A run ingests and filters the corpus, normalizes keywords, builds one
 co-occurrence graph per slice, and emits structural summaries, community
 clusterings, and centrality-based trend tables into an output directory.
 ``prepare`` is the one path from a config to normalized records and
-slices; ``kcn run`` and ``kcn export`` both take it.
-
-Bundle layout::
-
-    manifest.json               run provenance; written last, so its
-                                presence marks a complete bundle
-    filter_report.json          excluded records and why
-    audit.jsonl                 every keyword rewrite
-    summary.tsv / summary.json  one structural-metrics row per slice
-    frequency.csv               keywords by article count
-    emerging.json               keywords newly entering top betweenness
-    ego_<keyword>.graphml       neighborhood of each emerging keyword, named
-                                by ``ego_file_names``
-    slices/<label>/             per-slice edge list, distribution files,
-                                cluster files, and betweenness table, named
-                                by ``slice_file``
-
-Every output byte is a pure function of the input files and the config;
-reruns produce identical bundles.
+slices; ``kcn run`` and ``kcn export`` both take it. ``kcn.bundle`` owns
+the bundle's layout, file names and writers.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
-import shutil
 import sys
 import threading
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
-from . import __version__
-from .communities import cluster_profiles, fast_greedy
-from .config import FLAG_KEYS, THRESHOLD_KEYS, RunConfig
-from .corpus import Corpus, FilterReport, concat_corpora, filter_eligible, load_corpus
-from .errors import ConfigError, FitError, KcnError, StageError
-from .graph import (
-    _NAME_BYTES,
-    SliceSpec,
-    WeightedGraph,
-    _safe_name,
-    build_kcn,
-    largest_component,
-    to_edge_csv,
-    write_graphml,
+from .bundle import (
+    ego_file_names, fmt, replacing, slice_file, write_csv, write_json, write_report,
+    write_summary, write_trends, write_tsv,
 )
-from .normalize import NormalizationLexicon, default_lexicon_dir, load_lexicon, normalize_corpus
+from .communities import cluster_profiles, fast_greedy
+from .config import RunConfig
+from .corpus import Corpus, FilterReport, concat_corpora, filter_eligible, load_corpus
+from .errors import ConfigError, FitError, KcnError, StageError, stage
+from .graph import SliceSpec, WeightedGraph, build_kcn, largest_component, to_edge_csv, write_graphml
+from .normalize import NormalizationLexicon, load_lexicon, normalize_corpus
 from .structure import average_clustering, ccdf, fit_power_law, profile_nodes, summarize
 from .trends import (
     CentralityTable,
@@ -79,9 +51,6 @@ T = TypeVar("T")
 # see _schedule
 _BETWEENNESS_PAIRS = 96
 
-# per-slice files whose name repeats the slice label
-_LABELED_KINDS = frozenset({"clusters", "membership", "dendrogram", "betweenness"})
-
 
 def run_pipeline(
     config: RunConfig,
@@ -94,10 +63,10 @@ def run_pipeline(
     ``only`` restricts which analysis stages emit files (ingest,
     normalization, and graph building always execute). The bundle is built
     in a sibling directory of ``out_dir`` and moved into place only once it
-    is complete, so a failed run leaves an existing bundle as it was; the
-    failure is re-raised tagged with its stage, or as a ``ConfigError``
-    when that directory cannot be made or moved. Returns a small summary
-    of what was written.
+    is complete, by ``kcn.bundle.replacing``, so a failed run leaves an
+    existing bundle as it was; the failure is re-raised tagged with its
+    stage, or as a ``ConfigError`` when that directory holds an input or
+    cannot be made or moved. Returns a small summary of what was written.
     """
     stages = set(STAGES) if only is None else set(only)
     unknown = stages - set(STAGES)
@@ -112,51 +81,9 @@ def run_pipeline(
         raise ConfigError(
             f"output directory {target} is not empty (use --force to replace)"
         )
-    try:
-        # a hidden sibling, so the final move is a rename within one
-        # directory; a link to the output directory is followed, so the link
-        # itself stays. A link loop is a RuntimeError before Python 3.13
-        final = target.resolve()
-        staging = final.with_name(f".{final.name}.{os.urandom(6).hex()}")
-        staging.parent.mkdir(parents=True, exist_ok=True)
-        staging.mkdir()
-    except (OSError, RuntimeError) as exc:
-        raise _unwritable(target, exc) from exc
-    try:
+    with replacing(target, config, directory=True) as staging:
         summary = _run(config, staging, stages)
-        try:
-            _commit(staging, final)
-        except OSError as exc:
-            raise _unwritable(target, exc) from exc
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)  # never leave partial bundles
-        raise
     return {"output_dir": str(target), **summary}
-
-
-def _unwritable(target: Path, exc: Exception) -> ConfigError:
-    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-    return ConfigError(f"cannot write {target}: {reason}")
-
-
-def _commit(staging: Path, target: Path) -> None:
-    """Move the finished bundle in ``staging`` to ``target``.
-
-    An existing ``target`` is renamed aside first and removed only once the
-    new bundle is in place; if the move fails, it is renamed back.
-    """
-    aside = None
-    if target.exists():
-        aside = staging.with_name(staging.name + ".old")
-        os.replace(target, aside)
-    try:
-        os.replace(staging, target)
-    except OSError:
-        if aside is not None:
-            os.replace(aside, target)
-        raise
-    if aside is not None:
-        shutil.rmtree(aside)
 
 
 class Prepared(NamedTuple):
@@ -175,13 +102,13 @@ def prepare(config: RunConfig) -> Prepared:
     ``all``; configured ones were checked as the config was loaded.
     Failures are tagged with their stage.
     """
-    with _stage("ingest"):
+    with stage("ingest"):
         corpus = concat_corpora(
             load_corpus(spec.path, spec.format) for spec in config.inputs
         )
-    with _stage("filter"):
+    with stage("filter"):
         filtered, report = filter_eligible(corpus, config.max_keywords)
-    with _stage("normalize"):
+    with stage("normalize"):
         lexicon = load_lexicon(
             protected_path=config.protected_path,
             abbrev_path=config.abbrev_path,
@@ -190,7 +117,7 @@ def prepare(config: RunConfig) -> Prepared:
             exhaustive_pairing=config.exhaustive_pairing,
         )
         normalized, lexicon = normalize_corpus(filtered, lexicon)
-    slices = list(config.slices or _default_slices(normalized))
+    slices = list(config.slices or [*map(SliceSpec.year, normalized.years()), SliceSpec.all()])
     return Prepared(report, normalized, lexicon, slices)
 
 
@@ -201,35 +128,28 @@ def _run(config: RunConfig, out: Path, stages: set[str]) -> dict:
     results, whole = _analyze_slices(config, stages, normalized, slices, out)
 
     if "macro" in stages:
-        with _stage("macro"):
-            _write_summary_files(out, results)
+        with stage("macro"):
+            write_summary(out, results)
 
     emerging = []
     if "micro" in stages:
-        with _stage("micro"):
+        with stage("micro"):
             # full table, so lookups work for every canonical keyword
-            _write_csv(
-                out / "frequency.csv",
-                ["keyword", "count"],
-                frequency_table(normalized, max(1, len(vocabulary))),
-            )
+            frequency = frequency_table(normalized, max(1, len(vocabulary)))
             year_results = sorted(
                 (r for r in results if r["spec"].years is not None),
                 key=lambda r: (r["spec"].years[0], r["spec"].years[1], r["spec"].label),
             )
             if len(year_results) >= 2:
                 emerging = detect_emerging([r["table"] for r in year_results])
-            _write_json(out / "emerging.json", [e._asdict() for e in emerging])
+            write_trends(out, frequency, emerging)
             if whole is not None:
                 # the first whole-corpus graph keeps every record, so every
                 # emerging keyword is one of its nodes
                 _write_ego_files(out, config, whole, emerging)
 
-    with _stage("report"):
-        _write_json(out / "filter_report.json", report.to_json())
-        lexicon.write_audit_jsonl(out / "audit.jsonl")
-        manifest = _manifest(config, labels, report, len(vocabulary))
-        _write_json(out / "manifest.json", manifest)  # commit marker, last
+    with stage("report"):
+        write_report(out, config, labels, report, len(vocabulary), lexicon.audit)
 
     return {
         "slices": labels,
@@ -273,7 +193,7 @@ def _analyze_slices(
     g, built = None, {}
     if "micro" in stages:
         try:
-            with _stage("build"):
+            with stage("build"):
                 built[keep] = g = build_kcn(normalized, slices[keep])
         except StageError as exc:
             built[keep] = exc
@@ -282,7 +202,7 @@ def _analyze_slices(
     def child():
         if cut:
             try:
-                with _stage("micro"):
+                with stage("micro"):
                     prefix = betweenness_sum(g, range(cut))
             except StageError as exc:
                 prefix = exc
@@ -302,7 +222,7 @@ def _analyze_slices(
             try:
                 if isinstance(prefix, StageError):
                     raise prefix
-                with _stage("micro"):
+                with stage("micro"):
                     values = betweenness_scores(g, betweenness_sum(g, range(cut, g.n), prefix))
                     outcomes[keep]["table"] = _write_betweenness(
                         config, g, slices[keep], out, values
@@ -543,7 +463,7 @@ def _slice_share(
             if isinstance(g, StageError):
                 raise g
             if g is None:
-                with _stage("build"):
+                with stage("build"):
                     g = build_kcn(normalized, slices[i])
             outcomes[i] = _analyze_slice(
                 config, stages - {"micro"} if i in built else stages, g, slices[i], out
@@ -561,14 +481,14 @@ def _analyze_slice(
     spec: SliceSpec,
     out: Path,
 ) -> dict:
-    with _stage("build"):
+    with stage("build"):
         edges = slice_file(out, spec.label, "edges", "csv")
         edges.parent.mkdir(parents=True, exist_ok=True)
         edges.write_text(to_edge_csv(g), "utf-8")
     result: dict = {"spec": spec, "label": spec.label}
 
     if "macro" in stages:
-        with _stage("macro"):
+        with stage("macro"):
             summary = summarize(g)
             values = sorted(
                 (sum(row.values()) if config.power_law_on == "strength" else len(row))
@@ -578,39 +498,39 @@ def _analyze_slice(
             result["c_unweighted"] = average_clustering(g, weighted=False)
             # the power-law fit's input; _fit_power_laws fits it
             result["positive"] = [v for v in values if v > 0]
-            _write_tsv(
+            write_tsv(
                 slice_file(out, spec.label, "ccdf", "tsv"),
                 ["value", "ccdf"],
-                [(_fmt(x), _fmt(p)) for x, p in ccdf(values)],
+                [(fmt(x), fmt(p)) for x, p in ccdf(values)],
             )
             profiles, bins = profile_nodes(g)
             mean_c = {b.degree: b.mean_clustering_w for b in bins}
             mean_r = {b.degree: b.mean_knn_ratio for b in bins}
-            _write_tsv(
+            write_tsv(
                 slice_file(out, spec.label, "clustering_vs_degree", "tsv"),
                 ["degree", "clustering_w", "degree_mean"],
                 sorted(
-                    (p.degree, _fmt(p.clustering_w), _fmt(mean_c[p.degree]))
+                    (p.degree, fmt(p.clustering_w), fmt(mean_c[p.degree]))
                     for p in profiles
                 ),
             )
-            _write_tsv(
+            write_tsv(
                 slice_file(out, spec.label, "knn_ratio_vs_degree", "tsv"),
                 ["degree", "knn_ratio", "degree_mean"],
                 sorted(
-                    (p.degree, _fmt(p.knn_ratio), _fmt(mean_r[p.degree]))
+                    (p.degree, fmt(p.knn_ratio), fmt(mean_r[p.degree]))
                     for p in profiles
                 ),
             )
 
     if "meso" in stages:
-        with _stage("meso"):
+        with stage("meso"):
             core = largest_component(g)
             partition = fast_greedy(core)
             profiles = cluster_profiles(core, partition, config.profile_k)
             names = {p.cluster_id: p.name for p in profiles}
             unclustered = sorted(set(g.labels()) - set(core.labels()))
-            _write_json(
+            write_json(
                 slice_file(out, spec.label, "clusters", "json"),
                 {
                     "q": partition.modularity,
@@ -629,7 +549,7 @@ def _analyze_slice(
                     "unclustered": unclustered,
                 },
             )
-            _write_csv(
+            write_csv(
                 slice_file(out, spec.label, "membership", "csv"),
                 ["keyword", "cluster", "cluster_name"],
                 sorted(
@@ -637,17 +557,17 @@ def _analyze_slice(
                     for kw, cid in partition.assignment.items()
                 ),
             )
-            _write_csv(
+            write_csv(
                 slice_file(out, spec.label, "dendrogram", "csv"),
                 ["step", "cluster_a", "cluster_b", "delta_q", "q_after"],
                 [
-                    (i + 1, s.a, s.b, _fmt(s.delta_q), _fmt(s.q_after))
+                    (i + 1, s.a, s.b, fmt(s.delta_q), fmt(s.q_after))
                     for i, s in enumerate(partition.merge_trace)
                 ],
             )
 
     if "micro" in stages:
-        with _stage("micro"):
+        with stage("micro"):
             result["table"] = _write_betweenness(config, g, spec, out, weighted_betweenness(g))
 
     return result
@@ -664,7 +584,7 @@ def _fit_power_laws(config: RunConfig, outcomes: dict[int, dict | StageError]) -
             continue
         positive = result.pop("positive")
         try:
-            with _stage("macro"):
+            with stage("macro"):
                 try:
                     fit = fit_power_law(positive, discrete=config.discrete_power_law)
                     result["fit"], result["fit_error"] = fit, None
@@ -678,44 +598,15 @@ def _write_betweenness(
     config: RunConfig, g: WeightedGraph, spec: SliceSpec, out: Path, values: dict[str, float]
 ) -> CentralityTable:
     table = top_k_table(g, config.top_k, spec.label, values=values)
-    _write_csv(
+    write_csv(
         slice_file(out, spec.label, "betweenness", "csv"),
         ["keyword", "value", "rank"],
         [
-            (kw, _fmt(value), rank)
+            (kw, fmt(value), rank)
             for rank, (kw, value) in enumerate(table.rows, 1)
         ],
     )
     return table
-
-
-def _write_summary_files(out: Path, results: list[dict]) -> None:
-    rows = []
-    json_rows = []
-    for r in results:
-        s = r["summary"]
-        fit = r["fit"]
-        rows.append(
-            (
-                r["label"], s.n, s.m, f"{s.d:.3f}", f"{s.c:.3f}", f"{s.z:.3f}",
-                f"{s.s:.3f}", s.lc, "" if s.r is None else f"{s.r:.3f}",
-            )
-        )
-        json_rows.append(
-            {
-                "slice": r["label"],
-                **s._asdict(),
-                "c_unweighted": r["c_unweighted"],
-                "power_law": None if fit is None else fit._asdict(),
-                "power_law_error": r["fit_error"],
-            }
-        )
-    _write_tsv(
-        out / "summary.tsv",
-        ["years", "n", "m", "d", "c", "z", "s", "lc", "r"],
-        rows,
-    )
-    _write_json(out / "summary.json", json_rows)
 
 
 def _write_ego_files(
@@ -729,136 +620,3 @@ def _write_ego_files(
         write_graphml(
             view.graph, out / name, labeled={view.ego, *view.labeled_alters}
         )
-
-
-def ego_file_names(keywords: list[str]) -> list[str]:
-    """File name of each keyword's ego network, given in ``emerging.json`` order.
-
-    The name is ``ego_<keyword>`` made filename-safe, plus ``.graphml``.
-    When an earlier keyword holds it already, a ``_<n>`` suffix is added,
-    with ``n`` the first free number from the count of earlier keywords.
-    A name is cut to ``_NAME_BYTES`` bytes, suffix and extension
-    included, by dropping the end of the keyword part.
-    """
-    room = _NAME_BYTES - len(".graphml")
-    used: set[str] = set()
-    names = []
-    for keyword in keywords:
-        base = _safe_name(f"ego_{keyword}")
-        name = _clip(base, room)
-        suffix = len(used)
-        while name in used:
-            tail = f"_{suffix}"
-            name = _clip(base, room - len(tail)) + tail
-            suffix += 1
-        used.add(name)
-        names.append(f"{name}.graphml")
-    return names
-
-
-def slice_file(bundle: Path, label: str, kind: str, ext: str) -> Path:
-    """Path of one of a slice's files in ``bundle``.
-
-    ``slices/<safe>/<kind>_<safe>.<ext>`` for the cluster and betweenness
-    files, ``slices/<safe>/<kind>.<ext>`` for the rest, where ``<safe>``
-    is the label made filename-safe.
-    """
-    safe = _safe_name(label)
-    name = f"{kind}_{safe}" if kind in _LABELED_KINDS else kind
-    return bundle / "slices" / safe / f"{name}.{ext}"
-
-
-def _manifest(
-    config: RunConfig, labels: list[str], report: FilterReport, distinct: int
-) -> dict:
-    # echo the effective settings, not just the keys the user wrote
-    echo = {
-        "seed": config.seed,
-        "slices": config.raw.get("slices"),
-        "thresholds": {key: getattr(config, key) for key in THRESHOLD_KEYS},
-        "flags": {key: getattr(config, key) for key in FLAG_KEYS},
-    }
-    inputs = [
-        {"path": _given_path(entry), "sha256": _sha256(spec.path)}
-        for entry, spec in zip(config.raw.get("inputs", []), config.inputs)
-    ]
-    lexicon = {}
-    for key, path in (
-        ("protected", config.protected_path),
-        ("abbrev", config.abbrev_path),
-        ("merges", config.merges_path),
-    ):
-        if path is None:
-            lexicon[key] = None
-        else:
-            source = (
-                f"packaged:{path.name}"
-                if path.parent == default_lexicon_dir()
-                else str(config.raw.get("lexicon", {}).get(key, path.name))
-            )
-            lexicon[key] = {"source": source, "sha256": _sha256(path)}
-    return {
-        "bundle_format": 1,
-        "tool": {"name": "kcn", "version": __version__},
-        "config": echo,
-        "inputs": inputs,
-        "lexicon": lexicon,
-        "slices": labels,
-        "records": {
-            "loaded": report.retained + len(report.excluded),
-            "retained": report.retained,
-            "excluded": len(report.excluded),
-        },
-        "keywords": {"distinct_canonical": distinct},
-    }
-
-
-def _default_slices(corpus: Corpus) -> list[SliceSpec]:
-    return [SliceSpec.year(y) for y in corpus.years()] + [SliceSpec.all()]
-
-
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, exc) from exc
-
-
-def _clip(text: str, size: int) -> str:
-    """The longest prefix of ``text`` that is at most ``size`` UTF-8 bytes."""
-    return text.encode()[:size].decode(errors="ignore")
-
-
-def _given_path(entry: object) -> str:
-    return entry if isinstance(entry, str) else str(entry.get("path", ""))
-
-
-def _sha256(path: Path) -> str:
-    import hashlib  # only here: it loads OpenSSL, which only the manifest needs
-
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", "utf-8")
-
-
-def _write_tsv(path: Path, header: list[str], rows) -> None:
-    lines = ["\t".join(header)]
-    lines.extend("\t".join(str(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", "utf-8")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue(), "utf-8")

@@ -39,6 +39,14 @@ def test_every_wrapped_name_resolves():
     assert missing == []
 
 
+def test_bundle_binds_no_wrapped_name():
+    # kcn.pipeline and kcn.cli call each wrapped name through their own
+    # binding; a call through a kcn.bundle binding would bypass the wrapper,
+    # so its span would drop out and its time move into pipeline.self_s
+    wrapped = {name for names in _load_tracer().WRAPPED.values() for name in names}
+    assert sorted(wrapped & set(vars(importlib.import_module("kcn.bundle")))) == []
+
+
 def test_slice_span_and_setup_probe_targets_exist():
     assert callable(importlib.import_module("kcn.pipeline")._analyze_slice)
     assert callable(importlib.import_module("kcn.cli").load_config)

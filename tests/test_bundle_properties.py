@@ -13,12 +13,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from kcn.bundle import slice_file
 from kcn.config import load_config
 from kcn.corpus import ArticleRecord, Corpus
 from kcn.errors import GraphError
 from kcn.graph import SliceSpec
 from kcn.normalize import default_lexicon_dir, load_lexicon, normalize_corpus
-from kcn.pipeline import run_pipeline, slice_file
+from kcn.pipeline import run_pipeline
 
 # packaged short forms ("its", "llm"), protected and plural-looking words
 # ("analysis", "studies") and near-spellings ("modle") all take part

@@ -222,3 +222,19 @@ def test_only_pipeline_runs_processes():
         for alias in node.names
     }
     assert "heapq" in imported and not imported & {"os", "sys", "threading"}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a name another module needs is public where it is defined: the bundle
+    # format's helpers live in kcn.bundle, stage in kcn.errors and
+    # safe_name and NAME_BYTES in kcn.graph
+    private = [
+        f"{path.name}: {alias.name}"
+        for path in sorted((SRC / "kcn").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").split(".")[0] == "kcn")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

@@ -7,6 +7,7 @@ import string
 
 import pytest
 
+from kcn.bundle import read_bundle, write_audit
 from kcn.corpus import ArticleRecord, Corpus
 from kcn.errors import LexiconError, NormalizationError
 from kcn.normalize import (
@@ -594,13 +595,15 @@ def test_audit_entries_are_deduplicated_and_serializable(tmp_path):
     lex.record("A", "a", RULE_FOLD)
     lex.record("bs", "b", RULE_SINGULAR)
     assert lex.audit == [("A", "a", RULE_FOLD), ("bs", "b", RULE_SINGULAR)]
-    path = tmp_path / "audit.jsonl"
-    lex.write_audit_jsonl(path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    write_audit(tmp_path, lex.audit)
+    rows = [json.loads(line) for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
     assert rows == [
         {"raw": "A", "canonical": "a", "rule": "fold"},
         {"raw": "bs", "canonical": "b", "rule": "singular"},
     ]
+    (tmp_path / "manifest.json").write_text("{}", "utf-8")
+    audit = read_bundle(tmp_path)[0]
+    assert audit == {"fold": {"A": "a"}, "singular": {"bs": "b"}}
 
 
 # --- lexicon files ------------------------------------------------------------------------

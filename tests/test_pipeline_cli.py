@@ -17,10 +17,11 @@ from pathlib import Path
 import pytest
 
 from kcn import cli, pipeline
+from kcn.bundle import _clip, ego_file_names
 from kcn.config import load_config
 from kcn.errors import ConfigError, StageError
 from kcn.graph import WeightedGraph
-from kcn.pipeline import _clip, _write_ego_files, ego_file_names, run_pipeline
+from kcn.pipeline import _write_ego_files, run_pipeline
 from kcn.trends import EmergingKeyword
 
 from conftest import DATA
@@ -589,6 +590,35 @@ def test_output_path_that_cannot_be_made_is_one_error_line(tmp_path, capsys, cas
     assert os.listdir(tmp_path) == ["results"]
     if case == "under_a_file":
         assert (tmp_path / "results").read_text("utf-8") == "not a bundle"
+
+
+@pytest.mark.parametrize(
+    "args, out, named",
+    [
+        (["run", "--config", "data/config.json", "--force"], "data",
+         "data/synthetic_corpus.jsonl"),
+        (["export", "--config", "data/config.json", "--format", "csv"],
+         "data/synthetic_corpus.jsonl", "data/synthetic_corpus.jsonl"),
+        (["run", "--config", "lexicon.json", "--force"], "lex", "lex/protected.tsv"),
+    ],
+    ids=["run-over-corpus-directory", "export-over-corpus", "run-over-lexicon-directory"],
+)
+def test_an_output_never_replaces_an_input(tmp_path, monkeypatch, capsys, args, out, named):
+    # refused before anything is written, so the next run still finds its inputs
+    shutil.copytree(DATA, tmp_path / "data")
+    (tmp_path / "lex").mkdir()
+    (tmp_path / "lex" / "protected.tsv").write_text("analytics\n", "utf-8")
+    (tmp_path / "lexicon.json").write_text(json.dumps({
+        "inputs": ["data/synthetic_corpus.jsonl"], "lexicon": {"protected": "lex/protected.tsv"},
+    }), "utf-8")
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    assert cli.main([*args, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"kcn: error: cannot write {out}: it would replace the input {named}\n"
+    )
+    assert _tree(tmp_path) == before
+    assert sorted(os.listdir(tmp_path)) == ["data", "lex", "lexicon.json"]
 
 
 @pytest.mark.parametrize("command", ["run", "export"])

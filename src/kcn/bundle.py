@@ -31,14 +31,21 @@ from pathlib import Path
 from typing import Iterator
 
 from . import __version__
+from .communities import ClusterProfile, Partition
 from .config import FLAG_KEYS, THRESHOLD_KEYS, RunConfig
 from .corpus import FilterReport
 from .errors import ConfigError, GraphError, KcnError, read_text
 from .graph import NAME_BYTES, SliceSpec, safe_name
 from .normalize import default_lexicon_dir
+from .structure import DegreeBin, NodeProfile
 
 # per-slice files whose name repeats the slice label
 _LABELED_KINDS = frozenset({"clusters", "membership", "dendrogram", "betweenness"})
+# the header of each table read_bundle reads by keyword; edges.csv's is
+# graph.to_edge_csv's, source, target and weight
+_FREQUENCY = ["keyword", "count"]
+_MEMBERSHIP = ["keyword", "cluster", "cluster_name"]
+_BETWEENNESS = ["keyword", "value", "rank"]
 
 
 @contextmanager
@@ -50,9 +57,10 @@ def replacing(target: Path, config: RunConfig, directory: bool = False) -> Itera
     one is in place; a file replaces ``target`` in one rename, which fails on
     a directory. A block that raises leaves ``target`` as it was and the
     sibling removed. A ``target`` that is, or is above, an input file of
-    ``config`` is refused before anything is written. The refusal and each
-    ``OSError``, the block's too, end as one ``ConfigError`` that reads
-    ``cannot write <target>: <reason>``."""
+    ``config``, its lexicon files and the config file included, is refused
+    before anything is written. The refusal and each ``OSError``, the
+    block's too, end as one ``ConfigError`` that reads ``cannot write
+    <target>: <reason>``."""
     def unwritable(exc: Exception) -> ConfigError:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         return ConfigError(f"cannot write {target}: {reason}")
@@ -61,7 +69,7 @@ def replacing(target: Path, config: RunConfig, directory: bool = False) -> Itera
         final = target.resolve()
     except (OSError, RuntimeError) as exc:  # a link loop is a RuntimeError before 3.13
         raise unwritable(exc) from exc
-    for path in [spec.path for spec in config.inputs] + [*_lexicon(config).values()]:
+    for path in [*(spec.path for spec in config.inputs), *_lexicon(config).values(), config.path]:
         if path is not None and (
             final == (real := Path(os.path.realpath(path))) or final in real.parents
         ):
@@ -157,6 +165,85 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text(buf.getvalue(), "utf-8")
 
 
+def write_edges(out: Path, label: str, text: str) -> None:
+    """``edges.csv`` of slice ``label``: ``text``, the edge list
+    ``graph.to_edge_csv`` gives. It is a slice's first file, so this makes
+    the slice's directory."""
+    path = slice_file(out, label, "edges", "csv")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, "utf-8")
+
+
+def write_macro(
+    out: Path, label: str, points: list[tuple[float, float]], profiles: list[NodeProfile],
+    bins: list[DegreeBin],
+) -> None:
+    """``ccdf.tsv``, ``clustering_vs_degree.tsv`` and ``knn_ratio_vs_degree.tsv``
+    of slice ``label``: the ``structure.ccdf`` points, then each node's
+    profile beside its degree bin's mean, from ``structure.profile_nodes``,
+    sorted by degree."""
+    write_tsv(slice_file(out, label, "ccdf", "tsv"), ["value", "ccdf"],
+              [(fmt(x), fmt(p)) for x, p in points])
+    mean_c = {b.degree: b.mean_clustering_w for b in bins}
+    mean_r = {b.degree: b.mean_knn_ratio for b in bins}
+    write_tsv(
+        slice_file(out, label, "clustering_vs_degree", "tsv"),
+        ["degree", "clustering_w", "degree_mean"],
+        sorted((p.degree, fmt(p.clustering_w), fmt(mean_c[p.degree])) for p in profiles),
+    )
+    write_tsv(
+        slice_file(out, label, "knn_ratio_vs_degree", "tsv"),
+        ["degree", "knn_ratio", "degree_mean"],
+        sorted((p.degree, fmt(p.knn_ratio), fmt(mean_r[p.degree])) for p in profiles),
+    )
+
+
+def write_meso(
+    out: Path, label: str, partition: Partition, profiles: list[ClusterProfile],
+    unclustered: set[str],
+) -> None:
+    """``clusters_<label>.json``, ``membership_<label>.csv`` and
+    ``dendrogram_<label>.csv``: the CNM ``partition``, its clusters'
+    ``profiles`` and the keywords outside the largest component."""
+    names = {p.cluster_id: p.name for p in profiles}
+    write_json(slice_file(out, label, "clusters", "json"), {
+        "q": partition.modularity,
+        "clusters": [
+            {
+                "id": p.cluster_id,
+                "name": p.name,
+                "size": p.size,
+                "top": [{"keyword": kw, "in_group_degree": w} for kw, w in p.top],
+            }
+            for p in profiles
+        ],
+        "unclustered": sorted(unclustered),
+    })
+    write_csv(
+        slice_file(out, label, "membership", "csv"),
+        _MEMBERSHIP,
+        sorted((kw, cid, names[cid]) for kw, cid in partition.assignment.items()),
+    )
+    write_csv(
+        slice_file(out, label, "dendrogram", "csv"),
+        ["step", "cluster_a", "cluster_b", "delta_q", "q_after"],
+        [
+            (i + 1, s.a, s.b, fmt(s.delta_q), fmt(s.q_after))
+            for i, s in enumerate(partition.merge_trace)
+        ],
+    )
+
+
+def write_betweenness(out: Path, label: str, rows: list[tuple[str, float]]) -> None:
+    """``betweenness_<label>.csv``: the ``(keyword, value)`` ``rows`` of a
+    ``trends.top_k_table``, ranked from 1 in their order."""
+    write_csv(
+        slice_file(out, label, "betweenness", "csv"),
+        _BETWEENNESS,
+        [(kw, fmt(value), rank) for rank, (kw, value) in enumerate(rows, 1)],
+    )
+
+
 def write_summary(out: Path, results: list[dict]) -> None:
     """``summary.tsv`` and ``summary.json``: one row per slice result."""
     rows = []
@@ -176,7 +263,7 @@ def write_summary(out: Path, results: list[dict]) -> None:
 
 def write_trends(out: Path, frequency: list[tuple[str, int]], emerging: list) -> None:
     """``frequency.csv`` and ``emerging.json``."""
-    write_csv(out / "frequency.csv", ["keyword", "count"], frequency)
+    write_csv(out / "frequency.csv", _FREQUENCY, frequency)
     write_json(out / "emerging.json", [e._asdict() for e in emerging])
 
 
@@ -247,11 +334,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def read_bundle(bundle: Path) -> tuple[dict, list, dict, dict]:
-    """What ``kcn inspect`` reads: ``audit.jsonl`` as rule to raw to canonical,
-    the rows of ``frequency.csv`` and, by slice, of its membership, betweenness
-    and edges tables, and each ``emerging.json`` keyword's ego file name. A
-    missing file but the manifest reads as empty; a damaged one, an error."""
+def read_bundle(bundle: Path) -> tuple[dict, dict, dict, dict]:
+    """What ``kcn inspect`` reads: ``audit.jsonl`` as rule to raw to canonical;
+    ``frequency.csv`` as keyword to article count; by slice label, its
+    membership table as keyword to (cluster, cluster name), its betweenness
+    table as keyword to (value, rank) and the set of keywords its edge list
+    names; and each ``emerging.json`` keyword's ego file name. Every value is
+    the text of its cell; a keyword's first row counts. A missing file but
+    the manifest reads as empty; a damaged one, an error."""
     path = bundle / "manifest.json"
     if not path.is_file():
         raise KcnError(f"{bundle} is not a finished bundle (no manifest.json)")
@@ -274,14 +364,18 @@ def read_bundle(bundle: Path) -> tuple[dict, list, dict, dict]:
             where = f"{path}:{lineno}"
             entry = _entry(_load_json(line, where), where, ("rule", "raw", "canonical"))
             audit.setdefault(entry["rule"], {})[entry["raw"]] = entry["canonical"]
-    frequency = _table(bundle / "frequency.csv", 2)
-    tables = {
-        label: [
-            _table(slice_file(bundle, label, kind, "csv"), 3)
-            for kind in ("membership", "betweenness", "edges")
-        ]
-        for label in slices
-    }
+    # each table is read reversed, so that a keyword's first row is the one kept
+    rows = _table(bundle / "frequency.csv", len(_FREQUENCY))
+    articles = {kw: count for kw, count in reversed(rows)}
+    tables = {}
+    for label in slices:
+        rows = _table(slice_file(bundle, label, "membership", "csv"), len(_MEMBERSHIP))
+        clusters = {kw: (cid, name) for kw, cid, name in reversed(rows)}
+        rows = _table(slice_file(bundle, label, "betweenness", "csv"), len(_BETWEENNESS))
+        ranks = {kw: (value, rank) for kw, value, rank in reversed(rows)}
+        rows = _table(slice_file(bundle, label, "edges", "csv"), 3)
+        named = {kw for source, target, _ in rows for kw in (source, target)}
+        tables[label] = clusters, ranks, named
     path = bundle / "emerging.json"
     keywords = []
     if path.is_file():
@@ -290,7 +384,7 @@ def read_bundle(bundle: Path) -> tuple[dict, list, dict, dict]:
             raise KcnError(f"{path}: expected a JSON list of entries")
         keywords = [_entry(e, f"{path}: entry {i}", ("keyword",))["keyword"]
                     for i, e in enumerate(entries, 1)]
-    return audit, frequency, tables, dict(zip(keywords, ego_file_names(keywords)))
+    return audit, articles, tables, dict(zip(keywords, ego_file_names(keywords)))
 
 
 def _load_json(text: str, where: Path | str):

@@ -126,15 +126,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     bundle: Path = args.bundle
-    audit, frequency, tables, ego_files = read_bundle(bundle)
+    audit, articles, tables, ego_files = read_bundle(bundle)
     chain = _audit_chain(audit, args.keyword)
     canonical = chain[-1][1] if chain else args.keyword
     ego = ego_files.get(canonical)
 
-    vocabulary = {row[0] for row in frequency}
-    for membership, _, edges in tables.values():
-        vocabulary.update(row[0] for row in membership)
-        vocabulary.update(kw for row in edges for kw in row[:2])
+    vocabulary = set(articles)
+    for clusters, _, named in tables.values():
+        vocabulary.update(clusters, named)
     if vocabulary and canonical not in vocabulary:
         nearest = sorted(
             vocabulary, key=lambda kw: (-similarity(canonical, kw), kw)
@@ -144,24 +143,20 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             f"nearest canonical keywords: {', '.join(nearest)}"
         )
 
-    def row_of(table: list[list[str]]) -> list[str] | None:
-        return next((row for row in table if row[0] == canonical), None)
-
     print(f"keyword: {args.keyword}")
     for raw, out, rule in chain:
         print(f"  {rule}: {raw} -> {out}")
     print(f"canonical: {canonical}")
-    row = row_of(frequency)
-    if row is not None:
-        print(f"articles: {row[1]}")
-    for label, (membership, betweenness, _) in tables.items():
+    if canonical in articles:
+        print(f"articles: {articles[canonical]}")
+    for label, (clusters, ranks, _) in tables.items():
         parts = []
-        row = row_of(membership)
-        if row is not None:
-            parts.append(f"cluster {row[1]} ({row[2]})")
-        row = row_of(betweenness)
-        if row is not None:
-            parts.append(f"betweenness rank {row[2]} ({row[1]})")
+        if canonical in clusters:
+            cluster, name = clusters[canonical]
+            parts.append(f"cluster {cluster} ({name})")
+        if canonical in ranks:
+            value, rank = ranks[canonical]
+            parts.append(f"betweenness rank {rank} ({value})")
         print(f"  [{label}] " + ("; ".join(parts) if parts else "-"))
     if ego is not None and (bundle / ego).is_file():
         print(f"ego network: {ego}")

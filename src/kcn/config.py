@@ -48,7 +48,8 @@ class InputSpec(NamedTuple):
 
 
 class RunConfig(NamedTuple):
-    """Validated run settings plus the raw config for manifest echoing."""
+    """Validated run settings plus the raw config for manifest echoing, and
+    the config file's own ``path``, which no output may replace."""
 
     inputs: tuple[InputSpec, ...]
     protected_path: Path | None
@@ -66,6 +67,7 @@ class RunConfig(NamedTuple):
     discrete_power_law: bool
     ego_degree_scope: str
     raw: dict
+    path: Path
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -121,6 +123,7 @@ def load_config(path: str | Path) -> RunConfig:
         discrete_power_law=_flag(flags, "discrete_power_law", path),
         ego_degree_scope=ego_scope,
         raw=raw,
+        path=path,
     )
 
 

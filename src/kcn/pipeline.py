@@ -5,7 +5,8 @@ co-occurrence graph per slice, and emits structural summaries, community
 clusterings, and centrality-based trend tables into an output directory.
 ``prepare`` is the one path from a config to normalized records and
 slices; ``kcn run`` and ``kcn export`` both take it. ``kcn.bundle`` owns
-the bundle's layout, file names and writers.
+the bundle's layout, file names and writers, down to each slice table's
+columns; this module hands them computed values.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .bundle import (
-    ego_file_names, fmt, replacing, slice_file, write_csv, write_json, write_report,
-    write_summary, write_trends, write_tsv,
+    ego_file_names, replacing, write_betweenness, write_edges, write_macro, write_meso,
+    write_report, write_summary, write_trends,
 )
 from .communities import cluster_profiles, fast_greedy
 from .config import RunConfig
@@ -482,89 +483,28 @@ def _analyze_slice(
     out: Path,
 ) -> dict:
     with stage("build"):
-        edges = slice_file(out, spec.label, "edges", "csv")
-        edges.parent.mkdir(parents=True, exist_ok=True)
-        edges.write_text(to_edge_csv(g), "utf-8")
+        write_edges(out, spec.label, to_edge_csv(g))
     result: dict = {"spec": spec, "label": spec.label}
 
     if "macro" in stages:
         with stage("macro"):
-            summary = summarize(g)
+            result["summary"] = summarize(g)
             values = sorted(
                 (sum(row.values()) if config.power_law_on == "strength" else len(row))
                 for row in g.adjacency()
             )
-            result["summary"] = summary
             result["c_unweighted"] = average_clustering(g, weighted=False)
             # the power-law fit's input; _fit_power_laws fits it
             result["positive"] = [v for v in values if v > 0]
-            write_tsv(
-                slice_file(out, spec.label, "ccdf", "tsv"),
-                ["value", "ccdf"],
-                [(fmt(x), fmt(p)) for x, p in ccdf(values)],
-            )
-            profiles, bins = profile_nodes(g)
-            mean_c = {b.degree: b.mean_clustering_w for b in bins}
-            mean_r = {b.degree: b.mean_knn_ratio for b in bins}
-            write_tsv(
-                slice_file(out, spec.label, "clustering_vs_degree", "tsv"),
-                ["degree", "clustering_w", "degree_mean"],
-                sorted(
-                    (p.degree, fmt(p.clustering_w), fmt(mean_c[p.degree]))
-                    for p in profiles
-                ),
-            )
-            write_tsv(
-                slice_file(out, spec.label, "knn_ratio_vs_degree", "tsv"),
-                ["degree", "knn_ratio", "degree_mean"],
-                sorted(
-                    (p.degree, fmt(p.knn_ratio), fmt(mean_r[p.degree]))
-                    for p in profiles
-                ),
-            )
+            write_macro(out, spec.label, ccdf(values), *profile_nodes(g))
 
     if "meso" in stages:
         with stage("meso"):
             core = largest_component(g)
             partition = fast_greedy(core)
             profiles = cluster_profiles(core, partition, config.profile_k)
-            names = {p.cluster_id: p.name for p in profiles}
-            unclustered = sorted(set(g.labels()) - set(core.labels()))
-            write_json(
-                slice_file(out, spec.label, "clusters", "json"),
-                {
-                    "q": partition.modularity,
-                    "clusters": [
-                        {
-                            "id": p.cluster_id,
-                            "name": p.name,
-                            "size": p.size,
-                            "top": [
-                                {"keyword": kw, "in_group_degree": w}
-                                for kw, w in p.top
-                            ],
-                        }
-                        for p in profiles
-                    ],
-                    "unclustered": unclustered,
-                },
-            )
-            write_csv(
-                slice_file(out, spec.label, "membership", "csv"),
-                ["keyword", "cluster", "cluster_name"],
-                sorted(
-                    (kw, cid, names[cid])
-                    for kw, cid in partition.assignment.items()
-                ),
-            )
-            write_csv(
-                slice_file(out, spec.label, "dendrogram", "csv"),
-                ["step", "cluster_a", "cluster_b", "delta_q", "q_after"],
-                [
-                    (i + 1, s.a, s.b, fmt(s.delta_q), fmt(s.q_after))
-                    for i, s in enumerate(partition.merge_trace)
-                ],
-            )
+            unclustered = set(g.labels()) - set(core.labels())
+            write_meso(out, spec.label, partition, profiles, unclustered)
 
     if "micro" in stages:
         with stage("micro"):
@@ -598,14 +538,7 @@ def _write_betweenness(
     config: RunConfig, g: WeightedGraph, spec: SliceSpec, out: Path, values: dict[str, float]
 ) -> CentralityTable:
     table = top_k_table(g, config.top_k, spec.label, values=values)
-    write_csv(
-        slice_file(out, spec.label, "betweenness", "csv"),
-        ["keyword", "value", "rank"],
-        [
-            (kw, fmt(value), rank)
-            for rank, (kw, value) in enumerate(table.rows, 1)
-        ],
-    )
+    write_betweenness(out, spec.label, table.rows)
     return table
 
 

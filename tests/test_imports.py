@@ -238,3 +238,19 @@ def test_no_module_imports_a_private_name_from_another():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def test_pipeline_and_cli_bind_no_bundle_formatting():
+    # the bundle's cell formatting, table writers and slice file names stay
+    # behind kcn.bundle's per-kind writers and keyed reader
+    import kcn.cli
+    import kcn.pipeline
+
+    names = ("fmt", "write_csv", "write_tsv", "write_json", "slice_file")
+    bound = [
+        f"{module.__name__}.{name}"
+        for module in (kcn.pipeline, kcn.cli)
+        for name in names
+        if hasattr(module, name)
+    ]
+    assert bound == []

@@ -600,8 +600,13 @@ def test_output_path_that_cannot_be_made_is_one_error_line(tmp_path, capsys, cas
         (["export", "--config", "data/config.json", "--format", "csv"],
          "data/synthetic_corpus.jsonl", "data/synthetic_corpus.jsonl"),
         (["run", "--config", "lexicon.json", "--force"], "lex", "lex/protected.tsv"),
+        # the config file itself, away from the corpus
+        (["run", "--config", "out/config.json", "--force"], "out", "out/config.json"),
+        (["export", "--config", "out/config.json", "--format", "csv"],
+         "out/config.json", "out/config.json"),
     ],
-    ids=["run-over-corpus-directory", "export-over-corpus", "run-over-lexicon-directory"],
+    ids=["run-over-corpus-directory", "export-over-corpus", "run-over-lexicon-directory",
+         "run-over-config-directory", "export-over-config"],
 )
 def test_an_output_never_replaces_an_input(tmp_path, monkeypatch, capsys, args, out, named):
     # refused before anything is written, so the next run still finds its inputs
@@ -611,6 +616,10 @@ def test_an_output_never_replaces_an_input(tmp_path, monkeypatch, capsys, args, 
     (tmp_path / "lexicon.json").write_text(json.dumps({
         "inputs": ["data/synthetic_corpus.jsonl"], "lexicon": {"protected": "lex/protected.tsv"},
     }), "utf-8")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "config.json").write_text(json.dumps({
+        "inputs": ["../data/synthetic_corpus.jsonl"],
+    }), "utf-8")
     monkeypatch.chdir(tmp_path)
     before = _tree(tmp_path)
     assert cli.main([*args, "--out", out]) == 1
@@ -618,7 +627,7 @@ def test_an_output_never_replaces_an_input(tmp_path, monkeypatch, capsys, args, 
         f"kcn: error: cannot write {out}: it would replace the input {named}\n"
     )
     assert _tree(tmp_path) == before
-    assert sorted(os.listdir(tmp_path)) == ["data", "lex", "lexicon.json"]
+    assert sorted(os.listdir(tmp_path)) == ["data", "lex", "lexicon.json", "out"]
 
 
 @pytest.mark.parametrize("command", ["run", "export"])
@@ -962,6 +971,38 @@ def test_cli_inspect_known_keyword(bundle):
     assert "singular: neural networks -> neural network" in res.stdout
     assert "articles:" in res.stdout
     assert "[all]" in res.stdout
+
+
+def test_cli_inspect_prints_each_slice_row_as_a_dict_reader_reads_it(bundle, capsys):
+    # guards the keyed reader against a swapped column: for every keyword,
+    # each slice's cluster and betweenness rank come from the named columns
+    labels = json.loads((bundle / "manifest.json").read_text("utf-8"))["slices"]
+    tables = {
+        label: [
+            {row["keyword"]: row for row in _csv_rows(path)} if path.is_file() else {}
+            for path in (bundle / "slices" / label / f"{kind}_{label}.csv"
+                         for kind in ("membership", "betweenness"))
+        ]
+        for label in labels
+    }
+    counts = {row["keyword"]: row["count"] for row in _csv_rows(bundle / "frequency.csv")}
+    # shows the check sees rows: every slice has clusters and a ranking
+    assert counts and all(m and b for m, b in tables.values())
+    for keyword, count in counts.items():
+        assert cli.main(["inspect", keyword, "--bundle", str(bundle)]) == 0
+        expected = [f"canonical: {keyword}", f"articles: {count}"]
+        for label in labels:
+            membership, betweenness = tables[label]
+            parts = []
+            if keyword in membership:
+                row = membership[keyword]
+                parts.append(f"cluster {row['cluster']} ({row['cluster_name']})")
+            if keyword in betweenness:
+                row = betweenness[keyword]
+                parts.append(f"betweenness rank {row['rank']} ({row['value']})")
+            expected.append(f"  [{label}] " + ("; ".join(parts) if parts else "-"))
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1:len(expected) + 1] == expected, keyword
 
 
 def test_cli_inspect_follows_every_rule(tmp_path):

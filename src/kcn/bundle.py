@@ -34,7 +34,7 @@ from . import __version__
 from .communities import ClusterProfile, Partition
 from .config import FLAG_KEYS, THRESHOLD_KEYS, RunConfig
 from .corpus import FilterReport
-from .errors import ConfigError, GraphError, KcnError, read_text
+from .errors import ConfigError, GraphError, KcnError, parse_json, read_csv, read_lines, read_text
 from .graph import NAME_BYTES, SliceSpec, safe_name
 from .normalize import default_lexicon_dir
 from .structure import DegreeBin, NodeProfile
@@ -345,7 +345,7 @@ def read_bundle(bundle: Path) -> tuple[dict, dict, dict, dict]:
     path = bundle / "manifest.json"
     if not path.is_file():
         raise KcnError(f"{bundle} is not a finished bundle (no manifest.json)")
-    manifest = _load_json(read_text(path, KcnError), path)
+    manifest = parse_json(read_text(path, KcnError), path, KcnError)
     if not isinstance(manifest, dict):
         raise KcnError(f"{path}: manifest must be a JSON object")
     slices = manifest.get("slices", [])
@@ -357,13 +357,10 @@ def read_bundle(bundle: Path) -> tuple[dict, dict, dict, dict]:
         except GraphError as exc:
             raise KcnError(f"{path}: {exc}") from exc
     path = bundle / "audit.jsonl"
-    lines = read_text(path, KcnError).split("\n") if path.is_file() else []
     audit: dict[str, dict[str, str]] = {}
-    for lineno, line in enumerate(lines, 1):
-        if line.strip():
-            where = f"{path}:{lineno}"
-            entry = _entry(_load_json(line, where), where, ("rule", "raw", "canonical"))
-            audit.setdefault(entry["rule"], {})[entry["raw"]] = entry["canonical"]
+    for where, line in read_lines(path, KcnError) if path.is_file() else ():
+        entry = _entry(parse_json(line, where, KcnError), where, ("rule", "raw", "canonical"))
+        audit.setdefault(entry["rule"], {})[entry["raw"]] = entry["canonical"]
     # each table is read reversed, so that a keyword's first row is the one kept
     rows = _table(bundle / "frequency.csv", len(_FREQUENCY))
     articles = {kw: count for kw, count in reversed(rows)}
@@ -379,20 +376,12 @@ def read_bundle(bundle: Path) -> tuple[dict, dict, dict, dict]:
     path = bundle / "emerging.json"
     keywords = []
     if path.is_file():
-        entries = _load_json(read_text(path, KcnError), path)
+        entries = parse_json(read_text(path, KcnError), path, KcnError)
         if not isinstance(entries, list):
             raise KcnError(f"{path}: expected a JSON list of entries")
         keywords = [_entry(e, f"{path}: entry {i}", ("keyword",))["keyword"]
                     for i, e in enumerate(entries, 1)]
     return audit, articles, tables, dict(zip(keywords, ego_file_names(keywords)))
-
-
-def _load_json(text: str, where: Path | str):
-    """``json.loads`` of one bundle file's text; an error names ``where``."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise KcnError(f"{where}: invalid JSON: {exc}") from exc
 
 
 def _entry(value, where: str, fields: tuple[str, ...]) -> dict:
@@ -409,16 +398,4 @@ def _entry(value, where: str, fields: tuple[str, ...]) -> dict:
 def _table(path: Path, width: int) -> list[list[str]]:
     """The non-empty rows after the header of the CSV file at ``path``, each
     ``width`` cells wide; no rows when there is no such file."""
-    if not path.is_file():
-        return []
-    reader = csv.reader(io.StringIO(read_text(path, KcnError), newline=""))
-    next(reader, None)  # header
-    rows = []
-    for row in reader:
-        if row and len(row) != width:
-            raise KcnError(
-                f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
-            )
-        if row:
-            rows.append(row)
-    return rows
+    return [row for _, row in read_csv(path, KcnError, width)[1]] if path.is_file() else []

@@ -29,7 +29,7 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ConfigError, GraphError, read_text
+from .errors import ConfigError, GraphError, parse_json, read_text
 from .graph import SliceSpec, safe_name
 from .normalize import DEFAULT_SYNONYM_THRESHOLD, default_lexicon_dir
 
@@ -72,10 +72,7 @@ class RunConfig(NamedTuple):
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    try:
-        raw = json.loads(read_text(path, ConfigError, "config "))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    raw = parse_json(read_text(path, ConfigError, "config "), path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS

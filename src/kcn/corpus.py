@@ -8,13 +8,10 @@ report the offending line number on failure.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from pathlib import Path
 from typing import Iterable, Literal, NamedTuple
 
-from .errors import CorpusError, read_text
+from .errors import CorpusError, parse_json, read_csv, read_lines
 
 REASON_NO_KEYWORDS = "no_keywords"
 REASON_TOO_MANY_KEYWORDS = "too_many_keywords"
@@ -131,42 +128,23 @@ def _check_unique_ids(records: Iterable[ArticleRecord], source: str) -> None:
 
 
 def _load_jsonl(path: Path) -> list[ArticleRecord]:
-    records: list[ArticleRecord] = []
-    # only "\n" ends a record: JSON strings may hold U+2028, which
-    # str.splitlines also splits at, and "\r" is JSON whitespace
-    lines = read_text(path, CorpusError).split("\n")
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        records.append(_record_from_mapping(row, f"{path}:{lineno}"))
-    return records
+    return [
+        _record_from_mapping(parse_json(line, where, CorpusError), where)
+        for where, line in read_lines(path, CorpusError)
+    ]
 
 
 def _load_csv(path: Path) -> list[ArticleRecord]:
-    records: list[ArticleRecord] = []
-    reader = csv.reader(io.StringIO(read_text(path, CorpusError), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CorpusError(f"{path}: empty file, expected a header row") from None
+    header, rows = read_csv(path, CorpusError, len(_CSV_COLUMNS))
+    if header is None:
+        raise CorpusError(f"{path}: empty file, expected a header row")
     if tuple(h.strip() for h in header) != _CSV_COLUMNS:
         raise CorpusError(
             f"{path}:1: expected header {','.join(_CSV_COLUMNS)!r}, "
             f"got {','.join(header)!r}"
         )
-    for row in reader:
-        if not row:
-            continue
-        where = f"{path}:{reader.line_num}"
-        if len(row) != len(_CSV_COLUMNS):
-            raise CorpusError(
-                f"{where}: expected {len(_CSV_COLUMNS)} fields, got {len(row)}"
-            )
-        rec_id, venue, year_text, cell = row
+    records: list[ArticleRecord] = []
+    for where, (rec_id, venue, year_text, cell) in rows:
         try:
             year = int(year_text.strip())
         except ValueError:

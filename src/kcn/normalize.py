@@ -474,12 +474,11 @@ def _row(path: str | Path, lineno: int):
 
 
 def _tsv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    # a byte order mark, as some editors save, is no part of the first
-    # row; dropped by hand, as the utf-8-sig codec costs an import
-    text = read_text(path, LexiconError, "lexicon file ").removeprefix("\ufeff")
+    text = read_text(path, LexiconError, "lexicon file ")
     rows: list[tuple[int, list[str]]] = []
-    # only "\n" ends a row, as in _load_jsonl; a CRLF's "\r" is stripped
-    # with the last field, and any other "\r" would hide a row end
+    # only "\n" ends a row, as in errors.read_lines, whose blank-line skip
+    # would come before this check; a CRLF's "\r" is stripped with the
+    # last field, and any other "\r" would hide a row end
     for lineno, line in enumerate(text.split("\n"), 1):
         if "\r" in line.removesuffix("\r"):
             raise LexiconError(f"{path}:{lineno}: carriage return inside a row")

@@ -77,6 +77,43 @@ def test_load_jsonl_rejects_bad_rows(tmp_path, row):
     assert f"{path}:1:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    ("name", "text", "message"),
+    [
+        ("c.csv", "", "{path}: empty file, expected a header row"),
+        ("c.csv", "id,venue,year,keywords\nx,V,2020,a\ny,V,2021\n",
+         "{path}:3: expected 4 fields, got 3"),
+        ("c.jsonl", '["x1", "V", 2021, ["a"]]\n', "{path}:1: expected a JSON object, got list"),
+    ],
+    ids=["csv-empty", "csv-width", "jsonl-not-object"],
+)
+def test_load_names_the_line_of_a_malformed_file(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, "utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_corpus(path, path.suffix[1:])
+    assert str(err.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize(
+    ("name", "text"),
+    [
+        ("c.csv", 'id,venue,year,keywords\nx1,V,2021,"a; b"\nx2,W,2020,c\n'),
+        ("c.jsonl", '{"id": "x1", "venue": "V", "year": 2021, "keywords": ["a", "b"]}\n'
+                    '{"id": "x2", "venue": "W", "year": 2020, "keywords": ["c"]}\n'),
+    ],
+    ids=["csv", "jsonl"],
+)
+def test_load_skips_a_byte_order_mark(tmp_path, name, text):
+    # as a spreadsheet's "CSV UTF-8" export starts
+    path = tmp_path / name
+    path.write_text(text, "utf-8")
+    plain = load_corpus(path, path.suffix[1:]).records
+    path.write_text(text, "utf-8-sig")
+    assert load_corpus(path, path.suffix[1:]).records == plain
+    assert [r.id for r in plain] == ["x1", "x2"]
+
+
 def test_load_jsonl_reports_line_of_bad_json(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
@@ -116,10 +153,13 @@ def test_load_csv(tmp_path):
     path.write_text(
         "id,venue,year,keywords\n"
         'x1,V,2021,"machine learning; ai ;; ai "\n'
+        "\n"
         "x2,W,2020,\n",
         "utf-8",
     )
     corpus = load_corpus(path, "csv")
+    # a blank line is no record
+    assert [r.id for r in corpus.records] == ["x1", "x2"]
     # cells are split on ";", trimmed, and empty entries dropped
     assert corpus.records[0].keywords == ("machine learning", "ai", "ai")
     assert corpus.records[1].keywords == ()

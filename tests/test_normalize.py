@@ -635,6 +635,22 @@ def test_load_lexicon_parses_all_three_files(tmp_path):
     assert lex.synonym_threshold == 85.0
 
 
+@pytest.mark.parametrize(
+    ("which", "text"),
+    [("protected", "Analytics\nseries\n"), ("abbrev", "NLP\tNatural-Language Processing\n"),
+     ("merges", "E-Learning\tM-Learning\tdeny\n")],
+)
+def test_load_lexicon_skips_a_byte_order_mark(tmp_path, which, text):
+    path = tmp_path / f"{which}.tsv"
+    path.write_text(text, "utf-8")
+    plain = load_lexicon(**{f"{which}_path": path})
+    path.write_text(text, "utf-8-sig")
+    marked = load_lexicon(**{f"{which}_path": path})
+    fields = ("protected_tokens", "abbrev_map", "allow_pairs", "deny_pairs")
+    assert [getattr(marked, f) for f in fields] == [getattr(plain, f) for f in fields]
+    assert any(getattr(plain, f) for f in fields)
+
+
 def test_load_lexicon_normalizes_merge_rows_to_stage_forms(tmp_path):
     # merge rows written as raw plurals must match post-singularization
     merges = tmp_path / "merges.tsv"

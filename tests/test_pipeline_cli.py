@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import errno
 import gc
+import hashlib
+import io
 import json
 import os
 import re
@@ -118,6 +120,57 @@ def test_load_config_rejections(tmp_path):
         with pytest.raises(ConfigError, match=f"{key} must be a path string"):
             load_config(write(payload))
     assert load_config(write({**base, "output_dir": None})).output_dir is None
+
+
+@pytest.mark.parametrize(
+    ("raw", "message"),
+    [
+        ([], "config must be a JSON object"),
+        ({"inputs": [{"format": "csv"}]}, "each input needs a path"),
+        ({"inputs": [{"path": "c.txt", "format": "xml"}]}, "unknown input format 'xml'"),
+        ({"inputs": ["c.txt"]}, "cannot infer format of 'c.txt'; use a format key"),
+        ({"inputs": ["c.jsonl"], "lexicon": ["abbrev.tsv"]},
+         "lexicon must be an object with keys ['abbrev', 'merges', 'protected']"),
+        ({"inputs": ["c.jsonl"], "slices": []}, "slices must be a non-empty list"),
+    ],
+    ids=["not-object", "input-without-path", "unknown-format", "unknown-suffix",
+         "lexicon-not-object", "no-slices"],
+)
+def test_load_config_names_the_file_of_a_rejected_config(tmp_path, raw, message):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(raw), "utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(p)
+    assert str(err.value) == f"{p}: {message}"
+
+
+def test_a_byte_order_mark_moves_no_output_byte_but_the_input_digests(tmp_path):
+    # the config and a CSV corpus, each saved with a byte order mark, load
+    # and run as they do without; the manifest hashes each file as it is
+    lines = (DATA / "synthetic_corpus.jsonl").read_text("utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["id", "venue", "year", "keywords"])
+    writer.writerows([r["id"], r["venue"], r["year"], ";".join(r["keywords"])] for r in rows)
+    corpus, config = tmp_path / "c.csv", tmp_path / "c.json"
+    runs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        corpus.write_text(table.getvalue(), encoding)
+        config.write_text(json.dumps({"inputs": ["c.csv"]}), encoding)
+        loaded = load_config(config)
+        out = tmp_path / encoding
+        run_pipeline(loaded, out_dir=out, only={"meso"})
+        tree = _tree(out)
+        manifest = json.loads(tree.pop("manifest.json"))
+        digest = hashlib.sha256(corpus.read_bytes()).hexdigest()
+        assert manifest.pop("inputs") == [{"path": "c.csv", "sha256": digest}]
+        runs.append((loaded, tree, manifest, digest))
+    plain, marked = runs
+    assert marked[0] == plain[0]  # the same RunConfig
+    assert marked[1:3] == plain[1:3]  # the same files, and manifest but its inputs
+    assert marked[3] != plain[3]  # the digest covers the mark
+    assert len(plain[1]) > 5
 
 
 @pytest.mark.parametrize(
@@ -296,6 +349,17 @@ def test_manifest_contents(bundle):
     for key in ("protected", "abbrev", "merges"):
         assert manifest["lexicon"][key]["source"].startswith("packaged:")
     assert manifest["keywords"]["distinct_canonical"] > 30
+
+
+def test_manifest_echoes_a_disabled_lexicon_file_as_null(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"inputs": [str(DATA / "synthetic_corpus.jsonl")],
+                             "lexicon": {"abbrev": None}}), "utf-8")
+    run_pipeline(load_config(p), out_dir=tmp_path / "b", only={"meso"})
+    lexicon = json.loads((tmp_path / "b" / "manifest.json").read_text("utf-8"))["lexicon"]
+    assert lexicon["abbrev"] is None
+    assert [lexicon[key]["source"] for key in ("protected", "merges")] == [
+        "packaged:protected.tsv", "packaged:merges.tsv"]
 
 
 def test_summary_tsv_and_json_agree(bundle):
@@ -1084,6 +1148,15 @@ def test_cli_inspect_finds_a_keyword_that_is_only_a_later_edge_target(tmp_path, 
     capsys.readouterr()
     assert cli.main(["inspect", "y", "--bundle", str(out)]) == 0
     assert capsys.readouterr().out == "keyword: y\ncanonical: y\n  [2020] -\n  [all] -\n"
+
+
+def test_cli_inspect_of_a_keyword_that_folds_to_nothing_looks_it_up_as_written(bundle, capsys):
+    # folding rejects "---", so no fold step is shown and it is looked up as it is
+    assert cli.main(["inspect", "--bundle", str(bundle), "--", "---"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("kcn: error: keyword '---' not found; nearest canonical keywords: ")
+    assert len(printed.err.splitlines()) == 1
 
 
 def test_cli_inspect_needs_finished_bundle(tmp_path):

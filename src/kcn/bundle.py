@@ -54,11 +54,12 @@ def replacing(target: Path, config: RunConfig, directory: bool = False) -> Itera
     write in; once the block ends, rename it over ``target``, or over the
     target of a link there. A ``directory`` sibling is made with its parents,
     and an old ``target`` is renamed aside to ``<sibling>.old`` until the new
-    one is in place; a file replaces ``target`` in one rename, which fails on
-    a directory. A block that raises leaves ``target`` as it was and the
-    sibling removed. A ``target`` that is, or is above, an input file of
-    ``config``, its lexicon files and the config file included, is refused
-    before anything is written. The refusal and each ``OSError``, the
+    one is in place; a file replaces ``target`` in one rename. A block that
+    raises leaves ``target`` as it was and the sibling removed. A ``target``
+    that is, or is above, an input file of ``config``, its lexicon files and
+    the config file included, is refused before anything is written, as is
+    a file ``target`` that exists but is not a regular file: a directory, a
+    named pipe, a socket or a device. Each refusal and ``OSError``, the
     block's too, end as one ``ConfigError`` that reads ``cannot write
     <target>: <reason>``."""
     def unwritable(exc: Exception) -> ConfigError:
@@ -69,11 +70,13 @@ def replacing(target: Path, config: RunConfig, directory: bool = False) -> Itera
         final = target.resolve()
     except (OSError, RuntimeError) as exc:  # a link loop is a RuntimeError before 3.13
         raise unwritable(exc) from exc
-    for path in [*(spec.path for spec in config.inputs), *_lexicon(config).values(), config.path]:
+    for path in [*(spec.path for spec in config.inputs), *config.lexicon.values(), config.path]:
         if path is not None and (
             final == (real := Path(os.path.realpath(path))) or final in real.parents
         ):
             raise ConfigError(f"cannot write {target}: it would replace the input {path}")
+    if not directory and os.path.exists(final) and not os.path.isfile(final):
+        raise ConfigError(f"cannot write {target}: not a regular file")
     partial = final.with_name(f".{final.name}.{os.urandom(6).hex()}")
     try:
         if directory:
@@ -292,19 +295,18 @@ def write_report(
         "flags": {key: getattr(config, key) for key in FLAG_KEYS},
     }
     inputs = [
-        {"path": entry if isinstance(entry, str) else str(entry.get("path", "")),
-         "sha256": _sha256(spec.path)}
-        for entry, spec in zip(config.raw.get("inputs", []), config.inputs)
+        {"path": entry if isinstance(entry, str) else entry["path"], "sha256": _sha256(spec.path)}
+        for entry, spec in zip(config.raw["inputs"], config.inputs)
     ]
     lexicon = {}
-    for key, path in _lexicon(config).items():
+    for key, path in config.lexicon.items():
         if path is None:
             lexicon[key] = None
         else:
             source = (
                 f"packaged:{path.name}"
                 if path.parent == default_lexicon_dir()
-                else str(config.raw.get("lexicon", {}).get(key, path.name))
+                else config.raw["lexicon"][key]
             )
             lexicon[key] = {"source": source, "sha256": _sha256(path)}
     write_json(out / "manifest.json", {
@@ -321,11 +323,6 @@ def write_report(
         },
         "keywords": {"distinct_canonical": distinct},
     })
-
-
-def _lexicon(config: RunConfig) -> dict[str, Path | None]:
-    paths = config.protected_path, config.abbrev_path, config.merges_path
-    return dict(zip(("protected", "abbrev", "merges"), paths))
 
 
 def _sha256(path: Path) -> str:

@@ -21,20 +21,25 @@ Recognized keys::
     flags       {"exhaustive_pairing": false, "power_law_on": "strength",
                  "discrete_power_law": false, "ego_degree_scope": "ego"}
                 (optional; the two booleans are JSON true or false)
+
+Any other key, at the top or inside one of these objects, is an error.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from .errors import ConfigError, GraphError, parse_json, read_text
 from .graph import SliceSpec, safe_name
 from .normalize import DEFAULT_SYNONYM_THRESHOLD, default_lexicon_dir
 
 _TOP_KEYS = {"inputs", "lexicon", "slices", "thresholds", "output_dir", "seed", "flags"}
-_LEXICON_KEYS = {"protected", "abbrev", "merges"}
+_INPUT_KEYS = ("path", "format")
+_SLICE_KEYS = ("label", "years")
+# each key names a load_lexicon parameter and its packaged file, <key>.tsv
+_LEXICON_KEYS = ("protected", "abbrev", "merges")
 # each key is also the name of its RunConfig field, which the manifest echoes
 THRESHOLD_KEYS = frozenset({"max_keywords", "synonym_threshold", "top_k", "profile_k"})
 FLAG_KEYS = frozenset(
@@ -49,12 +54,12 @@ class InputSpec(NamedTuple):
 
 class RunConfig(NamedTuple):
     """Validated run settings plus the raw config for manifest echoing, and
-    the config file's own ``path``, which no output may replace."""
+    the config file's own ``path``, which no output may replace. ``lexicon``
+    maps ``protected``, ``abbrev`` and ``merges`` to a file, or to None for
+    a disabled one."""
 
     inputs: tuple[InputSpec, ...]
-    protected_path: Path | None
-    abbrev_path: Path | None
-    merges_path: Path | None
+    lexicon: dict[str, Path | None]
     slices: tuple[SliceSpec, ...] | None
     max_keywords: int
     synonym_threshold: float
@@ -70,6 +75,23 @@ class RunConfig(NamedTuple):
     path: Path
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _one_of(*choices: str) -> tuple[str, Callable[[object], bool]]:
+    return " or ".join(map(repr, choices)), lambda value: value in choices
+
+
+# what a setting must be, in the words of its error, and the test of a value
+_COUNT = "an integer of at least 1", lambda value: _is_int(value) and value >= 1
+_PERCENT = "a number from 0 to 100", lambda value: (
+    (_is_int(value) or isinstance(value, float)) and 0 <= value <= 100
+)
+_INTEGER = "an integer", _is_int
+_BOOLEAN = "true or false", lambda value: isinstance(value, bool)
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     raw = parse_json(read_text(path, ConfigError, "config "), path, ConfigError)
@@ -81,82 +103,56 @@ def load_config(path: str | Path) -> RunConfig:
     base = path.parent
 
     inputs = _parse_inputs(raw.get("inputs"), base, path)
-    protected, abbrev, merges = _parse_lexicon(raw.get("lexicon"), base, path)
+    lexicon = {key: default_lexicon_dir() / f"{key}.tsv" for key in _LEXICON_KEYS}
+    given = raw.get("lexicon")  # null keeps every packaged file, as an absent key does
+    given = _object({} if given is None else given, _LEXICON_KEYS, "lexicon", path)
+    for key, file in given.items():
+        lexicon[key] = None if file is None else _resolve(base, file, f"lexicon {key}", path)
     slices = _parse_slices(raw.get("slices"), path)
-
-    thresholds = raw.get("thresholds", {})
-    if not isinstance(thresholds, dict) or set(thresholds) - THRESHOLD_KEYS:
-        raise ConfigError(f"{path}: thresholds must be an object with "
-                          f"keys {sorted(THRESHOLD_KEYS)}")
-    flags = raw.get("flags", {})
-    if not isinstance(flags, dict) or set(flags) - FLAG_KEYS:
-        raise ConfigError(
-            f"{path}: flags must be an object with keys {sorted(FLAG_KEYS)}"
-        )
-    power_law_on = flags.get("power_law_on", "strength")
-    if power_law_on not in ("strength", "degree"):
-        raise ConfigError(f"{path}: power_law_on must be 'strength' or 'degree'")
-    ego_scope = flags.get("ego_degree_scope", "ego")
-    if ego_scope not in ("ego", "full"):
-        raise ConfigError(f"{path}: ego_degree_scope must be 'ego' or 'full'")
+    thresholds = _object(raw.get("thresholds", {}), THRESHOLD_KEYS, "thresholds", path)
+    flags = _object(raw.get("flags", {}), FLAG_KEYS, "flags", path)
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and output_dir != "":  # null and "" mean absent
         output_dir = _resolve(base, output_dir, "output_dir", path)
     return RunConfig(
         inputs=inputs,
-        protected_path=protected,
-        abbrev_path=abbrev,
-        merges_path=merges,
+        lexicon=lexicon,
         slices=slices,
-        max_keywords=_count(thresholds, "max_keywords", 10, path),
-        synonym_threshold=_threshold(thresholds, path),
-        top_k=_count(thresholds, "top_k", 20, path),
-        profile_k=_count(thresholds, "profile_k", 10, path),
+        max_keywords=_value(thresholds, "max_keywords", 10, _COUNT, path),
+        synonym_threshold=float(
+            _value(thresholds, "synonym_threshold", DEFAULT_SYNONYM_THRESHOLD, _PERCENT, path)
+        ),
+        top_k=_value(thresholds, "top_k", 20, _COUNT, path),
+        profile_k=_value(thresholds, "profile_k", 10, _COUNT, path),
         output_dir=output_dir or None,
-        seed=_seed(raw, path),
-        exhaustive_pairing=_flag(flags, "exhaustive_pairing", path),
-        power_law_on=power_law_on,
-        discrete_power_law=_flag(flags, "discrete_power_law", path),
-        ego_degree_scope=ego_scope,
+        seed=_value(raw, "seed", 0, _INTEGER, path),
+        exhaustive_pairing=_value(flags, "exhaustive_pairing", False, _BOOLEAN, path),
+        power_law_on=_value(
+            flags, "power_law_on", "strength", _one_of("strength", "degree"), path
+        ),
+        discrete_power_law=_value(flags, "discrete_power_law", False, _BOOLEAN, path),
+        ego_degree_scope=_value(flags, "ego_degree_scope", "ego", _one_of("ego", "full"), path),
         raw=raw,
         path=path,
     )
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _count(thresholds: dict, key: str, default: int, where: Path) -> int:
-    value = thresholds.get(key, default)
-    if not _is_int(value) or value < 1:
-        raise ConfigError(
-            f"{where}: {key} must be an integer of at least 1, got {value!r}"
-        )
+def _object(value: object, keys: Collection[str], what: str, where: Path) -> dict:
+    """``value`` if it is a JSON object whose keys are all in ``keys``;
+    otherwise an error naming ``what`` and the keys it may have."""
+    if not isinstance(value, dict) or not set(value) <= set(keys):
+        raise ConfigError(f"{where}: {what} must be an object with keys {sorted(keys)}")
     return value
 
 
-def _threshold(thresholds: dict, where: Path) -> float:
-    value = thresholds.get("synonym_threshold", DEFAULT_SYNONYM_THRESHOLD)
-    if not (_is_int(value) or isinstance(value, float)) or not 0 <= value <= 100:
-        raise ConfigError(
-            f"{where}: synonym_threshold must be a number from 0 to 100, got {value!r}"
-        )
-    return float(value)
-
-
-def _flag(flags: dict, key: str, where: Path) -> bool:
-    value = flags.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
-    return value
-
-
-def _seed(raw: dict, where: Path) -> int:
-    value = raw.get("seed", 0)
-    if not _is_int(value):
-        raise ConfigError(f"{where}: seed must be an integer, got {value!r}")
+def _value(section: dict, key: str, default: object, rule: tuple, where: Path):
+    """``section[key]``, or ``default`` when it is absent, if it passes the
+    test of ``rule``; otherwise an error saying what ``key`` must be."""
+    value = section.get(key, default)
+    expected, test = rule
+    if not test(value):
+        raise ConfigError(f"{where}: {key} must be {expected}, got {value!r}")
     return value
 
 
@@ -174,7 +170,7 @@ def _parse_inputs(value: object, base: Path, where: Path) -> tuple[InputSpec, ..
     for entry in value:
         if isinstance(entry, str):
             entry = {"path": entry}
-        if not isinstance(entry, dict) or "path" not in entry:
+        if "path" not in _object(entry, _INPUT_KEYS, f"input {json.dumps(entry)}", where):
             raise ConfigError(f"{where}: each input needs a path")
         p = _resolve(base, entry["path"], "input path", where)
         fmt = entry.get("format") or _infer_format(p, where)
@@ -193,29 +189,6 @@ def _infer_format(p: Path, where: Path) -> str:
     )
 
 
-def _parse_lexicon(
-    value: object, base: Path, where: Path
-) -> tuple[Path | None, Path | None, Path | None]:
-    defaults = default_lexicon_dir()
-    names = {"protected": "protected.tsv", "abbrev": "abbrev.tsv",
-             "merges": "merges.tsv"}
-    if value is None:
-        value = {}
-    if not isinstance(value, dict) or set(value) - _LEXICON_KEYS:
-        raise ConfigError(
-            f"{where}: lexicon must be an object with keys {sorted(_LEXICON_KEYS)}"
-        )
-    out: list[Path | None] = []
-    for key in ("protected", "abbrev", "merges"):
-        if key not in value:
-            out.append(defaults / names[key])  # packaged default
-        elif value[key] is None:
-            out.append(None)
-        else:
-            out.append(_resolve(base, value[key], f"lexicon {key}", where))
-    return out[0], out[1], out[2]
-
-
 def _parse_slices(value: object, where: Path) -> tuple[SliceSpec, ...] | None:
     if value is None:
         return None
@@ -232,6 +205,7 @@ def _parse_slices(value: object, where: Path) -> tuple[SliceSpec, ...] | None:
                 f"{where}: slice {shown} is neither an integer year nor "
                 "an object with a label"
             )
+        _object(entry, _SLICE_KEYS, f"slice {shown}", where)
         label = entry["label"]
         if not (isinstance(label, str) or _is_int(label)):
             raise ConfigError(

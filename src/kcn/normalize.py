@@ -397,16 +397,16 @@ def normalize_corpus(
 
 
 def load_lexicon(
-    protected_path: str | Path | None = None,
-    abbrev_path: str | Path | None = None,
-    merges_path: str | Path | None = None,
+    protected: str | Path | None = None,
+    abbrev: str | Path | None = None,
+    merges: str | Path | None = None,
     synonym_threshold: float = DEFAULT_SYNONYM_THRESHOLD,
     exhaustive_pairing: bool = False,
 ) -> NormalizationLexicon:
     """Build a lexicon from up to three TSV files.
 
-    ``protected_path`` holds one token per line; ``abbrev_path`` holds
-    ``short<TAB>full`` rows; ``merges_path`` holds
+    ``protected`` holds one token per line; ``abbrev`` holds
+    ``short<TAB>full`` rows; ``merges`` holds
     ``variant<TAB>canonical<TAB>allow|deny`` rows. Blank lines and ``#``
     comments are skipped everywhere. Entries are folded (and, for merge
     rows, singularized) on load so they compare against pipeline forms.
@@ -419,23 +419,23 @@ def load_lexicon(
         synonym_threshold=float(synonym_threshold),
         exhaustive_pairing=exhaustive_pairing,
     )
-    if protected_path is not None:
-        for lineno, fields in _tsv_rows(protected_path):
-            with _row(protected_path, lineno):
+    if protected is not None:
+        for lineno, fields in _tsv_rows(protected):
+            with _row(protected, lineno):
                 if len(fields) != 1:
                     raise LexiconError("expected one token per line")
                 lexicon.protected_tokens.add(fold_case_hyphens(fields[0]))
-    if abbrev_path is not None:
-        for lineno, fields in _tsv_rows(abbrev_path):
-            with _row(abbrev_path, lineno):
+    if abbrev is not None:
+        for lineno, fields in _tsv_rows(abbrev):
+            with _row(abbrev, lineno):
                 if len(fields) != 2:
                     raise LexiconError("expected short<TAB>full")
                 lexicon.register_abbrev(
                     fold_case_hyphens(fields[0]), fold_case_hyphens(fields[1])
                 )
-    if merges_path is not None:
-        for lineno, fields in _tsv_rows(merges_path):
-            with _row(merges_path, lineno):
+    if merges is not None:
+        for lineno, fields in _tsv_rows(merges):
+            with _row(merges, lineno):
                 if len(fields) != 3 or fields[2] not in ("allow", "deny"):
                     raise LexiconError("expected variant<TAB>canonical<TAB>allow|deny")
                 pair = frozenset(_merge_stage_form(text, lexicon) for text in fields[:2])

@@ -111,9 +111,7 @@ def prepare(config: RunConfig) -> Prepared:
         filtered, report = filter_eligible(corpus, config.max_keywords)
     with stage("normalize"):
         lexicon = load_lexicon(
-            protected_path=config.protected_path,
-            abbrev_path=config.abbrev_path,
-            merges_path=config.merges_path,
+            **config.lexicon,
             synonym_threshold=config.synonym_threshold,
             exhaustive_pairing=config.exhaustive_pairing,
         )

@@ -643,9 +643,9 @@ def test_load_lexicon_parses_all_three_files(tmp_path):
 def test_load_lexicon_skips_a_byte_order_mark(tmp_path, which, text):
     path = tmp_path / f"{which}.tsv"
     path.write_text(text, "utf-8")
-    plain = load_lexicon(**{f"{which}_path": path})
+    plain = load_lexicon(**{which: path})
     path.write_text(text, "utf-8-sig")
-    marked = load_lexicon(**{f"{which}_path": path})
+    marked = load_lexicon(**{which: path})
     fields = ("protected_tokens", "abbrev_map", "allow_pairs", "deny_pairs")
     assert [getattr(marked, f) for f in fields] == [getattr(plain, f) for f in fields]
     assert any(getattr(plain, f) for f in fields)
@@ -655,7 +655,7 @@ def test_load_lexicon_normalizes_merge_rows_to_stage_forms(tmp_path):
     # merge rows written as raw plurals must match post-singularization
     merges = tmp_path / "merges.tsv"
     merges.write_text("Neural Networks\tNeural Nets\tdeny\n", "utf-8")
-    lex = load_lexicon(merges_path=merges)
+    lex = load_lexicon(merges=merges)
     assert lex.deny_pairs == {frozenset(("neural network", "neural net"))}
 
 
@@ -673,23 +673,23 @@ def test_load_lexicon_rejects_malformed_rows(tmp_path, content, fragment):
     path.write_text(content, "utf-8")
     if fragment == "one token":
         with pytest.raises(LexiconError, match=fragment):
-            load_lexicon(protected_path=path)
+            load_lexicon(protected=path)
     elif fragment == "short<TAB>full":
         with pytest.raises(LexiconError, match="short"):
-            load_lexicon(abbrev_path=path)
+            load_lexicon(abbrev=path)
     else:
         with pytest.raises(LexiconError):
-            load_lexicon(merges_path=path)
+            load_lexicon(merges=path)
 
 
 def test_load_lexicon_ends_rows_only_at_line_feeds(tmp_path):
     path = tmp_path / "protected.tsv"
     path.write_bytes(b"# tokens\r\nAnalytics\r\n\r\nethics\r\n")
-    assert load_lexicon(protected_path=path).protected_tokens == {"analytics", "ethics"}
+    assert load_lexicon(protected=path).protected_tokens == {"analytics", "ethics"}
     # a lone "\r", as a file with CR-only line ends has, would hide a row end
     path.write_bytes(b"series\nanalytics\rethics\n")
     with pytest.raises(LexiconError, match=f"^{re.escape(str(path))}:2: carriage return"):
-        load_lexicon(protected_path=path)
+        load_lexicon(protected=path)
 
 
 @pytest.mark.parametrize("which", ["protected", "abbrev", "merges"])
@@ -704,7 +704,7 @@ def test_load_lexicon_names_the_line_of_an_entry_that_cannot_be_folded(tmp_path,
     row = {"protected": entry, "abbrev": f"x\t{entry}", "merges": f"{entry}\tx\tallow"}[which]
     path.write_text(f"# first\n{row}\n", "utf-8")
     with pytest.raises(LexiconError) as info:
-        load_lexicon(**{f"{which}_path": path})
+        load_lexicon(**{which: path})
     assert str(info.value) == f"{path}:2: {reason}"
 
 
@@ -712,7 +712,7 @@ def test_load_lexicon_rejects_allow_deny_conflict(tmp_path):
     merges = tmp_path / "merges.tsv"
     merges.write_text("a b\tc d\tallow\nc d\ta b\tdeny\n", "utf-8")
     with pytest.raises(LexiconError, match="both allow and deny"):
-        load_lexicon(merges_path=merges)
+        load_lexicon(merges=merges)
 
 
 def test_load_lexicon_rejects_bad_threshold():
@@ -722,8 +722,8 @@ def test_load_lexicon_rejects_bad_threshold():
 
 def test_missing_lexicon_file_reports_path(tmp_path):
     with pytest.raises(LexiconError, match="cannot read"):
-        load_lexicon(protected_path=tmp_path / "absent.tsv")
+        load_lexicon(protected=tmp_path / "absent.tsv")
     latin1 = tmp_path / "latin1.tsv"
     latin1.write_bytes(b"caf\xe9\n")
     with pytest.raises(LexiconError, match=f"cannot read lexicon file {re.escape(str(latin1))}: 'utf-8'"):
-        load_lexicon(protected_path=latin1)
+        load_lexicon(protected=latin1)

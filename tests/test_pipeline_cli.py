@@ -10,6 +10,7 @@ import os
 import re
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -73,8 +74,8 @@ def test_load_config_resolves_relative_paths():
     assert config.inputs[0].path == DATA / "synthetic_corpus.jsonl"
     assert config.inputs[0].format == "jsonl"
     # omitted lexicon keys fall back to the packaged files
-    assert config.protected_path is not None
-    assert config.protected_path.name == "protected.tsv"
+    assert config.lexicon["protected"] is not None
+    assert config.lexicon["protected"].name == "protected.tsv"
     assert config.slices is None
     assert config.top_k == 20
 
@@ -132,9 +133,15 @@ def test_load_config_rejections(tmp_path):
         ({"inputs": ["c.jsonl"], "lexicon": ["abbrev.tsv"]},
          "lexicon must be an object with keys ['abbrev', 'merges', 'protected']"),
         ({"inputs": ["c.jsonl"], "slices": []}, "slices must be a non-empty list"),
+        ({"inputs": [{"path": "c.jsonl", "fromat": "csv"}]},
+         """input {"path": "c.jsonl", "fromat": "csv"} must be an object with keys """
+         "['format', 'path']"),
+        ({"inputs": ["c.jsonl"], "slices": [{"label": "early", "year": [2020, 2021]}]},
+         """slice {"label": "early", "year": [2020, 2021]} must be an object with keys """
+         "['label', 'years']"),
     ],
     ids=["not-object", "input-without-path", "unknown-format", "unknown-suffix",
-         "lexicon-not-object", "no-slices"],
+         "lexicon-not-object", "no-slices", "input-unknown-key", "slice-unknown-key"],
 )
 def test_load_config_names_the_file_of_a_rejected_config(tmp_path, raw, message):
     p = tmp_path / "c.json"
@@ -192,6 +199,8 @@ def test_a_byte_order_mark_moves_no_output_byte_but_the_input_digests(tmp_path):
         ("flags", "exhaustive_pairing", "false"),
         ("flags", "discrete_power_law", "no"),
         ("flags", "discrete_power_law", 1),
+        ("flags", "power_law_on", "edges"),
+        ("flags", "ego_degree_scope", "both"),
     ],
 )
 def test_load_config_rejects_bad_thresholds_and_seed(tmp_path, section, key, value):
@@ -199,8 +208,20 @@ def test_load_config_rejects_bad_thresholds_and_seed(tmp_path, section, key, val
     (raw[section] if section else raw)[key] = value
     p = tmp_path / "c.json"
     p.write_text(json.dumps(raw), "utf-8")
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError) as err:
         load_config(p)
+    must_be = {
+        "top_k": "an integer of at least 1",
+        "max_keywords": "an integer of at least 1",
+        "profile_k": "an integer of at least 1",
+        "synonym_threshold": "a number from 0 to 100",
+        "seed": "an integer",
+        "exhaustive_pairing": "true or false",
+        "discrete_power_law": "true or false",
+        "power_law_on": "'strength' or 'degree'",
+        "ego_degree_scope": "'ego' or 'full'",
+    }[key]
+    assert str(err.value) == f"{p}: {key} must be {must_be}, got {value!r}"
 
 
 def test_load_config_slice_forms(tmp_path):
@@ -275,8 +296,8 @@ def test_load_config_lexicon_null_disables(tmp_path):
         "utf-8",
     )
     config = load_config(p)
-    assert config.protected_path is None
-    assert config.abbrev_path is not None  # others keep the default
+    assert config.lexicon["protected"] is None
+    assert config.lexicon["abbrev"] is not None  # others keep the default
 
 
 def test_load_config_defaults_are_the_documented_ones(tmp_path):
@@ -1268,11 +1289,13 @@ def test_cli_inspect_bad_manifest_slices_is_one_error_line(tmp_path, bundle, sli
     assert res.stderr == f"kcn: error: {manifest}: {message}\n"
 
 
-@pytest.mark.parametrize("where", ["directory", "missing/x.csv"])
+@pytest.mark.parametrize("where", ["directory", "missing/x.csv", "fifo"])
 def test_cli_export_to_an_unwritable_path_is_one_error_line(tmp_path, where):
     out = tmp_path / where
     if where == "directory":
         out.mkdir()
+    elif where == "fifo":
+        os.mkfifo(out)  # a named pipe, which a written file must not replace
     res = _run_cli(
         "export", "--config", str(CONFIG), "--format", "csv", "--out", str(out)
     )
@@ -1281,6 +1304,9 @@ def test_cli_export_to_an_unwritable_path_is_one_error_line(tmp_path, where):
     assert len(res.stderr.splitlines()) == 1
     assert str(out) in res.stderr
     assert _tree(tmp_path) == {}
+    if where == "fifo":
+        assert res.stderr == f"kcn: error: cannot write {out}: not a regular file\n"
+        assert stat.S_ISFIFO(out.stat().st_mode)
 
 
 def test_cli_export_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):

@@ -26,6 +26,7 @@ import io
 import json
 import os
 import shutil
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -336,11 +337,12 @@ def read_bundle(bundle: Path) -> tuple[dict, dict, dict, dict]:
     ``frequency.csv`` as keyword to article count; by slice label, its
     membership table as keyword to (cluster, cluster name), its betweenness
     table as keyword to (value, rank) and the set of keywords its edge list
-    names; and each ``emerging.json`` keyword's ego file name. Every value is
-    the text of its cell; a keyword's first row counts. A missing file but
-    the manifest reads as empty; a damaged one, an error."""
+    names; and each ``emerging.json`` keyword's ego file name, where the
+    bundle holds that file. Every value is the text of its cell; a keyword's
+    first row counts. A missing file but the manifest reads as empty; a
+    damaged one, or one that cannot be looked at, an error."""
     path = bundle / "manifest.json"
-    if not path.is_file():
+    if not _is_file(path):
         raise KcnError(f"{bundle} is not a finished bundle (no manifest.json)")
     manifest = parse_json(read_text(path, KcnError), path, KcnError)
     if not isinstance(manifest, dict):
@@ -355,7 +357,7 @@ def read_bundle(bundle: Path) -> tuple[dict, dict, dict, dict]:
             raise KcnError(f"{path}: {exc}") from exc
     path = bundle / "audit.jsonl"
     audit: dict[str, dict[str, str]] = {}
-    for where, line in read_lines(path, KcnError) if path.is_file() else ():
+    for where, line in read_lines(path, KcnError) if _is_file(path) else ():
         entry = _entry(parse_json(line, where, KcnError), where, ("rule", "raw", "canonical"))
         audit.setdefault(entry["rule"], {})[entry["raw"]] = entry["canonical"]
     # each table is read reversed, so that a keyword's first row is the one kept
@@ -372,13 +374,15 @@ def read_bundle(bundle: Path) -> tuple[dict, dict, dict, dict]:
         tables[label] = clusters, ranks, named
     path = bundle / "emerging.json"
     keywords = []
-    if path.is_file():
+    if _is_file(path):
         entries = parse_json(read_text(path, KcnError), path, KcnError)
         if not isinstance(entries, list):
             raise KcnError(f"{path}: expected a JSON list of entries")
         keywords = [_entry(e, f"{path}: entry {i}", ("keyword",))["keyword"]
                     for i, e in enumerate(entries, 1)]
-    return audit, articles, tables, dict(zip(keywords, ego_file_names(keywords)))
+    egos = {kw: name for kw, name in zip(keywords, ego_file_names(keywords))
+            if _is_file(bundle / name)}
+    return audit, articles, tables, egos
 
 
 def _entry(value, where: str, fields: tuple[str, ...]) -> dict:
@@ -395,4 +399,15 @@ def _entry(value, where: str, fields: tuple[str, ...]) -> dict:
 def _table(path: Path, width: int) -> list[list[str]]:
     """The non-empty rows after the header of the CSV file at ``path``, each
     ``width`` cells wide; no rows when there is no such file."""
-    return [row for _, row in read_csv(path, KcnError, width)[1]] if path.is_file() else []
+    return [row for _, row in read_csv(path, KcnError, width)[1]] if _is_file(path) else []
+
+
+def _is_file(path: Path) -> bool:
+    """Whether ``path`` is a regular file; False when it is missing, and an
+    error naming it, as ``read_text`` words one, when it cannot be looked at."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+    except OSError as exc:
+        raise KcnError(f"cannot read {path}: {exc}") from exc

@@ -125,8 +125,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    bundle: Path = args.bundle
-    audit, articles, tables, ego_files = read_bundle(bundle)
+    audit, articles, tables, ego_files = read_bundle(args.bundle)
     chain = _audit_chain(audit, args.keyword)
     canonical = chain[-1][1] if chain else args.keyword
     ego = ego_files.get(canonical)
@@ -158,7 +157,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             value, rank = ranks[canonical]
             parts.append(f"betweenness rank {rank} ({value})")
         print(f"  [{label}] " + ("; ".join(parts) if parts else "-"))
-    if ego is not None and (bundle / ego).is_file():
+    if ego is not None:
         print(f"ego network: {ego}")
     return 0
 

@@ -3,7 +3,8 @@
 Ranks keywords by weighted betweenness centrality (Brandes accumulation
 over shortest paths with edge distance ``1/weight``), detects keywords that
 newly enter the top ranks of later time slices, and extracts ego networks
-around chosen keywords.
+around chosen keywords. ``weighted_betweenness`` is the one Brandes entry
+point: it sums every source of one graph, in source order.
 """
 
 from __future__ import annotations
@@ -65,32 +66,6 @@ def weighted_betweenness(g: WeightedGraph) -> dict[str, float]:
     and predecessor list, and so every float addition and every bit of
     the result, is as on the whole graph.
     """
-    return betweenness_scores(g, betweenness_sum(g, range(g.n)))
-
-
-def betweenness_scores(g: WeightedGraph, bc: Sequence[float]) -> dict[str, float]:
-    """Scores by label from the ``betweenness_sum`` of all of ``g``'s sources.
-
-    The sum may be taken in parts, as ``betweenness_sum`` says: every bit
-    is then that of ``weighted_betweenness`` at any cut.
-    """
-    labels = g.labels()
-    # each unordered pair was visited from both endpoints
-    return {labels[i]: bc[i] / 2.0 for i in range(g.n)}
-
-
-def betweenness_sum(
-    g: WeightedGraph, sources: range, start: Sequence[float] | None = None
-) -> list[float]:
-    """Twice the scores from ``sources``, by node index, added in source
-    order onto ``start`` (zeros).
-
-    The way to split a slice's sources: ``betweenness_sum(g, range(cut,
-    n), betweenness_sum(g, range(cut)))`` makes the float additions of one
-    loop over all sources, so its ``betweenness_scores`` are those of
-    ``weighted_betweenness`` at any cut. A zero dependency, most of them,
-    is skipped: adding ``+0.0`` changes no bit, since no score is ``-0.0``.
-    """
     n = g.n
     if n == 0:
         raise GraphError("betweenness of an empty graph is undefined")
@@ -101,15 +76,19 @@ def betweenness_sum(
         tuple((j, (scale // w) << bits) for j, w in row.items())
         for row in _backbone(adj)
     ]
-    bc = [0.0] * n if start is None else list(start)
-    for source in sources:
+    bc = [0.0] * n
+    for source in range(n):
         order, delta = _source_delta(nbrs, source)
         for i in range(1, len(order)):
             u = order[i]
             d = delta[u]
+            # most dependencies are zero; adding +0.0 changes no bit, since
+            # no score is -0.0
             if d:
                 bc[u] += d
-    return bc
+    labels = g.labels()
+    # each unordered pair was visited from both endpoints
+    return {labels[i]: bc[i] / 2.0 for i in range(n)}
 
 
 def _backbone(adj: list[dict[int, int]]) -> list[dict[int, int]]:

@@ -212,11 +212,11 @@ def test_only_pipeline_runs_processes():
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "trends"
         for alias in node.names
     ]
-    assert "betweenness_sum" in from_trends
+    assert "weighted_betweenness" in from_trends
     assert [name for name in from_trends if name.startswith("_")] == []
     trends = ast.parse((SRC / "kcn" / "trends.py").read_text("utf-8"))
     defined = {node.name for node in trends.body if isinstance(node, ast.FunctionDef)}
-    assert "betweenness_sum" in defined and not defined & {"_forked", "_workers"}
+    assert "weighted_betweenness" in defined and not defined & {"_forked", "_workers"}
     imported = {
         alias.name for node in ast.walk(trends) if isinstance(node, ast.Import)
         for alias in node.names

@@ -585,7 +585,6 @@ def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(
     build = pipeline.build_kcn
     analyze = pipeline._analyze_slice
     betweenness = pipeline.weighted_betweenness
-    betweenness_sum = pipeline.betweenness_sum
 
     def record(kind, label, alive):
         with seen.open("a", encoding="utf-8") as fh:
@@ -613,25 +612,20 @@ def test_each_year_slice_graph_is_dropped_before_the_next_is_analysed(
         record("betweenness", None, alive_besides(g))
         return betweenness(g)
 
-    def checking_sum(g, *args):
-        # the kept slice's sources, which each process takes after its slices
-        record("sources", None, alive_besides(g))
-        return betweenness_sum(g, *args)
-
     monkeypatch.setattr(pipeline, "build_kcn", tracking_build)
     monkeypatch.setattr(pipeline, "_analyze_slice", checking_analyze)
     monkeypatch.setattr(pipeline, "weighted_betweenness", checking_betweenness)
-    monkeypatch.setattr(pipeline, "betweenness_sum", checking_sum)
     result = run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     lines = [json.loads(line) for line in seen.read_text("utf-8").splitlines()]
     builds = [line for line in lines if line[0] == "build"]
     checks = [line for line in lines if line[0] != "build"]
     # each slice graph is built once, in the slice phase, and analysed and
-    # ranked by betweenness once; the kept slice's sources are split in two
-    assert len(builds) == len(result["slices"]) > 1
-    assert [kind for kind, _, _ in checks].count("betweenness") == len(builds) - 1
-    assert [kind for kind, _, _ in checks].count("sources") == 2
-    assert sorted(label for _, label, _ in builds) == sorted(result["slices"])
+    # ranked by betweenness once; then the whole corpus once more, for the
+    # ego networks of the emerging keywords
+    assert result["emerging"] and len(result["slices"]) > 1
+    assert [kind for kind, _, _ in checks].count("betweenness") == len(result["slices"])
+    assert sorted(label for _, label, _ in builds) == sorted([*result["slices"], "all"])
+    assert builds[-1][1] == "all"
     assert sorted(label for kind, label, _ in checks if kind == "analyze") == sorted(
         result["slices"]
     )
@@ -1307,6 +1301,72 @@ def test_cli_export_to_an_unwritable_path_is_one_error_line(tmp_path, where):
     if where == "fifo":
         assert res.stderr == f"kcn: error: cannot write {out}: not a regular file\n"
         assert stat.S_ISFIFO(out.stat().st_mode)
+
+
+def _denied(monkeypatch, path: Path, *names: str) -> None:
+    """Make each ``os.<name>`` of ``path`` fail as it does for a user without
+    the permission, so that a test shows it as root too."""
+    for name in names:
+        def call(target, *args, _real=getattr(os, name), **kwargs):
+            if str(target) == str(path):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(target))
+            return _real(target, *args, **kwargs)
+
+        monkeypatch.setattr(os, name, call)
+
+
+@pytest.mark.parametrize("denied", [("listdir",), ("listdir", "stat")], ids=["list", "search"])
+def test_cli_run_into_a_directory_it_cannot_look_at_is_one_error_line(
+    tmp_path, monkeypatch, capsys, denied
+):
+    # a mode-0300 directory cannot be listed; under a parent without search
+    # permission it can be neither listed nor stat'ed
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("keep", "utf-8")
+    _denied(monkeypatch, out, *denied)
+    assert cli.main(["run", "--config", str(CONFIG), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"kcn: error: cannot write {out}: {os.strerror(errno.EACCES)}\n"
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["out"]
+    assert os.listdir(out) == ["keep.txt"]
+
+
+@pytest.mark.parametrize(
+    "name", ["manifest.json", "audit.jsonl", "emerging.json", "slices/all/edges.csv", "ego"]
+)
+def test_cli_inspect_bundle_file_it_cannot_look_at_is_one_error_line(
+    bundle, monkeypatch, capsys, name
+):
+    # a missing file reads as empty, one that cannot be stat'ed is an error
+    path = bundle / name if name != "ego" else min(bundle.glob("ego_*.graphml"))
+    _denied(monkeypatch, path, "stat")
+    assert cli.main(["inspect", "neural network", "--bundle", str(bundle)]) == 1
+    denied = PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    assert capsys.readouterr() == ("", f"kcn: error: cannot read {path}: {denied}\n")
+
+
+def test_a_run_without_a_whole_corpus_slice_writes_every_ego_file(tmp_path, capsys):
+    # the ego networks come from the whole corpus, as with an all slice,
+    # which no year-ranked table includes
+    raw = json.loads(CONFIG.read_text("utf-8"))
+    raw["inputs"] = [str(DATA / "synthetic_corpus.jsonl")]
+    ranges = [{"label": "early", "years": [2020, 2021]}, {"label": "late", "years": [2022, 2024]}]
+    egos = []
+    for name, slices in (("ranges", ranges), ("with-all", [*ranges, {"label": "all", "years": "all"}])):
+        raw["slices"] = slices
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(raw), "utf-8")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        egos.append({k: v for k, v in _tree(tmp_path / name).items() if k.startswith("ego_")})
+    out = tmp_path / "ranges"
+    emerging = [e["keyword"] for e in json.loads((out / "emerging.json").read_text("utf-8"))]
+    names = ego_file_names(emerging)
+    assert emerging and sorted(egos[0]) == sorted(names)
+    assert egos[0] == egos[1]
+    capsys.readouterr()
+    assert cli.main(["inspect", emerging[0], "--bundle", str(out)]) == 0
+    assert f"ego network: {names[0]}" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_export_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):

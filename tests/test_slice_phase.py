@@ -1,13 +1,12 @@
 """The slice phase of ``kcn run`` split between this process and a child.
 
-``pipeline._analyze_slices`` hands the slices ``pipeline._schedule``
-gives the child, and the first Brandes sources of the slice it keeps, up
-to the schedule's cut, to one forked child when there are two CPUs. These
-tests pin that the bundle does not depend on the split, that a failure
-reads as it would in the serial loop, that a run forks at most once and
-builds each slice graph once, that the child sends its sum, only when
-there is a cut, before it analyses its slices, that every power-law fit
-runs in this process, and that no child or partial bundle outlives a run.
+``pipeline._analyze_slices`` hands the whole slices ``pipeline._schedule``
+gives the child to one forked child when there are two CPUs, and analyses
+the costliest slice first, then the rest of its own share. These tests pin
+that the bundle does not depend on the split, that a failure reads as it
+would in the serial loop, that a run forks at most once and builds each
+slice graph once, that every power-law fit runs in this process, and that
+no child or partial bundle outlives a run.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ from kcn.trends import CentralityTable
 from conftest import DATA
 from test_trends import WORKER_COUNTS, needs_fork
 
-# tests/data's slices, listed so that the two shares interleave in slice
-# order: the child's slices come before, between and after this process's
+# tests/data's slices and one year range, listed so that the two shares
+# interleave in slice order: the child's slices come before, between and
+# after this process's
 CONFIG = DATA / "split_config.json"
 SUBSETS = [set(c) for k in (1, 2, 3) for c in combinations(STAGES, k)]
 
@@ -116,7 +116,7 @@ def test_the_outcomes_a_child_sends_survive_a_pickle_round_trip(tmp_path):
     prepared = pipeline.prepare(config)
     indices = list(range(len(prepared.slices)))
     outcomes = pipeline._slice_share(
-        config, set(STAGES), prepared.normalized, prepared.slices, tmp_path, indices, {}
+        config, set(STAGES), prepared.normalized, prepared.slices, tmp_path, indices
     )
     back = pickle.loads(pickle.dumps(outcomes))
     assert back == outcomes
@@ -133,34 +133,30 @@ def test_child_share_repeats_and_leaves_a_lone_slice_here():
     prepared = pipeline.prepare(load_config(CONFIG))
     assert pipeline._schedule(prepared.normalized, prepared.slices, True)[1] == _slices()[1]
     for spec in prepared.slices:
-        g = pipeline.build_kcn(prepared.normalized, spec)
-        # this process's phase against the sources: n·m of betweenness, at m each
-        cut = min((pipeline._BETWEENNESS_PAIRS + g.n) // 2, g.n)
-        assert pipeline._schedule(prepared.normalized, [spec], True) == (0, [], cut)
-        assert pipeline._schedule(prepared.normalized, [spec], False) == (0, [], 0)
+        for micro in (True, False):
+            assert pipeline._schedule(prepared.normalized, [spec], micro) == (0, [])
 
 
 @pytest.mark.parametrize("micro", [True, False])
-def test_the_price_counts_each_slice_graph_and_the_cut_evens_the_shares(tmp_path, micro):
+def test_the_price_counts_each_slice_graph_and_lpt_evens_the_shares(tmp_path, micro):
     slices = RANGES
     prepared = pipeline.prepare(load_config(_slices_config(tmp_path, slices)))
     sizes = [(g.n, g.m) for g in (pipeline.build_kcn(prepared.normalized, s) for s in prepared.slices)]
-    phase = [m * pipeline._BETWEENNESS_PAIRS for _, m in sizes]
-    loads = [a + n * m * micro for a, (n, m) in zip(phase, sizes)]
-    keep, theirs, cut = pipeline._schedule(prepared.normalized, prepared.slices, micro)
-    kept = len(slices) - 1  # all, the costliest
-    assert max(range(len(slices)), key=lambda i: phase[i] + sizes[i][0] * sizes[i][1]) == kept
-    assert keep == kept and kept not in theirs
-    here = phase[kept] + sum(loads[i] for i in range(kept) if i not in theirs)
-    child = sum(loads[i] for i in theirs)
-    if not micro:
-        assert cut == 0
-        return
-    # each of the kept slice's n sources costs m; the cut evens the two
-    # totals to within one source either way, rounding down
-    n, m = sizes[kept]
-    assert 0 < cut < n and cut != n // 2
-    assert 0 <= (here + (n - cut) * m) - (child + cut * m) < 2 * m
+    # the phase at m each, plus, with micro, n·m of betweenness
+    loads = [m * pipeline._BETWEENNESS_PAIRS + n * m * micro for n, m in sizes]
+    keep, theirs = pipeline._schedule(prepared.normalized, prepared.slices, micro)
+    assert keep == len(slices) - 1 and keep not in theirs  # all, the costliest
+    # by falling load, ties in slice order, each slice goes to the side
+    # with the lower total so far, ties to this process
+    totals, want = [0, 0], []
+    for i in sorted(range(len(slices)), key=lambda i: (-loads[i], i)):
+        side = int(totals[1] < totals[0])
+        totals[side] += loads[i]
+        if side:
+            want.append(i)
+    assert theirs == sorted(want)
+    assert 0 < len(theirs) < len(slices) - 1
+    assert abs(totals[0] - totals[1]) <= loads[keep]
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -220,8 +216,8 @@ def test_bundle_bytes_do_not_depend_on_the_backbone(tmp_path, monkeypatch):
 
     monkeypatch.setattr(trends, "_backbone", counting)
     assert cli.main(["run", "--config", str(CONFIG), "--out", str(tmp_path / "backbone")]) == 0
-    # the last call, this process's, is the all slice's betweenness
-    assert dropped[-1] > 0
+    # the first call, this process's, is the all slice's betweenness
+    assert dropped[0] > 0
     monkeypatch.setattr(trends, "_backbone", lambda adj: adj)
     assert cli.main(["run", "--config", str(CONFIG), "--out", str(tmp_path / "whole")]) == 0
     assert _tree(tmp_path / "backbone") == _tree(tmp_path / "whole")
@@ -247,30 +243,13 @@ RANGES = [*YEARS, {"label": "2020-2022", "years": [2020, 2022]},
 
 
 @needs_fork
-@pytest.mark.parametrize("slices", [[ALL], RANGES], ids=["lone-all", "ranges"])
-def test_bytes_match_where_the_cut_is_far_from_half_the_sources(tmp_path, monkeypatch, slices):
-    # alone, all's phase outweighs its sources and the child sums them all
-    config = load_config(_slices_config(tmp_path, slices))
-    prepared = pipeline.prepare(config)
-    keep, _, cut = pipeline._schedule(prepared.normalized, prepared.slices, True)
-    n = pipeline.build_kcn(prepared.normalized, prepared.slices[keep]).n
-    assert abs(cut - n // 2) > n // 4
-    trees = []
-    for workers in (1, 2):
-        monkeypatch.setattr(pipeline, "_workers", lambda: workers)
-        run_pipeline(config, out_dir=tmp_path / str(workers))
-        trees.append(_tree(tmp_path / str(workers)))
-    assert trees[0] == trees[1]
-
-
-@needs_fork
 def test_bytes_match_when_the_costliest_slice_is_a_year_range_and_there_is_no_all(
     tmp_path, monkeypatch
 ):
     slices = [YEARS[0], {"label": "2021-2023", "years": [2021, 2023]}, *YEARS[3:]]
     config = load_config(_slices_config(tmp_path, slices))
     prepared = pipeline.prepare(config)
-    keep, theirs, _ = pipeline._schedule(prepared.normalized, prepared.slices, True)
+    keep, theirs = pipeline._schedule(prepared.normalized, prepared.slices, True)
     assert prepared.slices[keep].label == "2021-2023"
     assert theirs
     trees = []
@@ -304,8 +283,8 @@ def test_ego_networks_come_from_all_when_a_year_range_ties_with_it(tmp_path, mon
     monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     monkeypatch.setattr(pipeline, "build_kcn", building)
     egos = []
-    # all is kept in both orders, so its graph gives the ego networks and
-    # no slice graph is built twice
+    # either slice may be kept; the ego networks come from the whole
+    # corpus, built once more after the slice phase
     for name, tied in (("span-first", [span, whole]), ("all-first", [whole, span])):
         config = load_config(_slices_config(tmp_path, [*YEARS, *tied], corpus))
         prepared = pipeline.prepare(config)
@@ -316,11 +295,11 @@ def test_ego_networks_come_from_all_when_a_year_range_ties_with_it(tmp_path, mon
         inside = {kw for r in records if within(r.year) for kw in r.keywords}
         assert all(len(r.keywords) == 1 and r.keywords[0] in inside
                    for r in records if not within(r.year))
-        keep, _, _ = pipeline._schedule(prepared.normalized, prepared.slices, True)
-        assert prepared.slices[keep].label == "all"
         log.write_text("", "utf-8")
         run_pipeline(config, out_dir=tmp_path / name)
-        assert sorted(log.read_text("utf-8").splitlines()) == sorted(s.label for s in prepared.slices)
+        builds = log.read_text("utf-8").splitlines()
+        assert sorted(builds) == sorted([*(s.label for s in prepared.slices), "all"])
+        assert builds[-1] == "all"
         egos.append({k: v for k, v in _tree(tmp_path / name).items() if k.startswith("ego_")})
     assert "ego_large_language_model.graphml" in egos[0]
     assert egos[0] == egos[1]
@@ -356,17 +335,16 @@ def _forks(tmp_path, monkeypatch, config, only) -> list[str]:
 @needs_fork
 @pytest.mark.parametrize(("only", "forks"), [(None, 1), ({"macro", "meso"}, 1)])
 def test_a_run_forks_one_child_at_a_time(tmp_path, monkeypatch, only, forks):
-    # the slice phase's child, which also takes all's first sources
+    # the slice phase's child
     assert _forks(tmp_path, monkeypatch, load_config(CONFIG), only) == [f"{os.getpid()} 0"] * forks
 
 
 @needs_fork
-@pytest.mark.parametrize(("only", "forks"), [(None, 1), ({"macro", "meso"}, 0)])
-def test_a_lone_slice_forks_only_for_its_sources(tmp_path, monkeypatch, only, forks):
-    # with micro the child sums the sources before the schedule's cut;
-    # without, it would have no work
+@pytest.mark.parametrize("only", [None, {"macro", "meso"}])
+def test_a_lone_slice_forks_no_child(tmp_path, monkeypatch, only):
+    # this process keeps the one slice, so the child would have no work
     config = load_config(_slices_config(tmp_path, [{"label": "all", "years": "all"}]))
-    assert _forks(tmp_path, monkeypatch, config, only) == [f"{os.getpid()} 0"] * forks
+    assert _forks(tmp_path, monkeypatch, config, only) == []
 
 
 @pytest.mark.parametrize("only", [None, {"macro", "meso"}], ids=["all-stages", "macro-meso"])
@@ -383,10 +361,11 @@ def test_this_process_builds_the_costliest_slice_first(tmp_path, monkeypatch, wo
     monkeypatch.setattr(pipeline, "build_kcn", building)
     run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out", only=only)
     # all, the costliest, then the rest of this process's share in order,
-    # then, on one CPU, the child's share; with micro or without
+    # then, on one CPU, the child's share; with micro or without; with
+    # micro, last, the whole corpus for the ego networks
     here, theirs = _labels(only is None)
     assert built == ["all", *(label for label in here if label != "all"),
-                     *(theirs if workers == 1 else [])]
+                     *(theirs if workers == 1 else []), *(["all"] if only is None else [])]
 
 
 # --- failures ---------------------------------------------------------------------
@@ -496,9 +475,9 @@ def test_first_failing_slice_wins_then_first_failing_stage(tmp_path, monkeypatch
 def test_kept_slice_betweenness_failure_loses_to_a_year_slice_failure(
     tmp_path, monkeypatch, workers, beside
 ):
-    # all, the kept slice, fails in its first source, which the child
-    # sums, in its last, which this process runs, or in its meso, which
-    # this process runs first; a year slice of either side fails in meso
+    # all, the kept slice, fails in its first source, in its last, or in
+    # its meso, all of which this process runs first; a year slice of
+    # either side fails in meso
     ours, theirs = _labels()
     year = {"ours": ours[0], "theirs": theirs[0]}.get(beside)
     monkeypatch.setattr(pipeline, "_workers", lambda: workers)
@@ -549,8 +528,8 @@ def test_a_full_disk_under_edges_csv_is_a_build_error(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_a_failed_build_of_the_kept_slice_alone_is_raised(tmp_path, monkeypatch, workers):
-    # all is built before the split; its failure is this process's outcome
-    # for all, which comes after every year slice
+    # all is this process's first slice; its failure is its outcome, which
+    # comes after every year slice in slice order
     monkeypatch.setattr(pipeline, "_workers", lambda: workers)
     _fail(monkeypatch, {("all", "build_kcn"): GraphError("all build")})
     with pytest.raises(StageError, match=r"^\[build\] all build$"):
@@ -676,9 +655,8 @@ def test_child_failure_under_force_keeps_old_bundle(tmp_path, monkeypatch, worke
 
 def _child_work() -> str:
     prepared = pipeline.prepare(load_config(CONFIG))
-    _, theirs, cut = pipeline._schedule(prepared.normalized, prepared.slices, True)
-    labels = ", ".join(prepared.slices[i].label for i in theirs)
-    return f"slices {labels} and sources 0-{cut - 1} of all"
+    _, theirs = pipeline._schedule(prepared.normalized, prepared.slices, True)
+    return "slices " + ", ".join(prepared.slices[i].label for i in theirs)
 
 
 @needs_fork
@@ -698,76 +676,3 @@ def test_a_child_that_dies_is_an_error_naming_its_slices(tmp_path, monkeypatch):
         run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
     _assert_no_child_left()
     assert os.listdir(tmp_path) == []
-
-
-@needs_fork
-def test_a_child_that_dies_in_the_prefix_is_an_error_naming_its_slices(tmp_path, monkeypatch):
-    parent = os.getpid()
-
-    def dying(source):
-        if os.getpid() != parent:
-            os._exit(3)
-
-    _on_all_sources(monkeypatch, dying)
-    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
-    with pytest.raises(KcnError, match=f"^worker for {_child_work()} failed with exit code 3$"):
-        run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
-    _assert_no_child_left()
-    assert os.listdir(tmp_path) == []
-
-
-@needs_fork
-def test_the_child_sends_its_prefix_before_its_slices(tmp_path, monkeypatch):
-    # either process appends a line as each of its slices and each of all's
-    # source ranges starts and ends; the child sleeps before each slice
-    log = tmp_path / "events.txt"
-    parent = os.getpid()
-
-    def logged(what, real):
-        def call(*args):
-            side = "here" if os.getpid() == parent else "child"
-            with log.open("a", encoding="utf-8") as fh:
-                fh.write(f"{side} {what} start\n")
-            result = real(*args)
-            with log.open("a", encoding="utf-8") as fh:
-                fh.write(f"{side} {what} end\n")
-            return result
-
-        return call
-
-    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
-    _fail(monkeypatch, {}, delay=0.3)
-    monkeypatch.setattr(pipeline, "betweenness_sum", logged("sources", pipeline.betweenness_sum))
-    monkeypatch.setattr(pipeline, "_analyze_slice", logged("slice", pipeline._analyze_slice))
-    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out")
-    events = log.read_text("utf-8").splitlines()
-    theirs = [e for e in events if e.startswith("child ")]
-    assert theirs.index("child sources end") < theirs.index("child slice start")
-    # so this process sums its sources while the child analyses its slices
-    last = len(events) - 1 - events[::-1].index("child slice end")
-    assert events.index("here sources start") < last
-
-
-@needs_fork
-@pytest.mark.parametrize(
-    ("only", "sent"), [(None, ["list", "dict"]), ({"macro", "meso"}, ["dict"])],
-    ids=["cut", "no-cut"],
-)
-def test_the_child_sends_a_prefix_only_with_a_cut(tmp_path, monkeypatch, only, sent):
-    # the child appends the type of each message it sends: all's first
-    # sources' sum when micro gives a cut, then its slices' outcomes
-    log = tmp_path / "messages.txt"
-    parent = os.getpid()
-    dump = pickle.dump
-
-    def logged(message, fh):
-        if os.getpid() != parent:
-            with log.open("a", encoding="utf-8") as out:
-                out.write(f"{type(message).__name__}\n")
-        return dump(message, fh)
-
-    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
-    monkeypatch.setattr(pickle, "dump", logged)
-    run_pipeline(load_config(CONFIG), out_dir=tmp_path / "out", only=only)
-    assert log.read_text("utf-8").splitlines() == sent
-    _assert_no_child_left()

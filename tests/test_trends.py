@@ -5,6 +5,7 @@ import math
 import os
 import random
 import threading
+import time
 from itertools import combinations
 
 import pytest
@@ -216,8 +217,9 @@ def test_heap_keys_match_tuple_keys_on_exact_ties():
 
 
 # --- betweenness across worker processes ---------------------------------------
-# betweenness_sum split as pipeline._forked runs it, and _forked and _workers
-# themselves, which pipeline holds: kept here under their earlier test ids
+# pipeline._forked, which carries a slice share's outcomes back from a forked
+# child, and _workers, which pipeline holds: kept here under their earlier
+# test ids, the process tests on a plain payload
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 WORKER_COUNTS = [1, pytest.param(2, marks=needs_fork)]
@@ -259,30 +261,11 @@ def _tie_graph() -> WeightedGraph:
     )
 
 
-def test_betweenness_bits_do_not_depend_on_the_cut():
-    # the pipeline sums the sources before the cut in one process and adds
-    # the rest onto that sum in another, in source order
-    for g in _graphs_with_ties() + _seeded_backbone_graphs():
-        want = [(v, repr(x)) for v, x in weighted_betweenness(g).items()]
-        for cut in range(g.n + 1):
-            prefix = trends.betweenness_sum(g, range(cut))
-            got = trends.betweenness_scores(g, trends.betweenness_sum(g, range(cut, g.n), prefix))
-            assert [(v, repr(x)) for v, x in got.items()] == want, (g.edges(), cut)
-
-
 def _forked_betweenness(g: WeightedGraph) -> dict[str, float]:
-    """Betweenness as the pipeline splits it: the first sources summed in
-    ``pipeline._forked``'s child, the rest added onto that sum here."""
-    cut = g.n // 2
-
-    def child():
-        yield trends.betweenness_sum(g, range(cut))
-
-    def here(receive):
-        return trends.betweenness_sum(g, range(cut, g.n), receive())
-
-    bc = pipeline._forked(child, here, f"sources 0-{cut - 1}")
-    return trends.betweenness_scores(g, bc)
+    """Betweenness of ``g`` as a child's slice is ranked: in
+    ``pipeline._forked``'s child, pickled back to this process."""
+    _, values = pipeline._forked(lambda: weighted_betweenness(g), lambda: None, "a slice")
+    return values
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -292,6 +275,11 @@ def test_betweenness_bits_match_serial_loop_for_every_worker_count(monkeypatch, 
         want = [(v, repr(x)) for v, x in oracles.betweenness_brandes_serial(g)]
         assert [(v, repr(x)) for v, x in _forked_betweenness(g).items()] == want
         _assert_bits_match_serial_loop(g)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
@@ -315,47 +303,48 @@ def test_betweenness_runs_serially_when_no_child_can_start(monkeypatch, fails):
     monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", fork)
-    graphs = _graphs_with_ties()
-    for g in graphs:
-        want = [(v, repr(x)) for v, x in oracles.betweenness_brandes_serial(g)]
-        assert [(v, repr(x)) for v, x in _forked_betweenness(g).items()] == want
-    assert len(made) == (0 if fails == "pipe" else 2 * len(graphs))
+    ran: list[str] = []
+
+    def child():
+        ran.append("child")
+        return os.getpid()
+
+    def here():
+        ran.append("here")
+        return "here"
+
+    for _ in range(3):
+        assert pipeline._forked(child, here, "work") == ("here", os.getpid())
+    assert ran == ["here", "child"] * 3
+    assert len(made) == (0 if fails == "pipe" else 2 * 3)
     for fd in made:
         with pytest.raises(OSError):
             os.fstat(fd)
 
 
-def _failing_at(source_of, exc):
-    real = trends._source_delta
+@needs_fork
+def test_betweenness_child_failure_raises_and_leaves_no_child(monkeypatch):
+    def child():
+        raise RuntimeError("boom")
 
-    def source_delta(nbrs, source):
-        if source == source_of(len(nbrs)):
-            raise exc
-        return real(nbrs, source)
-
-    return source_delta
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
+    with pytest.raises(KcnError, match="^worker for work failed with exit code 1$"):
+        pipeline._forked(child, lambda: None, "work")
+    _assert_no_child_left()
 
 
 @needs_fork
-def test_betweenness_child_failure_raises_and_leaves_no_child(monkeypatch, cycle4):
-    # source 0 is before the cut, so it runs in the child
-    monkeypatch.setattr(trends, "_source_delta", _failing_at(lambda n: 0, RuntimeError("boom")))
-    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
-    with pytest.raises(KcnError, match="^worker for sources 0-1 failed with exit code 1$"):
-        _forked_betweenness(cycle4)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_betweenness_interrupt_in_parent_reaps_every_child(monkeypatch):
+    # the child would run for a minute; it is killed, not waited for
+    def here():
+        raise KeyboardInterrupt
 
-
-@needs_fork
-def test_betweenness_interrupt_in_parent_reaps_every_child(monkeypatch, cycle4):
-    # the last source runs in this process, after the child's sum
-    monkeypatch.setattr(trends, "_source_delta", _failing_at(lambda n: n - 1, KeyboardInterrupt))
     monkeypatch.setattr(pipeline, "_workers", lambda: 2)
+    start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        _forked_betweenness(cycle4)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        pipeline._forked(lambda: time.sleep(60), here, "work")
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(("workers", "work"), [(1, "work"), (2, "")], ids=["one-cpu", "no-fork"])
@@ -368,67 +357,62 @@ def test_forked_runs_here_then_child_when_it_does_not_fork(monkeypatch, workers,
     ran: list[str] = []
 
     def child():
-        ran.append("child 1")
-        yield 1
-        ran.append("child 2")
-        yield 2
+        ran.append("child")
+        return 2
 
-    def here(receive):
-        ran.append("here 1")
-        first = receive()
-        ran.append("here 2")
-        second = receive()
-        ran.append("here 3")
-        return first, second
+    def here():
+        ran.append("here")
+        return 1
 
     # with no work to name, nothing forks
     assert pipeline._forked(child, here, work) == (1, 2)
-    # each side runs up to the point where the other must go on
-    assert ran == ["here 1", "child 1", "here 2", "child 2", "here 3"]
+    assert ran == ["here", "child"]
 
 
 @needs_fork
 def test_forked_carries_messages_in_order_through_the_pipe(monkeypatch):
     monkeypatch.setattr(pipeline, "_workers", lambda: 2)
-    # a message larger than a pipe buffer waits until it is received
+    # a result larger than a pipe buffer waits until it is read
     big = [float(i) for i in range(50_000)]
+    here, (pid, got, last) = pipeline._forked(lambda: (os.getpid(), big, None), lambda: "here", "work")
+    assert here == "here" and pid != os.getpid() and got == big and last is None
+    _assert_no_child_left()
 
-    def child():
-        yield os.getpid()
-        yield big
-        yield None
 
-    pid, got, last = pipeline._forked(child, lambda receive: [receive() for _ in range(3)], "work")
-    assert pid != os.getpid() and got == big and last is None
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+class _Exit:
+    # pickling it ends the process with exit code 3
+    def __reduce__(self):
+        os._exit(3)
 
 
 @needs_fork
 @pytest.mark.parametrize("sent", [0, 1])
 @pytest.mark.parametrize("received", ["all", "sent"])
 def test_a_child_that_exits_is_failed_with_its_exit_code(monkeypatch, sent, received):
-    # the child exits after ``sent`` messages; this process asks for one
-    # more and gets the error from receive, or returns once it has what
-    # was sent and gets it from _forked
+    # the child exits before it sends its result (sent 0), or once part of
+    # it, more than a pipe buffer, is on the pipe (sent 1); this process
+    # reads the pipe's end once ``here`` returns, which is at once ("sent")
+    # or once the child has reached its end ("all")
     monkeypatch.setattr(pipeline, "_workers", lambda: 2)
+    ready_r, ready_w = os.pipe()
 
     def child():
-        yield from range(sent)
-        os._exit(3)
-        yield "never"
+        os.write(ready_w, b"x")
+        if sent == 0:
+            os._exit(3)
+        return [float(i) for i in range(50_000)], _Exit()
 
-    def here(receive):
-        got = [receive() for _ in range(sent)]
+    def here():
         if received == "all":
-            receive()
-            raise AssertionError("received past the child's exit")
-        return got
+            assert os.read(ready_r, 1) == b"x"
 
-    with pytest.raises(KcnError, match="^worker for work failed with exit code 3$"):
-        pipeline._forked(child, here, "work")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    try:
+        with pytest.raises(KcnError, match="^worker for work failed with exit code 3$"):
+            pipeline._forked(child, here, "work")
+    finally:
+        os.close(ready_r)
+        os.close(ready_w)
+    _assert_no_child_left()
 
 
 @needs_fork
